@@ -1,9 +1,12 @@
-//! A minimal, std-only JSON validity checker.
+//! Std-only JSON helpers: the push-based writers every hand-rolled JSON
+//! renderer in the workspace shares, and a validity checker.
 //!
-//! The trace writer and the reports emit JSON by hand; this module gives the
-//! test suite, the examples, and the CI smoke step a dependency-free way to
-//! assert that what was emitted actually *parses* as JSON (RFC 8259 grammar),
-//! without pulling a serde stack into the workspace.
+//! The trace writer and the reports (here and in `read-pipeline`) emit JSON
+//! by hand through [`push_json_str`] and [`push_json_f64`]; [`validate`]
+//! gives the test suite, the examples, and the CI smoke step a
+//! dependency-free way to assert that what was emitted actually *parses* as
+//! JSON (RFC 8259 grammar), without pulling a serde stack into the
+//! workspace.
 
 /// Maximum container nesting the validator accepts — far above anything the
 /// trace or report emitters produce, low enough to bound recursion.
@@ -202,6 +205,53 @@ impl Parser<'_> {
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
+    }
+}
+
+/// Appends `s` as a JSON string literal: quotes, backslashes and control
+/// characters escaped, everything else verbatim.
+///
+/// ```
+/// let mut out = String::new();
+/// dataflow_sim::json::push_json_str(&mut out, "a \"b\"\n");
+/// assert_eq!(out, r#""a \"b\"\n""#);
+/// ```
+pub fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Appends `prefix` followed by `v` in shortest round-trip form, or `null`
+/// for a non-finite value (never invalid JSON).  Writes straight into `out`:
+/// shortest-round-trip float formatting is not worth hand-rolling, but an
+/// intermediate `format!` allocation is.
+///
+/// ```
+/// let mut out = String::new();
+/// dataflow_sim::json::push_json_f64(&mut out, "\"ter\":", 0.25);
+/// dataflow_sim::json::push_json_f64(&mut out, ",\"ber\":", f64::NAN);
+/// assert_eq!(out, r#""ter":0.25,"ber":null"#);
+/// ```
+pub fn push_json_f64(out: &mut String, prefix: &str, v: f64) {
+    use std::fmt::Write as _;
+    out.push_str(prefix);
+    if v.is_finite() {
+        let _ = write!(out, "{v:?}");
+    } else {
+        out.push_str("null");
     }
 }
 

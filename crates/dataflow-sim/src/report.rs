@@ -1,6 +1,8 @@
 //! The typed [`DataflowReport`] an engine run produces, with a
 //! deterministic JSON rendering and an exact single-line wire round trip.
 
+use crate::json::{push_json_f64, push_json_str};
+
 /// Per-context accounting: how one context spent its local time.
 ///
 /// All fields are integers so the report round-trips exactly through the
@@ -279,25 +281,6 @@ fn wire_field<'t>(tokens: &mut impl Iterator<Item = &'t str>, key: &str) -> Opti
         .and_then(|rest| rest.strip_prefix('='))
 }
 
-/// Appends a JSON string literal (the workspace's shared escaping rules).
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Appends a decimal integer without a `format!` round trip — the trace
 /// and report renderers push one of these per field, thousands per
 /// document.
@@ -314,21 +297,6 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     }
     // The buffer holds only ASCII digits.
     out.push_str(std::str::from_utf8(&buf[at..]).unwrap());
-}
-
-/// Appends `prefix` followed by a shortest-round-trip float (or `null` for
-/// a non-finite value), matching the pipeline reports' rendering.  Writes
-/// through `fmt::Write` straight into `out` — shortest-round-trip float
-/// formatting is not worth hand-rolling, but the intermediate `format!`
-/// allocation is.
-pub(crate) fn push_json_f64(out: &mut String, prefix: &str, v: f64) {
-    use std::fmt::Write as _;
-    out.push_str(prefix);
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
 }
 
 #[cfg(test)]

@@ -160,7 +160,8 @@ impl TraceRecorder {
     /// events (`"ph": "X"`) carry the compute/stall/drain spans, and counter
     /// events (`"ph": "C"`) carry channel occupancy.
     pub fn to_chrome_json(&self) -> String {
-        use crate::report::{push_json_str, push_u64};
+        use crate::json::push_json_str;
+        use crate::report::push_u64;
         // One output line per event; sizing the buffer up front and pushing
         // fields directly (no per-event `format!`, no per-event escaped-name
         // allocation) keeps rendering linear in the document size — this is

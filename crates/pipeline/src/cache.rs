@@ -44,9 +44,10 @@ use qnn::{Dataset, Model};
 use timing::DepthHistogram;
 
 use crate::error::PipelineError;
-use crate::plan::{escape_wire, UnitResult};
+use crate::plan::UnitResult;
 use crate::stage::fnv1a;
 use crate::store::{ArtifactStore, StoreRequest};
+use crate::wire::escape_wire;
 use crate::workload::LayerWorkload;
 
 /// Cache key: (source fingerprint, weights fingerprint, array columns).

@@ -1,84 +1,14 @@
-//! Legacy execution-mode shim plus the scoped-thread fan-out primitive.
+//! The scoped-thread fan-out primitive behind [`crate::ThreadExecutor`]
+//! and the serve daemon's unit pool.
 //!
 //! The build environment has no external crates, so the parallel path is a
 //! small scoped-thread work queue with the same contract rayon's
 //! `par_iter().map().collect()` would give: results come back in item order
 //! and the first error (by item index) wins, so serial and parallel runs of
 //! a deterministic job produce identical output.
-//!
-//! [`ExecMode`] predates the [`crate::executor`] layer and is kept as a
-//! deprecated back-compat shim, **confined to this module**: it is no
-//! longer re-exported from the crate root or the preludes, and the one
-//! `#[allow(deprecated)]` test module below pins its behavior (the
-//! [`ExecMode::requested_threads`] mapping onto the equivalent
-//! [`crate::SerialExecutor`] / [`crate::ThreadExecutor`], and
-//! [`run_indexed`]'s contract).  New code should configure an
-//! [`crate::Executor`] directly via [`crate::ReadPipelineBuilder::executor`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// How a pipeline fans out per-layer work.
-///
-/// Deprecated: this enum predates the [`crate::Executor`] abstraction and
-/// only covers in-process execution.  Use
-/// [`crate::ReadPipelineBuilder::executor`] with [`crate::SerialExecutor`],
-/// [`crate::ThreadExecutor`] or [`crate::SubprocessExecutor`] instead; the
-/// shim maps `Serial` to `SerialExecutor` and `Parallel { threads }` to
-/// `ThreadExecutor { threads }` with identical results.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the Executor trait (SerialExecutor / ThreadExecutor / SubprocessExecutor) via ReadPipelineBuilder::executor"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// One item after another on the calling thread.
-    Serial,
-    /// Scoped worker threads pulling items from a shared queue.
-    Parallel {
-        /// Worker count; `0` uses the machine's available parallelism.
-        /// Whatever the request, the resolved worker count is clamped to at
-        /// least one thread (and at most one per item), so
-        /// `Parallel { threads: 0 }` can never resolve to zero workers —
-        /// even when `available_parallelism` is unknown it degrades to a
-        /// single worker, never to a stalled run.
-        threads: usize,
-    },
-}
-
-// Not derived: the derive would reference the deprecated variant without an
-// `allow`, warning on every build.
-#[allow(deprecated, clippy::derivable_impls)]
-impl Default for ExecMode {
-    fn default() -> Self {
-        ExecMode::Serial
-    }
-}
-
-#[allow(deprecated)]
-impl ExecMode {
-    /// Parallel execution sized to the machine.
-    pub fn parallel() -> Self {
-        ExecMode::Parallel { threads: 0 }
-    }
-
-    /// The worker-thread count this mode requests (`None` for serial,
-    /// `Some(0)` for machine-sized) — the value the [`crate::ThreadExecutor`]
-    /// shim is built with.
-    pub fn requested_threads(self) -> Option<usize> {
-        match self {
-            ExecMode::Serial => None,
-            ExecMode::Parallel { threads } => Some(threads),
-        }
-    }
-
-    fn resolved_threads(self, items: usize) -> usize {
-        match self {
-            ExecMode::Serial => 1,
-            ExecMode::Parallel { threads } => resolve_threads(threads, items),
-        }
-    }
-}
 
 /// Resolves a requested worker count against an item count: `0` means the
 /// machine's available parallelism, and the result is clamped to
@@ -92,26 +22,6 @@ pub fn resolve_threads(requested: usize, items: usize) -> usize {
         requested
     };
     threads.min(items.max(1)).max(1)
-}
-
-/// Runs `job(0..items)` under the given mode and returns the results in item
-/// order.  On failure the error of the smallest failing index is returned,
-/// independent of thread timing.
-///
-/// Deprecated alongside [`ExecMode`]; use [`run_indexed_threads`] (or an
-/// [`crate::Executor`]) instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use run_indexed_threads or an Executor implementation"
-)]
-#[allow(deprecated)]
-pub fn run_indexed<T, E, F>(mode: ExecMode, items: usize, job: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_indexed_threads(mode.resolved_threads(items), items, job)
 }
 
 /// Runs `job(0..items)` on `threads` scoped worker threads (`0` = machine
@@ -161,49 +71,40 @@ where
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial: Vec<usize> =
-            run_indexed(ExecMode::Serial, 100, |i| Ok::<_, ()>(i * i)).unwrap();
-        let parallel: Vec<usize> =
-            run_indexed(ExecMode::parallel(), 100, |i| Ok::<_, ()>(i * i)).unwrap();
+        let serial: Vec<usize> = run_indexed_threads(1, 100, |i| Ok::<_, ()>(i * i)).unwrap();
+        let parallel: Vec<usize> = run_indexed_threads(4, 100, |i| Ok::<_, ()>(i * i)).unwrap();
         assert_eq!(serial, parallel);
         assert_eq!(serial[7], 49);
     }
 
     #[test]
     fn first_error_by_index_wins() {
-        let result = run_indexed(ExecMode::Parallel { threads: 4 }, 50, |i| {
-            if i % 10 == 3 {
-                Err(i)
-            } else {
-                Ok(i)
-            }
-        });
+        let result = run_indexed_threads(4, 50, |i| if i % 10 == 3 { Err(i) } else { Ok(i) });
         assert_eq!(result.unwrap_err(), 3);
     }
 
     #[test]
     fn zero_items_is_empty() {
-        let out: Vec<u8> = run_indexed(ExecMode::parallel(), 0, |_| Ok::<_, ()>(0)).unwrap();
+        let out: Vec<u8> = run_indexed_threads(0, 0, |_| Ok::<_, ()>(0)).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     fn explicit_thread_count_is_respected() {
         // More threads than items must not deadlock or duplicate work.
-        let out: Vec<usize> =
-            run_indexed(ExecMode::Parallel { threads: 16 }, 3, Ok::<_, ()>).unwrap();
+        let out: Vec<usize> = run_indexed_threads(16, 3, Ok::<_, ()>).unwrap();
         assert_eq!(out, vec![0, 1, 2]);
     }
 
-    /// Regression: `Parallel { threads: 0 }` is the documented machine-sized
-    /// request and must always resolve to at least one worker — it runs to
-    /// completion with results identical to serial, never zero workers.
+    /// Regression: a request for `0` threads is the documented
+    /// machine-sized request and must always resolve to at least one
+    /// worker — it runs to completion with results identical to serial,
+    /// never zero workers.
     #[test]
     fn zero_thread_request_clamps_to_at_least_one_worker() {
         assert!(resolve_threads(0, 8) >= 1);
@@ -216,39 +117,8 @@ mod tests {
         assert_eq!(resolve_threads(0, 100), machine.min(100));
         assert_eq!(resolve_threads(5, 2), 2);
         assert_eq!(resolve_threads(1, 100), 1);
-        let zero: Vec<usize> =
-            run_indexed(ExecMode::Parallel { threads: 0 }, 9, |i| Ok::<_, ()>(i + 1)).unwrap();
-        let serial: Vec<usize> = run_indexed(ExecMode::Serial, 9, |i| Ok::<_, ()>(i + 1)).unwrap();
+        let zero: Vec<usize> = run_indexed_threads(0, 9, |i| Ok::<_, ()>(i + 1)).unwrap();
+        let serial: Vec<usize> = run_indexed_threads(1, 9, |i| Ok::<_, ()>(i + 1)).unwrap();
         assert_eq!(zero, serial);
-        // The same request through run_indexed_threads directly.
-        let direct: Vec<usize> = run_indexed_threads(0, 9, |i| Ok::<_, ()>(i + 1)).unwrap();
-        assert_eq!(direct, serial);
-    }
-
-    #[test]
-    fn requested_threads_reports_the_shim_mapping() {
-        assert_eq!(ExecMode::Serial.requested_threads(), None);
-        assert_eq!(ExecMode::parallel().requested_threads(), Some(0));
-        assert_eq!(
-            ExecMode::Parallel { threads: 3 }.requested_threads(),
-            Some(3)
-        );
-    }
-
-    /// Pins the shim's executor mapping: the mode a legacy caller held maps
-    /// onto exactly one modern [`crate::Executor`] with the same observable
-    /// configuration.
-    #[test]
-    fn exec_mode_maps_onto_equivalent_executors() {
-        use crate::executor::{Executor, SerialExecutor, ThreadExecutor};
-        let map = |mode: ExecMode| -> String {
-            match mode.requested_threads() {
-                None => SerialExecutor.name(),
-                Some(threads) => ThreadExecutor::new(threads).name(),
-            }
-        };
-        assert_eq!(map(ExecMode::Serial), "serial");
-        assert_eq!(map(ExecMode::parallel()), "threads[machine]");
-        assert_eq!(map(ExecMode::Parallel { threads: 2 }), "threads[2]");
     }
 }

@@ -80,6 +80,7 @@ pub mod sweep;
 pub mod workload;
 
 mod pipeline;
+mod wire;
 
 pub use cache::{
     CacheStats, HistogramCheck, HistogramKey, KeyCheck, ScheduleKey, UnitCheck, UnitKey,

@@ -17,7 +17,7 @@ use crate::cache::{
 };
 use crate::error::PipelineError;
 use crate::executor::{Executor, SerialExecutor, ThreadExecutor};
-use crate::plan::{escape_wire, PlanOutput, WorkPlan};
+use crate::plan::{PlanOutput, WorkPlan};
 use crate::report::{AccuracyReport, DataflowNetworkReport, NetworkReport};
 use crate::stage::{
     fnv1a, DataflowProber, DelayErrorModel, ErrorModel, Evaluator, EventProber,
@@ -25,6 +25,7 @@ use crate::stage::{
 };
 use crate::store::ArtifactStore;
 use crate::sweep::{SweepPlan, SweepReport};
+use crate::wire::escape_wire;
 use crate::workload::LayerWorkload;
 
 /// Builder for a [`ReadPipeline`].  Obtain with [`ReadPipeline::builder`].

@@ -55,6 +55,7 @@ use crate::report::{
 };
 use crate::stage::fnv1a;
 use crate::sweep::{DieModel, SweepCell, SweepPlan, SweepReport, WorstCase};
+use crate::wire::{bad_wire, escape_wire, Fields};
 use crate::workload::LayerWorkload;
 
 /// One unit of a [`WorkPlan`]: the smallest independently-executable,
@@ -119,29 +120,27 @@ impl WorkUnit {
     ///
     /// Returns [`PipelineError::Exec`] on any malformed line.
     pub fn decode(line: &str) -> Result<WorkUnit, PipelineError> {
-        let mut tokens = line.split_whitespace();
-        let tag = tokens.next().ok_or_else(|| bad_wire(line, "empty unit"))?;
+        let mut fields = Fields::new(line, bad_wire);
+        let tag = fields.next().ok_or_else(|| bad_wire(line, "empty unit"))?;
         let unit = match tag {
             "hist" => WorkUnit::Histogram {
-                cell: parse_field(&mut tokens, "cell", line)?,
-                pair: parse_field(&mut tokens, "pair", line)?,
+                cell: fields.parse("cell")?,
+                pair: fields.parse("pair")?,
             },
             "mc" => WorkUnit::McShard {
-                cell: parse_field(&mut tokens, "cell", line)?,
-                trial_range: parse_range(field(&mut tokens, "trials", line)?, line)?,
+                cell: fields.parse("cell")?,
+                trial_range: parse_range(fields.field("trials")?, line)?,
             },
             "acc" => WorkUnit::AccuracyPoint {
-                cell: parse_field(&mut tokens, "cell", line)?,
+                cell: fields.parse("cell")?,
             },
             "dflow" => WorkUnit::DataflowProbe {
-                cell: parse_field(&mut tokens, "cell", line)?,
+                cell: fields.parse("cell")?,
             },
             other => return Err(bad_wire(line, &format!("unknown unit tag {other:?}"))),
         };
-        match tokens.next() {
-            None => Ok(unit),
-            Some(extra) => Err(bad_wire(line, &format!("trailing token {extra:?}"))),
-        }
+        fields.end()?;
+        Ok(unit)
     }
 }
 
@@ -264,25 +263,25 @@ impl UnitResult {
     ///
     /// Returns [`PipelineError::Exec`] on any malformed line.
     pub fn decode(line: &str) -> Result<UnitResult, PipelineError> {
-        let mut tokens = line.split_whitespace();
-        let tag = tokens
+        let mut fields = Fields::new(line, bad_wire);
+        let tag = fields
             .next()
             .ok_or_else(|| bad_wire(line, "empty result"))?;
         let result = match tag {
             "hist" => {
-                let cell = parse_field(&mut tokens, "cell", line)?;
-                let pair = parse_field(&mut tokens, "pair", line)?;
+                let cell = fields.parse("cell")?;
+                let pair = fields.parse("pair")?;
                 // The remaining tokens are the timing crate's histogram
                 // wire rendering, which rejects trailing tokens itself.
-                let body: Vec<&str> = tokens.by_ref().collect();
+                let body: Vec<&str> = fields.by_ref().collect();
                 let hist = DepthHistogram::from_wire(&body.join(" "))
                     .ok_or_else(|| bad_wire(line, "malformed or inconsistent histogram"))?;
                 UnitResult::Histogram { cell, pair, hist }
             }
             "mc" => {
-                let cell = parse_field(&mut tokens, "cell", line)?;
-                let trial_range = parse_range(field(&mut tokens, "trials", line)?, line)?;
-                let ters_value = field(&mut tokens, "ters", line)?;
+                let cell = fields.parse("cell")?;
+                let trial_range = parse_range(fields.field("trials")?, line)?;
+                let ters_value = fields.field("ters")?;
                 let ters = if ters_value.is_empty() {
                     Vec::new()
                 } else {
@@ -305,78 +304,32 @@ impl UnitResult {
                     ters,
                 }
             }
-            "acc" => {
-                let cell = parse_field(&mut tokens, "cell", line)?;
-                let condition = unescape(field(&mut tokens, "condition", line)?, line)?;
-                let algorithm = unescape(field(&mut tokens, "algorithm", line)?, line)?;
-                let top1 = parse_f64(field(&mut tokens, "top1", line)?, line)?;
-                let topk = parse_f64(field(&mut tokens, "topk", line)?, line)?;
-                let k = parse_field(&mut tokens, "k", line)?;
-                let mean_ber = parse_f64(field(&mut tokens, "mean_ber", line)?, line)?;
-                let seeds = parse_field(&mut tokens, "seeds", line)?;
-                UnitResult::Accuracy {
-                    cell,
-                    point: AccuracyPoint {
-                        condition,
-                        algorithm,
-                        top1,
-                        topk,
-                        k,
-                        mean_ber,
-                        seeds,
-                    },
-                }
-            }
+            "acc" => UnitResult::Accuracy {
+                cell: fields.parse("cell")?,
+                point: AccuracyPoint {
+                    condition: fields.text("condition")?,
+                    algorithm: fields.text("algorithm")?,
+                    top1: fields.parse("top1")?,
+                    topk: fields.parse("topk")?,
+                    k: fields.parse("k")?,
+                    mean_ber: fields.parse("mean_ber")?,
+                    seeds: fields.parse("seeds")?,
+                },
+            },
             "dflow" => {
-                let cell = parse_field(&mut tokens, "cell", line)?;
+                let cell = fields.parse("cell")?;
                 // The remaining tokens are the dataflow report's wire
                 // rendering, which rejects trailing tokens itself.
-                let body: Vec<&str> = tokens.by_ref().collect();
+                let body: Vec<&str> = fields.by_ref().collect();
                 let report = DataflowReport::from_wire(&body.join(" "))
                     .ok_or_else(|| bad_wire(line, "malformed dataflow report"))?;
                 UnitResult::DataflowProbe { cell, report }
             }
             other => return Err(bad_wire(line, &format!("unknown result tag {other:?}"))),
         };
-        match tokens.next() {
-            None => Ok(result),
-            Some(extra) => Err(bad_wire(line, &format!("trailing token {extra:?}"))),
-        }
+        fields.end()?;
+        Ok(result)
     }
-}
-
-fn bad_wire(line: &str, reason: &str) -> PipelineError {
-    PipelineError::exec(format!("malformed wire line {line:?}: {reason}"))
-}
-
-/// Pulls the next token off `tokens` and returns its value, requiring the
-/// `key=` prefix (the wire format's fields come in a fixed order).
-fn field<'t>(
-    tokens: &mut impl Iterator<Item = &'t str>,
-    key: &str,
-    line: &str,
-) -> Result<&'t str, PipelineError> {
-    let token = tokens
-        .next()
-        .ok_or_else(|| bad_wire(line, &format!("missing field {key:?}")))?;
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| bad_wire(line, &format!("expected field {key:?}, got {token:?}")))
-}
-
-fn parse_field<'t, T: std::str::FromStr>(
-    tokens: &mut impl Iterator<Item = &'t str>,
-    key: &str,
-    line: &str,
-) -> Result<T, PipelineError> {
-    field(tokens, key, line)?
-        .parse()
-        .map_err(|_| bad_wire(line, &format!("bad value for {key:?}")))
-}
-
-fn parse_f64(value: &str, line: &str) -> Result<f64, PipelineError> {
-    value.parse().map_err(|_| bad_wire(line, "bad float value"))
 }
 
 fn parse_range(value: &str, line: &str) -> Result<Range<u32>, PipelineError> {
@@ -386,58 +339,6 @@ fn parse_range(value: &str, line: &str) -> Result<Range<u32>, PipelineError> {
     let lo: u32 = lo.parse().map_err(|_| bad_wire(line, "bad range start"))?;
     let hi: u32 = hi.parse().map_err(|_| bad_wire(line, "bad range end"))?;
     Ok(lo..hi)
-}
-
-/// Escapes a string field for the single-line, space-tokenized wire format.
-/// The decoder tokenizes with `split_whitespace`, so EVERY Unicode
-/// whitespace character must be escaped, not just ASCII space — the
-/// uncommon ones round-trip as `\uXXXX` (whitespace is BMP-only).
-/// Shared with the artifact-store check lines ([`crate::cache`]), which
-/// reuse the same single-line framing.
-pub(crate) fn escape_wire(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '\\' => out.push_str("\\\\"),
-            ' ' => out.push_str("\\s"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if c.is_whitespace() => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn unescape(s: &str, line: &str) -> Result<String, PipelineError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(ch) = chars.next() {
-        if ch != '\\' {
-            out.push(ch);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('s') => out.push(' '),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                let code = u32::from_str_radix(&hex, 16)
-                    .ok()
-                    .and_then(char::from_u32)
-                    .ok_or_else(|| bad_wire(line, "bad \\u escape"))?;
-                out.push(code);
-            }
-            _ => return Err(bad_wire(line, "bad escape sequence")),
-        }
-    }
-    Ok(out)
 }
 
 /// What a [`WorkPlan`] produces when aggregated.
@@ -1066,16 +967,19 @@ impl<'a> WorkPlan<'a> {
             if line.is_empty() {
                 continue;
             }
-            let response = WorkUnit::decode(line)
-                .and_then(|unit| self.run_unit_spec(&unit))
-                .map(|result| result.encode());
-            match response {
-                Ok(encoded) => writeln!(output, "{encoded}")?,
-                Err(e) => writeln!(output, "!{e}")?,
-            }
+            writeln!(output, "{}", self.answer(line))?;
             output.flush()?;
         }
         Ok(())
+    }
+
+    /// The reply to one unit line: the encoded result, or `!<reason>` when
+    /// the line does not decode or the unit fails.
+    pub(crate) fn answer(&self, line: &str) -> String {
+        match WorkUnit::decode(line).and_then(|unit| self.run_unit_spec(&unit)) {
+            Ok(result) => result.encode(),
+            Err(e) => format!("!{e}"),
+        }
     }
 
     /// Folds unit results — in any order, from any partition of the plan
@@ -1745,6 +1649,7 @@ impl UnitLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::unescape;
 
     #[test]
     fn unit_ids_round_trip() {

@@ -9,6 +9,8 @@
 //! always renders to the same bytes.  When a real serde becomes available
 //! the same field layout can be derived.
 
+use dataflow_sim::json::{push_json_f64, push_json_str};
+
 /// One (layer, algorithm, condition) cell of a TER experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
@@ -262,37 +264,6 @@ impl DataflowNetworkReport {
         }
         out.push_str("]}");
         out
-    }
-}
-
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-pub(crate) fn push_json_f64(out: &mut String, key_prefix: &str, v: f64) {
-    out.push_str(key_prefix);
-    if v.is_finite() {
-        // Shortest round-trip formatting; always a valid JSON number.
-        let s = format!("{v:?}");
-        out.push_str(&s);
-    } else {
-        // TER/BER/accuracy values are finite by construction; render the
-        // pathological case as null rather than invalid JSON.
-        out.push_str("null");
     }
 }
 

@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -53,10 +53,11 @@ use crate::error::PipelineError;
 use crate::exec::{resolve_threads, run_indexed_threads};
 use crate::executor::SocketExecutor;
 use crate::pipeline::ReadPipeline;
-use crate::plan::{escape_wire, unescape, UnitResult, WorkPlan, WorkUnit};
+use crate::plan::{UnitResult, WorkPlan, WorkUnit};
 use crate::stage::Algorithm;
 use crate::store::{ArtifactStore, MemoryStore};
 use crate::sweep::SweepPlan;
+use crate::wire::{escape_wire, io_err, unescape, Conn, Daemon, Fields, Flow, Handler, LineServer};
 use crate::workload::{
     resnet18_workloads_prefix, resnet34_workloads_prefix, vgg16_workloads_prefix, LayerWorkload,
     WorkloadConfig,
@@ -66,10 +67,6 @@ fn bad_request(line: &str, why: &str) -> PipelineError {
     PipelineError::Input {
         reason: format!("bad request line {line:?}: {why}"),
     }
-}
-
-fn io_err(context: &str, e: std::io::Error) -> PipelineError {
-    PipelineError::exec(format!("{context}: {e}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -135,12 +132,10 @@ impl RequestKind {
     }
 
     fn parse(s: &str, line: &str) -> Result<RequestKind, PipelineError> {
-        match s {
-            "ter" => Ok(RequestKind::Ter),
-            "sweep" => Ok(RequestKind::Sweep),
-            "acc" => Ok(RequestKind::Accuracy),
-            other => Err(bad_request(line, &format!("unknown kind {other:?}"))),
-        }
+        [RequestKind::Ter, RequestKind::Sweep, RequestKind::Accuracy]
+            .into_iter()
+            .find(|kind| kind.as_str() == s)
+            .ok_or_else(|| bad_request(line, &format!("unknown kind {s:?}")))
     }
 }
 
@@ -166,12 +161,14 @@ impl ModelFamily {
     }
 
     fn parse(s: &str, line: &str) -> Result<ModelFamily, PipelineError> {
-        match s {
-            "vgg16" => Ok(ModelFamily::Vgg16),
-            "resnet18" => Ok(ModelFamily::Resnet18),
-            "resnet34" => Ok(ModelFamily::Resnet34),
-            other => Err(bad_request(line, &format!("unknown family {other:?}"))),
-        }
+        [
+            ModelFamily::Vgg16,
+            ModelFamily::Resnet18,
+            ModelFamily::Resnet34,
+        ]
+        .into_iter()
+        .find(|family| family.as_str() == s)
+        .ok_or_else(|| bad_request(line, &format!("unknown family {s:?}")))
     }
 
     /// Generates only the requested layer prefix — interactive requests
@@ -208,12 +205,10 @@ impl SourceSpec {
     }
 
     fn parse(s: &str, line: &str) -> Result<SourceSpec, PipelineError> {
-        match s {
-            "baseline" => Ok(SourceSpec::Baseline),
-            "reorder" => Ok(SourceSpec::Reorder),
-            "read" => Ok(SourceSpec::Read),
-            other => Err(bad_request(line, &format!("unknown source {other:?}"))),
-        }
+        [SourceSpec::Baseline, SourceSpec::Reorder, SourceSpec::Read]
+            .into_iter()
+            .find(|source| source.as_str() == s)
+            .ok_or_else(|| bad_request(line, &format!("unknown source {s:?}")))
     }
 
     fn algorithm(self) -> Algorithm {
@@ -272,15 +267,14 @@ impl CornerSpec {
     /// Returns [`PipelineError::Input`] on an unknown tag or malformed
     /// number.
     pub fn decode(s: &str, line: &str) -> Result<CornerSpec, PipelineError> {
+        let at = Fields::new(line, bad_request);
         let mut parts = s.split(':');
         let tag = parts.next().unwrap_or("");
         let mut num = |what: &str| -> Result<f64, PipelineError> {
             let raw = parts
                 .next()
                 .ok_or_else(|| bad_request(line, &format!("corner {s:?} is missing {what}")))?;
-            let value: f64 = raw
-                .parse()
-                .map_err(|_| bad_request(line, &format!("corner {s:?}: bad {what} {raw:?}")))?;
+            let value: f64 = at.value(raw, &format!("corner {what}"))?;
             if !value.is_finite() || value < 0.0 {
                 return Err(bad_request(
                     line,
@@ -379,15 +373,15 @@ impl McSpec {
         format!("{}:{}:{}", self.trials, self.seed, self.trials_per_shard)
     }
 
-    fn decode(s: &str, line: &str) -> Result<McSpec, PipelineError> {
+    fn decode(s: &str, at: &Fields<'_>) -> Result<McSpec, PipelineError> {
         let parts: Vec<&str> = s.split(':').collect();
         if parts.len() != 3 {
-            return Err(bad_request(line, "mc wants <trials>:<seed>:<per_shard>"));
+            return Err(at.bad("mc wants <trials>:<seed>:<per_shard>"));
         }
         Ok(McSpec {
-            trials: parse_num(parts[0], "mc trials", line)?,
-            seed: parse_num(parts[1], "mc seed", line)?,
-            trials_per_shard: parse_num(parts[2], "mc per_shard", line)?,
+            trials: at.value(parts[0], "mc trials")?,
+            seed: at.value(parts[1], "mc seed")?,
+            trials_per_shard: at.value(parts[2], "mc per_shard")?,
         })
     }
 }
@@ -407,41 +401,33 @@ impl AccuracySpec {
         )
     }
 
-    fn decode(s: &str, line: &str) -> Result<AccuracySpec, PipelineError> {
+    fn decode(s: &str, at: &Fields<'_>) -> Result<AccuracySpec, PipelineError> {
         let parts: Vec<&str> = s.split(':').collect();
         if parts.len() != 8 {
-            return Err(bad_request(
-                line,
+            return Err(at.bad(
                 "acc wants <wdiv>:<classes>:<mseed>:<samples>:<noise>:<dseed>:<seeds>:<fit>",
             ));
         }
-        let noise: f64 = parts[4]
-            .parse()
-            .map_err(|_| bad_request(line, &format!("acc: bad noise {:?}", parts[4])))?;
+        let noise: f64 = at.value(parts[4], "acc noise")?;
         if !noise.is_finite() || noise < 0.0 {
-            return Err(bad_request(line, "acc: noise out of range"));
+            return Err(at.bad("acc: noise out of range"));
         }
         let fit = match parts[7] {
             "0" => false,
             "1" => true,
-            other => return Err(bad_request(line, &format!("acc: bad fit flag {other:?}"))),
+            other => return Err(at.bad(&format!("acc: bad fit flag {other:?}"))),
         };
         Ok(AccuracySpec {
-            width_div: parse_num(parts[0], "acc wdiv", line)?,
-            classes: parse_num(parts[1], "acc classes", line)?,
-            model_seed: parse_num(parts[2], "acc mseed", line)?,
-            samples_per_class: parse_num(parts[3], "acc samples", line)?,
+            width_div: at.value(parts[0], "acc wdiv")?,
+            classes: at.value(parts[1], "acc classes")?,
+            model_seed: at.value(parts[2], "acc mseed")?,
+            samples_per_class: at.value(parts[3], "acc samples")?,
             noise,
-            data_seed: parse_num(parts[5], "acc dseed", line)?,
-            seeds: parse_num(parts[6], "acc seeds", line)?,
+            data_seed: at.value(parts[5], "acc dseed")?,
+            seeds: at.value(parts[6], "acc seeds")?,
             fit,
         })
     }
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, what: &str, line: &str) -> Result<T, PipelineError> {
-    raw.parse()
-        .map_err(|_| bad_request(line, &format!("bad {what} {raw:?}")))
 }
 
 // ---------------------------------------------------------------------------
@@ -580,38 +566,26 @@ impl ServeRequest {
     ///
     /// Returns [`PipelineError::Input`] on any malformed or invalid field.
     pub fn decode(line: &str) -> Result<ServeRequest, PipelineError> {
-        let mut tokens = line.split_whitespace();
-        if tokens.next() != Some("req") || tokens.next() != Some("v1") {
+        let mut fields = Fields::new(line, bad_request);
+        if fields.next() != Some("req") || fields.next() != Some("v1") {
             return Err(bad_request(line, "expected `req v1` prefix"));
         }
         let mut kind = None;
         let mut request = ServeRequest {
-            kind: RequestKind::Ter,
-            network: String::new(),
-            family: ModelFamily::Vgg16,
             layers: 0,
             pixels: WorkloadConfig::default().pixels_per_layer,
-            workload_seed: WorkloadConfig::default().seed,
             sources: Vec::new(),
             corners: Vec::new(),
-            typical: false,
-            dies: Vec::new(),
-            mc: None,
-            accuracy: None,
-            priority: None,
-            timeout_ms: 0,
+            ..ServeRequest::base(RequestKind::Ter, "")
         };
-        for token in tokens {
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| bad_request(line, &format!("field {token:?} wants key=value")))?;
+        for (key, value) in fields.pairs()? {
             match key {
                 "kind" => kind = Some(RequestKind::parse(value, line)?),
                 "net" => request.network = unescape(value, line)?,
                 "family" => request.family = ModelFamily::parse(value, line)?,
-                "layers" => request.layers = parse_num(value, "layers", line)?,
-                "pixels" => request.pixels = parse_num(value, "pixels", line)?,
-                "wseed" => request.workload_seed = parse_num(value, "wseed", line)?,
+                "layers" => request.layers = fields.value(value, "layers")?,
+                "pixels" => request.pixels = fields.value(value, "pixels")?,
+                "wseed" => request.workload_seed = fields.value(value, "wseed")?,
                 "sources" => {
                     for s in value.split(',').filter(|s| !s.is_empty()) {
                         request.sources.push(SourceSpec::parse(s, line)?);
@@ -633,17 +607,17 @@ impl ServeRequest {
                 }
                 "dies" => {
                     for d in value.split(',').filter(|d| !d.is_empty()) {
-                        request.dies.push(parse_num(d, "die seed", line)?);
+                        request.dies.push(fields.value(d, "die seed")?);
                     }
                 }
-                "mc" => request.mc = Some(McSpec::decode(value, line)?),
-                "acc" => request.accuracy = Some(AccuracySpec::decode(value, line)?),
+                "mc" => request.mc = Some(McSpec::decode(value, &fields)?),
+                "acc" => request.accuracy = Some(AccuracySpec::decode(value, &fields)?),
                 "priority" => request.priority = Priority::parse(value, line)?,
                 "timeout_ms" => {
                     request.timeout_ms = if value == "none" {
                         NO_TIMEOUT
                     } else {
-                        parse_num(value, "timeout_ms", line)?
+                        fields.value(value, "timeout_ms")?
                     }
                 }
                 other => return Err(bad_request(line, &format!("unknown field {other:?}"))),
@@ -1219,21 +1193,14 @@ impl RequestJob {
     /// Expands the plan, schedules its units through the daemon pool (or a
     /// worker fleet, for bulk requests when one is configured) and
     /// aggregates the report, returning per-request cache statistics.
-    fn run(
-        &self,
-        sched: &UnitScheduler,
-        store: &Arc<dyn ArtifactStore>,
-        interactive_max_units: usize,
-        default_timeout_ms: u64,
-        fleet: &[String],
-    ) -> Result<JobOutcome, PipelineError> {
-        let store_before = store.stats();
+    fn run(&self, daemon: &ServeDaemon) -> Result<JobOutcome, PipelineError> {
+        let store_before = daemon.store.stats();
         let request = &self.request;
         let plan = self.plan()?;
         let units = plan.len();
         let priority = request
             .priority
-            .unwrap_or(if units <= interactive_max_units {
+            .unwrap_or(if units <= daemon.interactive_max_units {
                 Priority::Interactive
             } else {
                 Priority::Bulk
@@ -1241,24 +1208,28 @@ impl RequestJob {
         // `0` = server default, `NO_TIMEOUT` = explicitly unbounded (which
         // also overrides a server default), anything else = explicit bound.
         let timeout_ms = match request.timeout_ms {
-            0 => default_timeout_ms,
+            0 => daemon.default_timeout_ms,
             ms => ms,
         };
         let deadline = (timeout_ms > 0 && timeout_ms != NO_TIMEOUT)
             .then(|| Instant::now() + Duration::from_millis(timeout_ms));
         let inflight = AtomicU64::new(0);
-        let results = if !fleet.is_empty() && priority == Priority::Bulk {
+        let results = if !daemon.fleet.is_empty() && priority == Priority::Bulk {
             // Bulk work ships to the worker fleet (interactive requests stay
             // local: connection + handshake latency would dominate them).
             // A fleet-level failure falls back to the local pool so a dead
             // fleet degrades to PR-6 behavior instead of failing requests.
-            let executor = SocketExecutor::new(request.encode(), fleet.iter().cloned());
+            let executor = SocketExecutor::new(request.encode(), daemon.fleet.iter().cloned());
             match executor.execute_with_deadline(&plan, 0..plan.len(), deadline) {
                 Ok(results) => results,
-                Err(_) => sched.run_plan_units(&plan, priority, deadline, &inflight)?,
+                Err(_) => daemon
+                    .sched
+                    .run_plan_units(&plan, priority, deadline, &inflight)?,
             }
         } else {
-            sched.run_plan_units(&plan, priority, deadline, &inflight)?
+            daemon
+                .sched
+                .run_plan_units(&plan, priority, deadline, &inflight)?
         };
         let output = plan.aggregate(results)?;
         let report_json = match request.kind {
@@ -1270,7 +1241,7 @@ impl RequestJob {
         // but the store is daemon-wide — report its activity as a delta over
         // the request (approximate under concurrency, exact when serial).
         let mut stats = self.pipeline.cache_stats();
-        let store_after = store.stats();
+        let store_after = daemon.store.stats();
         stats.disk_hits = store_after.hits.saturating_sub(store_before.hits);
         stats.disk_misses = store_after.misses.saturating_sub(store_before.misses);
         stats.corrupt_entries = store_after.corrupt.saturating_sub(store_before.corrupt);
@@ -1322,13 +1293,13 @@ impl Default for ServerConfig {
     }
 }
 
-struct ServerShared {
+/// The serve protocol's state: the daemon-wide scheduler and store.
+struct ServeDaemon {
     sched: UnitScheduler,
     store: Arc<dyn ArtifactStore>,
     interactive_max_units: usize,
     default_timeout_ms: u64,
     fleet: Vec<String>,
-    shutdown: AtomicBool,
     next_id: AtomicU64,
 }
 
@@ -1337,13 +1308,10 @@ struct ServerShared {
 ///
 /// One connection handler thread per client; every request's units flow
 /// through the daemon-wide `UnitScheduler`.  `shutdown` (the in-band
-/// control command) stops accepting and drains in-flight connections before
-/// [`ServeServer::run`] returns.
-pub struct ServeServer {
-    listener: TcpListener,
-    addr: SocketAddr,
-    shared: Arc<ServerShared>,
-}
+/// control command) stops the daemon: connections waiting for their next
+/// line are closed at once, and a request already being computed finishes
+/// and is answered before [`ServeServer::run`] returns.
+pub struct ServeServer(LineServer<ServeDaemon>);
 
 impl ServeServer {
     /// Binds the daemon to `addr` (e.g. `127.0.0.1:0` for an ephemeral
@@ -1353,68 +1321,40 @@ impl ServeServer {
     ///
     /// Returns [`PipelineError::Exec`] when the socket cannot be bound.
     pub fn bind(addr: &str, config: ServerConfig) -> Result<ServeServer, PipelineError> {
-        let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", e))?;
-        let local = listener.local_addr().map_err(|e| io_err("local_addr", e))?;
         let slots = resolve_threads(config.slots, usize::MAX);
         let store = config
             .store
             .unwrap_or_else(|| Arc::new(MemoryStore::new()) as Arc<dyn ArtifactStore>);
-        Ok(ServeServer {
-            listener,
-            addr: local,
-            shared: Arc::new(ServerShared {
-                sched: UnitScheduler::new(slots),
-                store,
-                interactive_max_units: config.interactive_max_units,
-                default_timeout_ms: config.default_timeout_ms,
-                fleet: config.fleet,
-                shutdown: AtomicBool::new(false),
-                next_id: AtomicU64::new(1),
-            }),
-        })
+        let daemon = ServeDaemon {
+            sched: UnitScheduler::new(slots),
+            store,
+            interactive_max_units: config.interactive_max_units,
+            default_timeout_ms: config.default_timeout_ms,
+            fleet: config.fleet,
+            next_id: AtomicU64::new(1),
+        };
+        LineServer::bind(addr, daemon).map(ServeServer)
     }
 
     /// The bound socket address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
     /// Executor-pool width the daemon resolved from its configuration.
     pub fn slots(&self) -> usize {
-        self.shared.sched.slots()
+        self.0.handler().sched.slots()
     }
 
-    /// Serves connections until a `shutdown` command arrives, then drains:
-    /// the accept loop stops and every in-flight connection finishes before
-    /// this returns (scoped handler threads join on exit).
+    /// Serves connections until a `shutdown` command arrives, then stops
+    /// as described on [`ServeServer`] and returns once every connection
+    /// has closed.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Exec`] on a fatal accept error.
     pub fn run(self) -> Result<(), PipelineError> {
-        let shared = &self.shared;
-        let addr = self.addr;
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        return Err(io_err("accept", e));
-                    }
-                };
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    // The wake-up connection (or a late client): drop it and
-                    // stop accepting; scope exit drains the handlers.
-                    drop(stream);
-                    break;
-                }
-                scope.spawn(move || handle_connection(shared, stream, addr));
-            }
-            Ok(())
-        })
+        self.0.run()
     }
 
     /// Binds and runs the daemon on a background thread — the in-process
@@ -1425,27 +1365,24 @@ impl ServeServer {
     /// Propagates [`ServeServer::bind`] failures.
     pub fn spawn(addr: &str, config: ServerConfig) -> Result<ServeHandle, PipelineError> {
         let server = ServeServer::bind(addr, config)?;
-        let local = server.local_addr();
-        let join = std::thread::spawn(move || server.run());
-        Ok(ServeHandle { addr: local, join })
+        Ok(ServeHandle(Daemon::spawn(server.local_addr(), move || {
+            server.run()
+        })))
     }
 }
 
 /// Handle to a daemon spawned with [`ServeServer::spawn`].
-pub struct ServeHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), PipelineError>>,
-}
+pub struct ServeHandle(Daemon);
 
 impl ServeHandle {
     /// The daemon's socket address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// A client connected to this daemon.
     pub fn client(&self) -> ServeClient {
-        ServeClient::new(self.addr)
+        ServeClient::new(self.0.addr)
     }
 
     /// Waits for the daemon to exit (send `shutdown` first, or this blocks
@@ -1456,106 +1393,67 @@ impl ServeHandle {
     /// Propagates the server's exit result; a panicked server thread
     /// surfaces as [`PipelineError::Exec`].
     pub fn join(self) -> Result<(), PipelineError> {
-        self.join
-            .join()
-            .map_err(|_| PipelineError::exec("server thread panicked"))?
+        self.0.join()
     }
 }
 
-fn handle_connection(shared: &ServerShared, stream: TcpStream, self_addr: SocketAddr) {
-    // Generous read timeout so an idle client cannot pin the drain forever.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let peer = stream.try_clone();
-    let Ok(write_half) = peer else { return };
-    let mut writer = std::io::BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { return };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let done = dispatch_line(shared, line, &mut writer, self_addr);
-        if writer.flush().is_err() || done {
-            return;
-        }
+impl Handler for ServeDaemon {
+    fn serve(&self, conn: &mut Conn<'_>) {
+        conn.answer_lines(|line, out| self.dispatch(line, out));
     }
 }
 
-/// Handles one protocol line; returns `true` when the connection should
-/// close (shutdown acknowledged).
-fn dispatch_line(
-    shared: &ServerShared,
-    line: &str,
-    writer: &mut impl Write,
-    self_addr: SocketAddr,
-) -> bool {
-    match line.split_whitespace().next() {
-        Some("ping") => {
-            let _ = writeln!(writer, "ok pong\n.");
-            false
-        }
-        Some("stats") => {
-            let stats = store_level_stats(&shared.store);
-            let _ = writeln!(
-                writer,
-                "ok stats\nstats {}\n.",
-                escape_wire(&stats.to_json())
-            );
-            false
-        }
-        Some("shutdown") => {
-            let _ = writeln!(writer, "ok shutdown\n.");
-            let _ = writer.flush();
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it observes the flag (std has no
-            // signal/select machinery; a self-connection is the portable
-            // nudge).
-            let _ = TcpStream::connect(self_addr);
-            true
-        }
-        Some("req") => {
-            let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-            let started = Instant::now();
-            match process_request(shared, line) {
-                Ok(outcome) => {
-                    let latency_us = started.elapsed().as_micros();
-                    let _ = writeln!(
-                        writer,
-                        "ok id={id} kind={} units={} priority={} latency_us={latency_us}",
-                        outcome.kind.as_str(),
-                        outcome.units,
-                        outcome.priority.as_str()
-                    );
-                    let _ = writeln!(writer, "report {}", escape_wire(&outcome.report_json));
-                    let _ = writeln!(writer, "stats {}\n.", escape_wire(&outcome.stats.to_json()));
-                }
-                Err(e) => {
-                    let _ = writeln!(writer, "err id={id} msg={}\n.", escape_wire(&e.to_string()));
+impl ServeDaemon {
+    /// Answers one protocol line.
+    fn dispatch(&self, line: &str, writer: &mut impl Write) -> Flow {
+        match line.split_whitespace().next() {
+            Some("ping") => {
+                let _ = writeln!(writer, "ok pong\n.");
+            }
+            Some("stats") => {
+                let stats = store_level_stats(&self.store);
+                let _ = writeln!(
+                    writer,
+                    "ok stats\nstats {}\n.",
+                    escape_wire(&stats.to_json())
+                );
+            }
+            Some("shutdown") => {
+                let _ = writeln!(writer, "ok shutdown\n.");
+                return Flow::Stop;
+            }
+            Some("req") => {
+                let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+                let started = Instant::now();
+                let outcome = ServeRequest::decode(line)
+                    .and_then(|request| RequestJob::build(request, Arc::clone(&self.store)))
+                    .and_then(|job| job.run(self));
+                match outcome {
+                    Ok(outcome) => {
+                        let latency_us = started.elapsed().as_micros();
+                        let _ = writeln!(
+                            writer,
+                            "ok id={id} kind={} units={} priority={} latency_us={latency_us}",
+                            outcome.kind.as_str(),
+                            outcome.units,
+                            outcome.priority.as_str()
+                        );
+                        let _ = writeln!(writer, "report {}", escape_wire(&outcome.report_json));
+                        let _ =
+                            writeln!(writer, "stats {}\n.", escape_wire(&outcome.stats.to_json()));
+                    }
+                    Err(e) => {
+                        let _ =
+                            writeln!(writer, "err id={id} msg={}\n.", escape_wire(&e.to_string()));
+                    }
                 }
             }
-            false
+            _ => {
+                let _ = writeln!(writer, "err id=0 msg={}\n.", escape_wire("unknown command"));
+            }
         }
-        _ => {
-            let _ = writeln!(writer, "err id=0 msg={}\n.", escape_wire("unknown command"));
-            false
-        }
+        Flow::Continue
     }
-}
-
-fn process_request(shared: &ServerShared, line: &str) -> Result<JobOutcome, PipelineError> {
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return Err(PipelineError::exec("server is shutting down"));
-    }
-    let request = ServeRequest::decode(line)?;
-    let job = RequestJob::build(request, Arc::clone(&shared.store))?;
-    job.run(
-        &shared.sched,
-        &shared.store,
-        shared.interactive_max_units,
-        shared.default_timeout_ms,
-        &shared.fleet,
-    )
 }
 
 /// Daemon-level stats: only the shared store is daemon-wide (pipeline
@@ -1684,15 +1582,11 @@ impl ServeClient {
     pub fn stats(&self) -> Result<CacheStats, PipelineError> {
         let lines = self.round_trip("stats")?;
         Self::expect_ok(&lines, "stats")?;
-        let stats_line = lines
-            .iter()
-            .find_map(|l| l.strip_prefix("stats "))
-            .ok_or_else(|| PipelineError::exec("stats: missing stats line"))?;
-        let json = unescape(stats_line, stats_line)?;
-        CacheStats::from_json(&json).map_err(PipelineError::exec)
+        Self::tagged_stats(&lines)
     }
 
-    /// Asks the daemon to stop accepting, drain and exit.
+    /// Asks the daemon to stop (see [`ServeServer`] for what stopping
+    /// waits for).
     ///
     /// # Errors
     ///
@@ -1713,43 +1607,35 @@ impl ServeClient {
         request.validate()?;
         let lines = self.round_trip(&request.encode())?;
         let header = Self::expect_ok(&lines, "request")?;
-        let mut id = 0u64;
-        let mut kind = None;
-        let mut units = 0usize;
-        let mut priority = None;
-        let mut latency_us = 0u64;
-        for token in header.split_whitespace() {
-            let Some((key, value)) = token.split_once('=') else {
-                continue;
-            };
-            match key {
-                "id" => id = parse_num(value, "id", header)?,
-                "kind" => kind = Some(RequestKind::parse(value, header)?),
-                "units" => units = parse_num(value, "units", header)?,
-                "priority" => priority = Priority::parse(value, header)?,
-                "latency_us" => latency_us = parse_num(value, "latency_us", header)?,
-                _ => {}
-            }
-        }
-        let report_line = lines
-            .iter()
-            .find_map(|l| l.strip_prefix("report "))
-            .ok_or_else(|| PipelineError::exec("response is missing the report line"))?;
-        let stats_line = lines
-            .iter()
-            .find_map(|l| l.strip_prefix("stats "))
-            .ok_or_else(|| PipelineError::exec("response is missing the stats line"))?;
-        let stats_json = unescape(stats_line, stats_line)?;
+        let mut fields = Fields::new(header, bad_request);
+        let id = fields.parse("id")?;
+        let kind = RequestKind::parse(fields.field("kind")?, header)?;
+        let units = fields.parse("units")?;
+        let priority = Priority::parse(fields.field("priority")?, header)?
+            .ok_or_else(|| PipelineError::exec("response is missing priority"))?;
+        let latency_us = fields.parse("latency_us")?;
         Ok(ServeReply {
             id,
-            kind: kind.ok_or_else(|| PipelineError::exec("response is missing kind"))?,
+            kind,
             units,
-            priority: priority
-                .ok_or_else(|| PipelineError::exec("response is missing priority"))?,
+            priority,
             latency: Duration::from_micros(latency_us),
-            report_json: unescape(report_line, report_line)?,
-            stats: CacheStats::from_json(&stats_json).map_err(PipelineError::exec)?,
+            report_json: Self::tagged(&lines, "report")?,
+            stats: Self::tagged_stats(&lines)?,
         })
+    }
+
+    /// The unescaped payload of the response line `<tag> <payload>`.
+    fn tagged(lines: &[String], tag: &str) -> Result<String, PipelineError> {
+        let payload = lines
+            .iter()
+            .find_map(|l| l.strip_prefix(tag)?.strip_prefix(' '))
+            .ok_or_else(|| PipelineError::exec(format!("response is missing the {tag} line")))?;
+        unescape(payload, payload)
+    }
+
+    fn tagged_stats(lines: &[String]) -> Result<CacheStats, PipelineError> {
+        CacheStats::from_json(&Self::tagged(lines, "stats")?).map_err(PipelineError::exec)
     }
 }
 
@@ -1771,12 +1657,12 @@ pub struct WorkerConfig {
     pub die_after_units: Option<u64>,
 }
 
-struct WorkerShared {
+/// The worker protocol's state, shared by every driver connection.
+struct WorkerDaemon {
     store: Arc<dyn ArtifactStore>,
     die_after_units: Option<u64>,
     served: AtomicU64,
     died: AtomicBool,
-    shutdown: AtomicBool,
 }
 
 /// The fleet worker daemon: the remote analog of handing
@@ -1802,11 +1688,11 @@ struct WorkerShared {
 /// outstanding unit.  The negotiation line exists for interop: a driver
 /// that receives `!`/close instead of `ok window=` knows it is talking to
 /// an old lock-step worker and falls back to window 1.
-pub struct WorkerServer {
-    listener: TcpListener,
-    addr: SocketAddr,
-    shared: Arc<WorkerShared>,
-}
+///
+/// On `shutdown` the worker stops: idle connections close at once, and an
+/// open driver session ends at its next unit boundary — the driver sees
+/// EOF and requeues its in-flight window on the surviving workers.
+pub struct WorkerServer(LineServer<WorkerDaemon>);
 
 impl WorkerServer {
     /// Binds a worker to `addr` (e.g. `127.0.0.1:0` for an ephemeral test
@@ -1816,32 +1702,26 @@ impl WorkerServer {
     ///
     /// Returns [`PipelineError::Exec`] when the socket cannot be bound.
     pub fn bind(addr: &str, config: WorkerConfig) -> Result<WorkerServer, PipelineError> {
-        let listener = TcpListener::bind(addr).map_err(|e| io_err("bind", e))?;
-        let local = listener.local_addr().map_err(|e| io_err("local_addr", e))?;
         let store = config
             .store
             .unwrap_or_else(|| Arc::new(MemoryStore::new()) as Arc<dyn ArtifactStore>);
-        Ok(WorkerServer {
-            listener,
-            addr: local,
-            shared: Arc::new(WorkerShared {
-                store,
-                die_after_units: config.die_after_units,
-                served: AtomicU64::new(0),
-                died: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
-            }),
-        })
+        let daemon = WorkerDaemon {
+            store,
+            die_after_units: config.die_after_units,
+            served: AtomicU64::new(0),
+            died: AtomicBool::new(false),
+        };
+        LineServer::bind(addr, daemon).map(WorkerServer)
     }
 
     /// The bound socket address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
-    /// Serves driver connections until `shutdown` arrives (drains in-flight
-    /// connections before returning) — or until the injected death
-    /// triggers, which also stops the accept loop.
+    /// Serves driver connections until `shutdown` arrives — or until the
+    /// injected death triggers, which also stops the worker — and returns
+    /// once every connection has closed.
     ///
     /// # Errors
     ///
@@ -1849,31 +1729,12 @@ impl WorkerServer {
     /// design — after an injected [`WorkerConfig::die_after_units`] death,
     /// so a worker *binary* exits non-zero exactly like a crashed process.
     pub fn run(self) -> Result<(), PipelineError> {
-        let shared = &self.shared;
-        let addr = self.addr;
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        return Err(io_err("accept", e));
-                    }
-                };
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    drop(stream);
-                    break;
-                }
-                scope.spawn(move || handle_worker_connection(shared, stream, addr));
-            }
-            Ok(())
-        })?;
-        if self.shared.died.load(Ordering::SeqCst) {
+        self.0.run()?;
+        let worker = self.0.handler();
+        if worker.died.load(Ordering::SeqCst) {
             return Err(PipelineError::exec(format!(
                 "worker died (injected) after {} served units",
-                self.shared.served.load(Ordering::Relaxed)
+                worker.served.load(Ordering::Relaxed)
             )));
         }
         Ok(())
@@ -1887,12 +1748,13 @@ impl WorkerServer {
     /// Propagates [`WorkerServer::bind`] failures.
     pub fn spawn(addr: &str, config: WorkerConfig) -> Result<WorkerHandle, PipelineError> {
         let server = WorkerServer::bind(addr, config)?;
-        let local = server.local_addr();
-        let join = std::thread::spawn(move || server.run());
-        Ok(WorkerHandle { addr: local, join })
+        Ok(WorkerHandle(Daemon::spawn(
+            server.local_addr(),
+            move || server.run(),
+        )))
     }
 
-    /// Asks the worker at `addr` to stop accepting, drain and exit.
+    /// Asks the worker at `addr` to stop (see [`WorkerServer`]).
     ///
     /// # Errors
     ///
@@ -1921,15 +1783,12 @@ impl WorkerServer {
 }
 
 /// Handle to a worker spawned with [`WorkerServer::spawn`].
-pub struct WorkerHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), PipelineError>>,
-}
+pub struct WorkerHandle(Daemon);
 
 impl WorkerHandle {
     /// The worker's socket address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// Waits for the worker to exit and returns its run result (an `Err`
@@ -1940,142 +1799,90 @@ impl WorkerHandle {
     /// Propagates the worker's exit result; a panicked worker thread
     /// surfaces as [`PipelineError::Exec`].
     pub fn join(self) -> Result<(), PipelineError> {
-        self.join
-            .join()
-            .map_err(|_| PipelineError::exec("worker thread panicked"))?
+        self.0.join()
     }
 }
 
-fn handle_worker_connection(shared: &WorkerShared, stream: TcpStream, self_addr: SocketAddr) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = std::io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    // Control / handshake phase: answer pings until a spec line arrives.
-    let job = loop {
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line == "ping" {
-            if writeln!(writer, "ok pong").is_err() || writer.flush().is_err() {
+impl Handler for WorkerDaemon {
+    const NODELAY: bool = true;
+
+    fn serve(&self, conn: &mut Conn<'_>) {
+        // Control / handshake phase: answer pings until a spec line arrives.
+        let job = loop {
+            let Some(line) = conn.next_line() else {
                 return;
+            };
+            if line == "ping" {
+                let _ = writeln!(conn.out, "ok pong");
+                continue;
             }
-            continue;
-        }
-        if line == "shutdown" {
-            let _ = writeln!(writer, "ok shutdown");
-            let _ = writer.flush();
-            shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it observes the flag.
-            let _ = TcpStream::connect(self_addr);
-            return;
-        }
-        if let Some(requested) = line.strip_prefix("window=") {
-            // Streamed-protocol negotiation: echo the accepted window
-            // (serving is FIFO regardless — requests queue in the socket —
-            // so the cap only bounds how far drivers run ahead).
-            match requested.parse::<usize>() {
-                Ok(n) if n >= 1 => {
-                    if writeln!(writer, "ok window={}", n.min(1024)).is_err()
-                        || writer.flush().is_err()
-                    {
+            if line == "shutdown" {
+                let _ = writeln!(conn.out, "ok shutdown");
+                return conn.stop();
+            }
+            if let Some(requested) = line.strip_prefix("window=") {
+                // Streamed-protocol negotiation: echo the accepted window
+                // (serving is FIFO regardless — requests queue in the socket
+                // — so the cap only bounds how far drivers run ahead).
+                match requested.parse::<usize>() {
+                    Ok(n) if n >= 1 => {
+                        let _ = writeln!(conn.out, "ok window={}", n.min(1024));
+                        continue;
+                    }
+                    _ => {
+                        let _ = writeln!(conn.out, "!bad window line {line:?}");
                         return;
                     }
-                    continue;
                 }
-                _ => {
-                    let _ = writeln!(writer, "!bad window line {line:?}");
-                    let _ = writer.flush();
+            }
+            let spec = ServeRequest::decode(&line)
+                .and_then(|request| RequestJob::build(request, Arc::clone(&self.store)));
+            match spec {
+                Ok(job) => break job,
+                Err(e) => {
+                    let _ = writeln!(conn.out, "!{e}");
                     return;
                 }
             }
-        }
-        let spec = ServeRequest::decode(line)
-            .and_then(|request| RequestJob::build(request, Arc::clone(&shared.store)));
-        match spec {
-            Ok(job) => break job,
+        };
+        let plan = match job.plan() {
+            Ok(plan) => plan,
             Err(e) => {
-                let _ = writeln!(writer, "!{e}");
-                let _ = writer.flush();
+                let _ = writeln!(conn.out, "!{e}");
                 return;
             }
-        }
-    };
-    let plan = match job.plan() {
-        Ok(plan) => plan,
-        Err(e) => {
-            let _ = writeln!(writer, "!{e}");
-            let _ = writer.flush();
-            return;
-        }
-    };
-    // Batched store warm-up: seed the plan's unit-result cache with one
-    // mget round trip (per batch) instead of a per-unit get during the
-    // stream — the O(batches) warm-rerun path.
-    plan.prefetch_units();
-    if writeln!(writer, "ok units={}", plan.len()).is_err() || writer.flush().is_err() {
-        shared.store.flush();
-        return;
+        };
+        // Batched store warm-up: seed the plan's unit-result cache with one
+        // mget round trip (per batch) instead of a per-unit get during the
+        // stream — the O(batches) warm-rerun path.
+        plan.prefetch_units();
+        let _ = writeln!(conn.out, "ok units={}", plan.len());
+        conn.answer_lines(|line, out| self.unit(&plan, line, out));
+        // Session over (or died): publish this connection's buffered
+        // write-behind puts so other fleet members (and warm reruns) see
+        // them.
+        self.store.flush();
     }
-    serve_units(shared, &plan, &mut reader, &mut writer, self_addr);
-    // Connection drained (or died): publish this connection's buffered
-    // write-behind puts so other fleet members (and warm reruns) see them.
-    shared.store.flush();
 }
 
-/// The unit phase of a worker connection: essentially [`WorkPlan::serve`]
-/// over the socket, with the optional injected death for fault testing.
-fn serve_units(
-    shared: &WorkerShared,
-    plan: &crate::plan::WorkPlan<'_>,
-    reader: &mut BufReader<TcpStream>,
-    writer: &mut std::io::BufWriter<TcpStream>,
-    self_addr: SocketAddr,
-) {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return,
-            Ok(_) => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if let Some(limit) = shared.die_after_units {
-            if shared.served.load(Ordering::Relaxed) >= limit
-                && !shared.died.swap(true, Ordering::SeqCst)
+impl WorkerDaemon {
+    /// The unit phase of a session: essentially [`WorkPlan::serve`] over
+    /// the socket, with the optional injected death for fault testing.
+    fn unit(&self, plan: &WorkPlan<'_>, line: &str, out: &mut impl Write) -> Flow {
+        if let Some(limit) = self.die_after_units {
+            if self.served.load(Ordering::Relaxed) >= limit
+                && !self.died.swap(true, Ordering::SeqCst)
             {
                 // Injected mid-stream death: drop the connection without
                 // answering the outstanding unit, and stop the whole worker
                 // (run() will report the death) — exactly what a crashed
                 // process looks like to the driver.
-                shared.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(self_addr);
-                return;
+                return Flow::Stop;
             }
         }
-        let reply = match WorkUnit::decode(trimmed) {
-            Ok(unit) => match plan.run_unit_spec(&unit) {
-                Ok(result) => result.encode(),
-                Err(e) => format!("!{e}"),
-            },
-            Err(e) => format!("!{e}"),
-        };
-        if writeln!(writer, "{reply}").is_err() || writer.flush().is_err() {
-            return;
-        }
-        shared.served.fetch_add(1, Ordering::Relaxed);
+        let _ = writeln!(out, "{}", plan.answer(line));
+        self.served.fetch_add(1, Ordering::Relaxed);
+        Flow::Continue
     }
 }
 

@@ -47,14 +47,14 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::PipelineError;
-use crate::plan::{escape_wire, unescape};
+use crate::wire::{bad_wire, escape_wire, Conn, Daemon, Fields, Flow, Handler, LineServer};
 
 /// Version tag of the on-disk entry format.  Stored in every entry header;
 /// entries carrying any other version read as misses and are counted in
@@ -497,36 +497,6 @@ fn parse_entry(content: &str) -> Option<(&str, &str, &str)> {
 // Remote store: a line-delimited TCP protocol over any ArtifactStore
 // ---------------------------------------------------------------------------
 
-/// Wire grammar of the remote-store protocol (one request line, one
-/// response line; free-text fields use the repo's `\s`/`\n` wire escaping):
-///
-/// ```text
-/// ping                                                   → ok pong
-/// get kind=<esc> key=<16 hex> check=<esc>                → hit payload=<esc> | miss
-/// put kind=<esc> key=<16 hex> check=<esc> payload=<esc>  → ok
-/// mget count=<n> {kind=<esc> key=<16 hex> check=<esc>}×n → mres count=<n> {hit payload=<esc> | miss}×n
-/// mput count=<n> {kind=<esc> key=<16 hex> check=<esc> payload=<esc>}×n
-///                                                        → ok count=<n>
-/// corrupt kind=<esc> key=<16 hex>                        → ok
-/// stats                                                  → stats hits=N misses=N corrupt=N writes=N stale_tmp=N
-/// shutdown                                               → ok shutdown
-/// anything else                                          → err msg=<esc>
-/// ```
-///
-/// The batched `mget`/`mput` lines answer (or publish) `n` entries in one
-/// round trip — every field is a single escaped token, so the repeated
-/// groups parse unambiguously by position.
-///
-/// [`RemoteStore`] speaks the client side, [`StoreServer`] the daemon side
-/// (backed by any [`ArtifactStore`], typically a [`DiskStore`]).
-fn wire_field<'l>(line: &'l str, key: &str) -> Option<&'l str> {
-    line.split_whitespace().find_map(|t| t.strip_prefix(key))
-}
-
-fn parse_hex_key(value: &str) -> Option<u64> {
-    u64::from_str_radix(value, 16).ok()
-}
-
 /// An [`ArtifactStore`] served by a remote [`StoreServer`] over TCP: the
 /// shared artifact namespace of a worker fleet.  Cold workers pointed at a
 /// warm store daemon recompute nothing, and every worker's write-through
@@ -542,7 +512,7 @@ fn parse_hex_key(value: &str) -> Option<u64> {
 /// I/O is *batched*: `put` appends to a small write-behind buffer that is
 /// published as one `mput` line when it fills (and on
 /// [`ArtifactStore::flush`] — called at run boundaries and when a worker
-/// connection drains), and [`ArtifactStore::load_many`] answers a whole
+/// session ends), and [`ArtifactStore::load_many`] answers a whole
 /// batch with one `mget` line.  Reads are read-your-writes: a `load`
 /// checks the unflushed buffer first, so buffering is invisible to the
 /// writing process; other clients observe the writes after the flush.
@@ -562,6 +532,33 @@ struct BufferedPut {
     key: u64,
     check: String,
     payload: String,
+}
+
+/// Decodes the `kind= key= check= [payload=]` entries of a daemon request
+/// line: one for `get`/`put`, `count=<n>` then `n` for `mget`/`mput`.
+/// Every field is one escaped token, so position is identity.
+fn decode_entries(
+    line: &str,
+    with_payload: bool,
+) -> Result<Vec<(StoreRequest, String)>, PipelineError> {
+    let mut fields = Fields::new(line, bad_wire);
+    let batch = matches!(fields.next(), Some("mget" | "mput"));
+    let count = if batch { fields.parse("count")? } else { 1 };
+    let entries = (0..count)
+        .map(|_| {
+            let request = StoreRequest {
+                kind: fields.text("kind")?,
+                key: fields.hex("key")?,
+                check: fields.text("check")?,
+            };
+            match with_payload {
+                true => Ok((request, fields.text("payload")?)),
+                false => Ok((request, String::new())),
+            }
+        })
+        .collect::<Result<Vec<_>, PipelineError>>()?;
+    fields.end()?;
+    Ok(entries)
 }
 
 /// Entries per batched wire line: bounds line length (and the daemon's
@@ -652,19 +649,14 @@ impl RemoteStore {
     /// the stale connection into a spurious miss.
     fn round_trip(&self, line: &str) -> Result<String, PipelineError> {
         let mut conn = self.conn.lock().unwrap_or_else(|p| p.into_inner());
-        for attempt in 0..2 {
+        let mut failure = String::new();
+        for _ in 0..2 {
             if conn.is_none() {
                 match self.open_connection() {
                     Ok(fresh) => *conn = Some(fresh),
-                    Err(e) if attempt == 0 => {
-                        let _ = e;
-                        continue;
-                    }
                     Err(e) => {
-                        return Err(PipelineError::exec(format!(
-                            "remote store {}: connect failed: {e}",
-                            self.addr
-                        )))
+                        failure = format!("connect failed: {e}");
+                        continue;
                     }
                 }
             }
@@ -672,17 +664,12 @@ impl RemoteStore {
                 Ok(response) => return Ok(response),
                 Err(e) => {
                     *conn = None;
-                    if attempt > 0 {
-                        return Err(PipelineError::exec(format!(
-                            "remote store {}: {e}",
-                            self.addr
-                        )));
-                    }
+                    failure = e.to_string();
                 }
             }
         }
         Err(PipelineError::exec(format!(
-            "remote store {}: unreachable",
+            "remote store {}: {failure}",
             self.addr
         )))
     }
@@ -712,27 +699,24 @@ impl RemoteStore {
     /// Returns [`PipelineError::Exec`] on transport or protocol failure.
     pub fn daemon_stats(&self) -> Result<StoreStats, PipelineError> {
         let response = self.round_trip("stats")?;
-        if !response.starts_with("stats ") {
+        let mut fields = Fields::new(&response, bad_wire);
+        if fields.next() != Some("stats") {
             return Err(PipelineError::exec(format!(
                 "remote store {}: unexpected stats response {response:?}",
                 self.addr
             )));
         }
-        let num = |key: &str| -> u64 {
-            wire_field(&response, key)
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0)
-        };
         Ok(StoreStats {
-            hits: num("hits="),
-            misses: num("misses="),
-            corrupt: num("corrupt="),
-            writes: num("writes="),
-            stale_tmp: num("stale_tmp="),
+            hits: fields.parse("hits")?,
+            misses: fields.parse("misses")?,
+            corrupt: fields.parse("corrupt")?,
+            writes: fields.parse("writes")?,
+            stale_tmp: fields.parse("stale_tmp")?,
         })
     }
 
-    /// Asks the daemon to stop accepting, drain and exit.
+    /// Flushes buffered writes, then asks the daemon to stop (see
+    /// [`StoreServer`] for what stopping waits for).
     ///
     /// # Errors
     ///
@@ -787,26 +771,19 @@ impl RemoteStore {
 
     /// Parses an `mres count=<n> {hit payload=<esc> | miss}×n` response.
     fn parse_mres(response: &str, expect: usize) -> Option<Vec<Option<String>>> {
-        let mut tokens = response.split_whitespace();
-        if tokens.next()? != "mres" {
+        let mut fields = Fields::new(response, bad_wire);
+        if fields.next()? != "mres" || fields.parse::<usize>("count").ok()? != expect {
             return None;
         }
-        let count: usize = tokens.next()?.strip_prefix("count=")?.parse().ok()?;
-        if count != expect {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            match tokens.next()? {
-                "miss" => out.push(None),
-                "hit" => {
-                    let escaped = tokens.next()?.strip_prefix("payload=")?;
-                    out.push(Some(unescape(escaped, response).ok()?));
-                }
+        let mut out = Vec::with_capacity(expect);
+        for _ in 0..expect {
+            out.push(match fields.next()? {
+                "miss" => None,
+                "hit" => Some(fields.text("payload").ok()?),
                 _ => return None,
-            }
+            });
         }
-        tokens.next().is_none().then_some(out)
+        fields.end().ok().map(|()| out)
     }
 }
 
@@ -849,11 +826,11 @@ impl ArtifactStore for RemoteStore {
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let payload = response
-            .starts_with("hit ")
-            .then(|| wire_field(&response, "payload="))
-            .flatten()
-            .and_then(|escaped| unescape(escaped, &response).ok());
+        let mut fields = Fields::new(&response, bad_wire);
+        let payload = match fields.next() {
+            Some("hit") => fields.text("payload").ok(),
+            _ => None,
+        };
         match payload {
             Some(payload) => {
                 self.counters.hits.fetch_add(1, Ordering::Relaxed);
@@ -969,13 +946,32 @@ impl ArtifactStore for RemoteStore {
 /// The store daemon: serves the remote-store wire protocol over TCP,
 /// backed by any [`ArtifactStore`] (typically a [`DiskStore`], making the
 /// fleet's shared namespace persistent).  One handler thread per
-/// connection; the in-band `shutdown` command stops the accept loop and
-/// drains in-flight connections before [`StoreServer::run`] returns.
-pub struct StoreServer {
-    listener: TcpListener,
-    addr: SocketAddr,
+/// connection; the in-band `shutdown` command stops it: connections waiting
+/// for their next line are closed at once, and a connection in the middle
+/// of a line finishes that line and its reply first.
+///
+/// Wire grammar (one request line, one response line; free-text fields use
+/// the repo's `\s`/`\n` wire escaping, fields come in the order shown):
+///
+/// ```text
+/// ping                                                   → ok pong
+/// get kind=<esc> key=<16 hex> check=<esc>                → hit payload=<esc> | miss
+/// put kind=<esc> key=<16 hex> check=<esc> payload=<esc>  → ok
+/// mget count=<n> {kind=<esc> key=<16 hex> check=<esc>}×n → mres count=<n> {hit payload=<esc> | miss}×n
+/// mput count=<n> {kind=<esc> key=<16 hex> check=<esc> payload=<esc>}×n
+///                                                        → ok count=<n>
+/// corrupt kind=<esc> key=<16 hex>                        → ok
+/// stats                                                  → stats hits=N misses=N corrupt=N writes=N stale_tmp=N
+/// shutdown                                               → ok shutdown
+/// anything else                                          → err msg=<esc>
+/// ```
+///
+/// The batched `mget`/`mput` lines answer (or publish) `n` entries in one
+/// round trip.  [`RemoteStore`] speaks the client side.
+pub struct StoreServer(LineServer<StoreDaemon>);
+
+struct StoreDaemon {
     store: Arc<dyn ArtifactStore>,
-    shutdown: AtomicBool,
 }
 
 impl StoreServer {
@@ -985,50 +981,22 @@ impl StoreServer {
     ///
     /// Returns [`PipelineError::Exec`] when the socket cannot be bound.
     pub fn bind(addr: &str, store: Arc<dyn ArtifactStore>) -> Result<StoreServer, PipelineError> {
-        let listener = TcpListener::bind(addr)
-            .map_err(|e| PipelineError::exec(format!("store daemon bind {addr}: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| PipelineError::exec(format!("store daemon local_addr: {e}")))?;
-        Ok(StoreServer {
-            listener,
-            addr,
-            store,
-            shutdown: AtomicBool::new(false),
-        })
+        LineServer::bind(addr, StoreDaemon { store }).map(StoreServer)
     }
 
     /// The bound socket address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.0.local_addr()
     }
 
-    /// Serves connections until a `shutdown` command arrives, then drains.
+    /// Serves connections until a `shutdown` command arrives, then stops
+    /// as described on [`StoreServer`].
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError::Exec`] on a fatal accept error.
     pub fn run(self) -> Result<(), PipelineError> {
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        if self.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        return Err(PipelineError::exec(format!("store daemon accept: {e}")));
-                    }
-                };
-                if self.shutdown.load(Ordering::SeqCst) {
-                    drop(stream);
-                    break;
-                }
-                let server = &self;
-                scope.spawn(move || server.handle_connection(stream));
-            }
-            Ok(())
-        })
+        self.0.run()
     }
 
     /// Binds and runs the daemon on a background thread — the in-process
@@ -1039,34 +1007,22 @@ impl StoreServer {
     /// Propagates [`StoreServer::bind`] failures.
     pub fn spawn(addr: &str, store: Arc<dyn ArtifactStore>) -> Result<StoreHandle, PipelineError> {
         let server = StoreServer::bind(addr, store)?;
-        let addr = server.local_addr();
-        let join = std::thread::spawn(move || server.run());
-        Ok(StoreHandle { addr, join })
+        Ok(StoreHandle(Daemon::spawn(server.local_addr(), move || {
+            server.run()
+        })))
     }
+}
 
-    fn handle_connection(&self, stream: TcpStream) {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
-        let Ok(write_half) = stream.try_clone() else {
-            return;
-        };
-        let mut writer = std::io::BufWriter::new(write_half);
-        for line in BufReader::new(stream).lines() {
-            let Ok(line) = line else { return };
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let done = self.dispatch(line, &mut writer);
-            if writer.flush().is_err() || done {
-                return;
-            }
-        }
+impl Handler for StoreDaemon {
+    fn serve(&self, conn: &mut Conn<'_>) {
+        conn.answer_lines(|line, out| self.dispatch(line, out));
     }
+}
 
-    /// Handles one protocol line; returns `true` when the connection
-    /// should close (shutdown acknowledged).
-    fn dispatch(&self, line: &str, writer: &mut impl std::io::Write) -> bool {
-        let reply_err = |writer: &mut dyn std::io::Write, msg: &str| {
+impl StoreDaemon {
+    /// Answers one protocol line.
+    fn dispatch(&self, line: &str, writer: &mut impl Write) -> Flow {
+        let reply_err = |writer: &mut dyn Write, msg: &str| {
             let _ = writeln!(writer, "err msg={}", escape_wire(msg));
         };
         match line.split_whitespace().next() {
@@ -1083,37 +1039,29 @@ impl StoreServer {
             }
             Some("shutdown") => {
                 let _ = writeln!(writer, "ok shutdown");
-                let _ = writer.flush();
-                self.shutdown.store(true, Ordering::SeqCst);
-                let _ = TcpStream::connect(self.addr);
-                return true;
+                return Flow::Stop;
             }
-            Some("get") => match Self::decode_entry_fields(line, false) {
-                Some((kind, key, check, _)) => {
-                    match self.store.load(&kind, key, &check) {
-                        Some(payload) => {
-                            let _ = writeln!(writer, "hit payload={}", escape_wire(&payload));
-                        }
-                        None => {
-                            let _ = writeln!(writer, "miss");
-                        }
-                    };
-                }
-                None => reply_err(writer, &format!("malformed get {line:?}")),
+            Some("get") => match decode_entries(line, false).as_deref() {
+                Ok([(r, _)]) => match self.store.load(&r.kind, r.key, &r.check) {
+                    Some(payload) => {
+                        let _ = writeln!(writer, "hit payload={}", escape_wire(&payload));
+                    }
+                    None => {
+                        let _ = writeln!(writer, "miss");
+                    }
+                },
+                _ => reply_err(writer, &format!("malformed get {line:?}")),
             },
-            Some("put") => match Self::decode_entry_fields(line, true) {
-                Some((kind, key, check, Some(payload))) => {
-                    self.store.put(&kind, key, &check, &payload);
+            Some("put") => match decode_entries(line, true).as_deref() {
+                Ok([(r, payload)]) => {
+                    self.store.put(&r.kind, r.key, &r.check, payload);
                     let _ = writeln!(writer, "ok");
                 }
                 _ => reply_err(writer, &format!("malformed put {line:?}")),
             },
-            Some("mget") => match Self::decode_batch(line, false) {
-                Some(entries) => {
-                    let requests: Vec<StoreRequest> = entries
-                        .into_iter()
-                        .map(|(kind, key, check, _)| StoreRequest { kind, key, check })
-                        .collect();
+            Some("mget") => match decode_entries(line, false) {
+                Ok(entries) => {
+                    let requests: Vec<StoreRequest> = entries.into_iter().map(|(r, _)| r).collect();
                     let answers = self.store.load_many(&requests);
                     let mut response = format!("mres count={}", answers.len());
                     for answer in answers {
@@ -1127,99 +1075,48 @@ impl StoreServer {
                     }
                     let _ = writeln!(writer, "{response}");
                 }
-                None => reply_err(writer, &format!("malformed mget {line:?}")),
+                Err(_) => reply_err(writer, &format!("malformed mget {line:?}")),
             },
-            Some("mput") => match Self::decode_batch(line, true) {
-                Some(entries) => {
+            Some("mput") => match decode_entries(line, true) {
+                Ok(entries) => {
                     let count = entries.len();
-                    for (kind, key, check, payload) in entries {
-                        let payload = payload.expect("mput batches decode payloads");
-                        self.store.put(&kind, key, &check, &payload);
+                    for (r, payload) in entries {
+                        self.store.put(&r.kind, r.key, &r.check, &payload);
                     }
                     let _ = writeln!(writer, "ok count={count}");
                 }
-                None => reply_err(writer, &format!("malformed mput {line:?}")),
+                Err(_) => reply_err(writer, &format!("malformed mput {line:?}")),
             },
             Some("corrupt") => {
-                let fields = wire_field(line, "kind=")
-                    .and_then(|k| unescape(k, line).ok())
-                    .zip(wire_field(line, "key=").and_then(parse_hex_key));
-                match fields {
-                    Some((kind, key)) => {
+                let mut fields = Fields::new(line, bad_wire);
+                fields.next();
+                let decoded = (fields.text("kind"), fields.hex("key"), fields.end());
+                match decoded {
+                    (Ok(kind), Ok(key), Ok(())) => {
                         self.store.note_corrupt(&kind, key);
                         let _ = writeln!(writer, "ok");
                     }
-                    None => reply_err(writer, &format!("malformed corrupt {line:?}")),
+                    _ => reply_err(writer, &format!("malformed corrupt {line:?}")),
                 }
             }
             _ => reply_err(writer, "unknown command"),
         }
-        false
-    }
-
-    /// Decodes `kind=`/`key=`/`check=` (and, for puts, `payload=`) from a
-    /// request line.
-    #[allow(clippy::type_complexity)]
-    fn decode_entry_fields(
-        line: &str,
-        want_payload: bool,
-    ) -> Option<(String, u64, String, Option<String>)> {
-        let kind = unescape(wire_field(line, "kind=")?, line).ok()?;
-        let key = parse_hex_key(wire_field(line, "key=")?)?;
-        let check = unescape(wire_field(line, "check=")?, line).ok()?;
-        let payload = if want_payload {
-            Some(unescape(wire_field(line, "payload=")?, line).ok()?)
-        } else {
-            None
-        };
-        Some((kind, key, check, payload))
-    }
-
-    /// Decodes an `mget`/`mput` batch line: `count=<n>` followed by `n`
-    /// positional `kind=`/`key=`/`check=` (and, for `mput`, `payload=`)
-    /// groups — every field is one escaped token, so position is identity.
-    #[allow(clippy::type_complexity)]
-    fn decode_batch(
-        line: &str,
-        want_payload: bool,
-    ) -> Option<Vec<(String, u64, String, Option<String>)>> {
-        fn field<'t>(tokens: &mut impl Iterator<Item = &'t str>, key: &str) -> Option<&'t str> {
-            tokens.next()?.strip_prefix(key)
-        }
-        let mut tokens = line.split_whitespace();
-        tokens.next()?; // the command itself
-        let count: usize = field(&mut tokens, "count=")?.parse().ok()?;
-        let mut out = Vec::new();
-        for _ in 0..count {
-            let kind = unescape(field(&mut tokens, "kind=")?, line).ok()?;
-            let key = parse_hex_key(field(&mut tokens, "key=")?)?;
-            let check = unescape(field(&mut tokens, "check=")?, line).ok()?;
-            let payload = if want_payload {
-                Some(unescape(field(&mut tokens, "payload=")?, line).ok()?)
-            } else {
-                None
-            };
-            out.push((kind, key, check, payload));
-        }
-        tokens.next().is_none().then_some(out)
+        Flow::Continue
     }
 }
 
 /// Handle to a daemon spawned with [`StoreServer::spawn`].
-pub struct StoreHandle {
-    addr: SocketAddr,
-    join: std::thread::JoinHandle<Result<(), PipelineError>>,
-}
+pub struct StoreHandle(Daemon);
 
 impl StoreHandle {
     /// The daemon's socket address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.0.addr
     }
 
     /// A [`RemoteStore`] client connected to this daemon.
     pub fn client(&self) -> RemoteStore {
-        RemoteStore::new(self.addr.to_string())
+        RemoteStore::new(self.0.addr.to_string())
     }
 
     /// Waits for the daemon to exit (send `shutdown` first — e.g.
@@ -1230,9 +1127,7 @@ impl StoreHandle {
     /// Propagates the server's exit result; a panicked server thread
     /// surfaces as [`PipelineError::Exec`].
     pub fn join(self) -> Result<(), PipelineError> {
-        self.join
-            .join()
-            .map_err(|_| PipelineError::exec("store daemon thread panicked"))?
+        self.0.join()
     }
 }
 

@@ -40,10 +40,11 @@
 //! both over a line-oriented stdin/stdout wire protocol.
 
 use accel_sim::ArrayConfig;
+use dataflow_sim::json::{push_json_f64, push_json_str};
 use timing::{DelayModel, OperatingCondition, OperatingCorner, Variation};
 
 use crate::error::PipelineError;
-use crate::report::{push_json_f64, push_json_str, push_layer_rows, LayerReport, NetworkReport};
+use crate::report::{push_layer_rows, LayerReport, NetworkReport};
 use crate::stage::{DelayErrorModel, ErrorModel, MonteCarloErrorModel, VariationErrorModel};
 
 /// The silicon of one sweep-grid die axis entry.

@@ -15,8 +15,10 @@
 //! local pool if the fleet fails); interactive requests always run locally.
 //!
 //! The daemon runs until a client sends the in-band `shutdown` command
-//! (e.g. `ServeClient::shutdown`), then drains in-flight requests and
-//! exits 0.  See the repo README for the wire grammar.
+//! (e.g. `ServeClient::shutdown`).  It then stops without waiting on any
+//! peer: connections waiting for their next line are closed at once, a
+//! request already being computed finishes and is answered, and the
+//! process exits 0.  See the repo README for the wire grammar.
 
 use std::process::ExitCode;
 use std::sync::Arc;

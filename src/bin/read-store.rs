@@ -12,8 +12,11 @@
 //! ```
 //!
 //! Runs until a client sends the in-band `shutdown` command (e.g.
-//! `RemoteStore::shutdown_daemon`), then exits 0.  See the repo README for
-//! the wire grammar.
+//! `RemoteStore::shutdown_daemon`), then stops without waiting on any
+//! peer: idle `RemoteStore` connections are closed at once (their next
+//! operation degrades to a counted miss), a request in progress is
+//! answered first, and the process exits 0.  See the repo README for the
+//! wire grammar.
 
 use std::process::ExitCode;
 use std::sync::Arc;

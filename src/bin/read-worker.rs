@@ -15,7 +15,10 @@
 //! `--die-after-units` is fault injection for smoke tests: the worker drops
 //! its connection mid-stream after N served units and exits non-zero, as a
 //! crashed worker would.  Otherwise the worker runs until a client sends
-//! the in-band `shutdown` command, then exits 0.
+//! the in-band `shutdown` command, then stops without waiting on any peer:
+//! idle connections are closed at once, and an open driver session ends at
+//! its next unit boundary (the driver requeues its in-flight window on the
+//! surviving workers).  It then exits 0.
 
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -3,9 +3,7 @@
 //! Monte-Carlo and per-PE-variation models — convergence, permutation
 //! stability, and byte-identical seed-stable reports.
 //!
-//! Executor-invariance is asserted against the modern `Executor`
-//! strategies; the deprecated `ExecMode` shim is confined to
-//! `read_pipeline::exec` with its own pinning tests.
+//! Executor-invariance is asserted against the `Executor` strategies.
 
 use read_repro::prelude::*;
 

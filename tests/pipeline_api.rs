@@ -3,9 +3,7 @@
 //! `NetworkReport` across runs with the same `ReadConfig::seed`, and
 //! byte-identical parallel-vs-serial execution.
 //!
-//! Executor-invariance is asserted against the modern `Executor`
-//! strategies; the deprecated `ExecMode` shim is confined to
-//! `read_pipeline::exec` with its own pinning tests.
+//! Executor-invariance is asserted against the `Executor` strategies.
 
 use read_repro::prelude::*;
 

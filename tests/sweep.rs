@@ -3,9 +3,8 @@
 //! pipeline runs, the schedule cache is reused across cells, and sweeps are
 //! deterministic across execution modes.
 //!
-//! Executor-invariance is asserted against the modern `Executor` strategies
-//! (`SerialExecutor` / `ThreadExecutor`); the deprecated `ExecMode` shim is
-//! confined to `read_pipeline::exec` with its own pinning tests.
+//! Executor-invariance is asserted against the `Executor` strategies
+//! (`SerialExecutor` / `ThreadExecutor`).
 
 use read_repro::prelude::*;
 
