@@ -38,7 +38,7 @@ pub fn lane_mask(lanes: usize) -> u64 {
 /// input bit `8*i + b` (Hacker's Delight section 7-3).
 ///
 /// Interpreting input byte `i` as lane `i`'s byte, output byte `b` collects
-/// bit `b` of all 8 lanes — the 8-lane building block of the plane packers.
+/// bit `b` of all 8 lanes — the 8-lane building block of [`planes_from_i16`].
 #[inline]
 pub fn transpose8x8(mut x: u64) -> u64 {
     let mut t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
@@ -61,37 +61,6 @@ fn scatter_block(planes: &mut [u64], plane_base: usize, lane_base: usize, word: 
     }
 }
 
-/// Assembles one 8-lane block (at most 8 bytes, zero-padded) into the
-/// little-endian `u64` that [`scatter_block`] consumes.
-#[inline]
-fn block_word(chunk: &[u8]) -> u64 {
-    if let Ok(arr) = <[u8; 8]>::try_from(chunk) {
-        u64::from_le_bytes(arr)
-    } else {
-        let mut word = 0u64;
-        for (i, &v) in chunk.iter().enumerate() {
-            word |= u64::from(v) << (8 * i);
-        }
-        word
-    }
-}
-
-/// Packs up to 64 `i8` lane values into 8 bit planes (two's complement;
-/// plane 7 is the sign plane).  Lanes beyond `values.len()` are zero.
-#[inline]
-pub fn planes_from_i8(values: &[i8]) -> [u64; 8] {
-    assert!(values.len() <= 64, "at most 64 lanes per word");
-    let mut planes = [0u64; 8];
-    let mut bytes = [0u8; 8];
-    for (block, chunk) in values.chunks(8).enumerate() {
-        for (b, &v) in bytes.iter_mut().zip(chunk) {
-            *b = v as u8;
-        }
-        scatter_block(&mut planes, 0, 8 * block, block_word(&bytes[..chunk.len()]));
-    }
-    planes
-}
-
 /// Packs up to 64 `i16` lane values into 16 bit planes (two's complement;
 /// plane 15 is the sign plane).  Lanes beyond `values.len()` are zero.
 #[inline]
@@ -112,25 +81,8 @@ pub fn planes_from_i16(values: &[i16]) -> [u64; 16] {
     planes
 }
 
-/// Packs up to 64 `i64` lane values into 64 bit planes (two's complement;
-/// plane 63 is the sign plane).  Lanes beyond `values.len()` are zero.
-pub fn planes_from_i64(values: &[i64]) -> [u64; 64] {
-    assert!(values.len() <= 64, "at most 64 lanes per word");
-    let mut planes = [0u64; 64];
-    for (block, chunk) in values.chunks(8).enumerate() {
-        for byte in 0..8 {
-            let mut word = 0u64;
-            for (i, &v) in chunk.iter().enumerate() {
-                word |= ((v as u64 >> (8 * byte)) & 0xFF) << (8 * i);
-            }
-            scatter_block(&mut planes, 8 * byte, 8 * block, word);
-        }
-    }
-    planes
-}
-
 /// Reads back one lane's value from a little-endian plane array (the inverse
-/// of the packers, for any plane count up to 64).
+/// of [`planes_from_i16`], for any plane count up to 64).
 #[inline]
 pub fn lane_value(planes: &[u64], lane: usize) -> u64 {
     let mut value = 0u64;
@@ -138,29 +90,6 @@ pub fn lane_value(planes: &[u64], lane: usize) -> u64 {
         value |= ((plane >> lane) & 1) << k;
     }
     value
-}
-
-/// Bit-sliced ripple-carry addition `acc += addend` across all lanes, with
-/// the addend sign-extended to the accumulator width: planes of `acc` above
-/// `addend.len()` receive `sign` (the addend's sign plane) as in two's
-/// complement sign extension.  The addition wraps at `acc.len()` planes,
-/// exactly like `acc.len()`-bit two's-complement hardware.
-#[inline]
-pub fn add_sign_extended(acc: &mut [u64], addend: &[u64], sign: u64) {
-    debug_assert!(addend.len() <= acc.len());
-    let split = addend.len().min(acc.len());
-    let (low, high) = acc.split_at_mut(split);
-    let mut carry = 0u64;
-    for (slot, &b) in low.iter_mut().zip(addend) {
-        let a = *slot;
-        *slot = a ^ b ^ carry;
-        carry = (a & b) | (carry & (a | b));
-    }
-    for slot in high {
-        let a = *slot;
-        *slot = a ^ sign ^ carry;
-        carry = (a & sign) | (carry & (a | sign));
-    }
 }
 
 /// Per-lane `x >= y` over two packed unsigned counters of equal plane count,
@@ -224,63 +153,14 @@ mod tests {
     fn plane_packers_round_trip_lane_values() {
         let mut rng = StdRng::seed_from_u64(0x9ACC);
         for lanes in [1usize, 7, 8, 9, 33, 63, 64] {
-            let v8: Vec<i8> = (0..lanes).map(|_| rng.gen::<u64>() as i8).collect();
-            let p8 = planes_from_i8(&v8);
-            for (l, &v) in v8.iter().enumerate() {
-                assert_eq!(lane_value(&p8, l) as u8, v as u8, "i8 lane {l}");
-            }
             let v16: Vec<i16> = (0..lanes).map(|_| rng.gen::<u64>() as i16).collect();
             let p16 = planes_from_i16(&v16);
             for (l, &v) in v16.iter().enumerate() {
                 assert_eq!(lane_value(&p16, l) as u16, v as u16, "i16 lane {l}");
             }
-            let v64: Vec<i64> = (0..lanes).map(|_| rng.gen::<u64>() as i64).collect();
-            let p64 = planes_from_i64(&v64);
-            for (l, &v) in v64.iter().enumerate() {
-                assert_eq!(lane_value(&p64, l), v as u64, "i64 lane {l}");
-            }
             // Unused high lanes stay zero.
             if lanes < 64 {
-                assert_eq!(lane_value(&p8, lanes), 0);
                 assert_eq!(lane_value(&p16, lanes), 0);
-                assert_eq!(lane_value(&p64, lanes), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn packed_addition_matches_wrapping_i64() {
-        let mut rng = StdRng::seed_from_u64(0xADD5);
-        for lanes in [1usize, 5, 64] {
-            let mut acc = [0u64; 64];
-            let mut reference: Vec<i64> = vec![0; lanes];
-            for _ in 0..50 {
-                let addends: Vec<i64> = (0..lanes).map(|_| rng.gen::<u64>() as i64).collect();
-                let planes = planes_from_i64(&addends);
-                add_sign_extended(&mut acc, &planes, planes[63]);
-                for (l, r) in reference.iter_mut().enumerate() {
-                    *r = r.wrapping_add(addends[l]);
-                    assert_eq!(lane_value(&acc, l), *r as u64, "lane {l}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sign_extension_matches_narrow_addend_arithmetic() {
-        let mut rng = StdRng::seed_from_u64(0x51E7);
-        // 16-bit addends accumulated into a 24-plane accumulator wrap exactly
-        // like 24-bit two's-complement hardware.
-        let mut acc = [0u64; 24];
-        let mut reference: Vec<i64> = vec![0; 64];
-        for _ in 0..200 {
-            let addends: Vec<i16> = (0..64).map(|_| rng.gen::<u64>() as i16).collect();
-            let planes = planes_from_i16(&addends);
-            add_sign_extended(&mut acc, &planes, planes[15]);
-            for (l, r) in reference.iter_mut().enumerate() {
-                *r += i64::from(addends[l]);
-                let wrapped = (*r as u64) & 0xFF_FFFF;
-                assert_eq!(lane_value(&acc, l), wrapped, "lane {l}");
             }
         }
     }

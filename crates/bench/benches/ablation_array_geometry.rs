@@ -3,15 +3,13 @@
 //! weight-stationary dataflow, the number of rows (reduction tile height).
 
 use accel_sim::{ArrayConfig, Dataflow};
-use read_bench::experiments::Algorithm;
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
 use read_core::SortCriterion;
-use read_pipeline::{DelayErrorModel, ReadPipeline};
+use read_pipeline::{vgg16_workloads, Algorithm, DelayErrorModel, ReadPipeline, WorkloadConfig};
 use timing::{DelayModel, OperatingCondition};
 
 fn ters_for(
-    workload: &read_bench::LayerWorkload,
+    workload: &read_pipeline::LayerWorkload,
     array: &ArrayConfig,
     dataflow: Dataflow,
     delay: &DelayModel,

@@ -3,9 +3,8 @@
 
 use accel_sim::ArrayConfig;
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
 use read_core::{ClusteringMode, DistanceMetric, ReadConfig, SortCriterion};
-use read_pipeline::{DelayErrorModel, ReadPipeline};
+use read_pipeline::{vgg16_workloads, DelayErrorModel, ReadPipeline, WorkloadConfig};
 use timing::{DelayModel, OperatingCondition};
 
 fn main() {

@@ -7,10 +7,10 @@
 //! show how much of the benefit survives.
 
 use accel_sim::{ArrayConfig, Matrix};
-use read_bench::experiments::{figure_pipeline, Algorithm};
+use read_bench::experiments::figure_pipeline;
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
 use read_core::SortCriterion;
+use read_pipeline::{vgg16_workloads, Algorithm, WorkloadConfig};
 use timing::{DelayModel, OperatingCondition};
 
 fn main() {

@@ -6,10 +6,10 @@
 //! orderings the paper proposes.
 
 use accel_sim::ArrayConfig;
-use read_bench::experiments::{layer_report, Algorithm};
+use read_bench::experiments::layer_report;
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
 use read_core::SortCriterion;
+use read_pipeline::{vgg16_workloads, Algorithm, WorkloadConfig};
 use timing::{DelayModel, OperatingCondition};
 
 fn main() {

@@ -2,10 +2,11 @@
 //! against the analytic engine on the same lowered schedule, and the
 //! overhead of recording a Chrome trace while simulating.
 //!
-//! Same harness as `kernel_throughput`: interleaved A/B samples (minimum
-//! of repeated timed runs after warmup) with byte-identical-result checks
-//! inside the measured pairs, and `--json <path>` to write the committed
-//! `BENCH_<pr>.json` perf-trajectory record.
+//! Same harness as `kernel_throughput` ([`read_bench::ab`]): interleaved
+//! A/B samples (minimum of repeated timed runs after warmup) with
+//! byte-identical-result checks inside the measured pairs, and
+//! `--json <path>` to write the committed `BENCH_<pr>.json`
+//! perf-trajectory record.
 //!
 //! Two A/B families, each under both dataflows:
 //!
@@ -17,96 +18,12 @@
 //!   writer's cost, measured separately as `trace_render`).
 
 use std::hint::black_box;
-use std::time::Instant;
 
 use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, SimOptions};
 use dataflow_sim::{run_dataflow, EngineConfig, TraceRecorder};
 use qnn::init::{synthetic_activations, WeightInit};
+use read_bench::ab::{emit, time_ab, AbRecord};
 use timing::DepthHistogram;
-
-/// Times an A/B pair with interleaved samples, returning each side's best
-/// observed seconds (see `kernel_throughput` for the rationale).
-fn time_ab(runs: usize, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
-    before();
-    after(); // warmup both sides
-    let mut best_before = f64::INFINITY;
-    let mut best_after = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let start = Instant::now();
-        before();
-        best_before = best_before.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        after();
-        best_after = best_after.min(start.elapsed().as_secs_f64());
-    }
-    (best_before, best_after)
-}
-
-/// One A/B measurement over `elems` MAC events per run.
-struct Record {
-    kernel: String,
-    elems: u64,
-    before_s: f64,
-    after_s: f64,
-}
-
-impl Record {
-    fn ns_per_elem(&self, seconds: f64) -> f64 {
-        seconds * 1e9 / self.elems as f64
-    }
-
-    fn elems_per_sec(&self, seconds: f64) -> f64 {
-        self.elems as f64 / seconds
-    }
-
-    fn speedup(&self) -> f64 {
-        self.before_s / self.after_s
-    }
-
-    fn print(&self) {
-        println!(
-            "dataflow {:<42} before {:>8.3} ns/mac ({:.3e} macs/s)  after {:>8.3} ns/mac  speedup {:.2}x",
-            self.kernel,
-            self.ns_per_elem(self.before_s),
-            self.elems_per_sec(self.before_s),
-            self.ns_per_elem(self.after_s),
-            self.speedup()
-        );
-    }
-}
-
-fn side_json(record: &Record, seconds: f64) -> String {
-    format!(
-        "{{ \"seconds\": {seconds:.9}, \"ns_per_elem\": {:.4}, \"elems_per_sec\": {:.4e} }}",
-        record.ns_per_elem(seconds),
-        record.elems_per_sec(seconds)
-    )
-}
-
-fn to_json(records: &[Record]) -> String {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"profile\": \"{profile}\",\n"));
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"elems\": {}, \"before\": {}, \"after\": {}, \"speedup\": {:.3} }}{}\n",
-            r.kernel,
-            r.elems,
-            side_json(r, r.before_s),
-            side_json(r, r.after_s),
-            r.speedup(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
 
 fn main() {
     let mut json_path: Option<String> = None;
@@ -183,7 +100,7 @@ fn main() {
                 );
             },
         );
-        records.push(Record {
+        records.push(AbRecord {
             kernel: format!("{}/engine_vs_analytic_576x16x8", dataflow.name()),
             elems,
             before_s: before,
@@ -227,7 +144,7 @@ fn main() {
                 black_box(&trace);
             },
         );
-        records.push(Record {
+        records.push(AbRecord {
             kernel: format!("{}/trace_overhead_576x16x8", dataflow.name()),
             elems,
             before_s: before,
@@ -271,7 +188,7 @@ fn main() {
                 black_box(trace.to_chrome_json());
             },
         );
-        records.push(Record {
+        records.push(AbRecord {
             kernel: format!("{}/trace_render_576x16x8", dataflow.name()),
             elems,
             before_s: before,
@@ -279,11 +196,5 @@ fn main() {
         });
     }
 
-    for r in &records {
-        r.print();
-    }
-    if let Some(path) = &json_path {
-        std::fs::write(path, to_json(&records)).expect("writable --json path");
-        println!("wrote dataflow records to {path}");
-    }
+    emit("dataflow", &records, json_path.as_deref());
 }

@@ -12,9 +12,9 @@ use accel_sim::ArrayConfig;
 use qnn::fit::fit_classifier_head;
 use qnn::models;
 use qnn::SyntheticDatasetBuilder;
-use read_bench::experiments::{accuracy_sweep, Algorithm};
+use read_bench::experiments::accuracy_sweep;
 use read_bench::report;
-use read_bench::workloads::{resnet18_workloads, vgg16_workloads, WorkloadConfig};
+use read_pipeline::{resnet18_workloads, vgg16_workloads, Algorithm, WorkloadConfig};
 use timing::{paper_conditions, DelayModel};
 
 fn main() {
@@ -34,7 +34,7 @@ fn main() {
         .build()
         .expect("dataset builds");
 
-    let networks: Vec<(&str, qnn::Model, Vec<read_bench::LayerWorkload>)> = vec![
+    let networks: Vec<(&str, qnn::Model, Vec<read_pipeline::LayerWorkload>)> = vec![
         (
             "VGG-16 (CIFAR-10 classes)",
             models::vgg16_cifar_scaled(8, 10, 41).expect("model builds"),
@@ -49,7 +49,7 @@ fn main() {
 
     for (name, mut model, workloads) in networks {
         let clean = fit_classifier_head(&mut model, &dataset).expect("head fits");
-        let points = accuracy_sweep(
+        let sweep = accuracy_sweep(
             &model,
             &dataset,
             &workloads,
@@ -70,9 +70,8 @@ fn main() {
         for condition in &conditions {
             let mut cells = vec![condition.name.to_string()];
             for algorithm in &algorithms {
-                let p = points
-                    .iter()
-                    .find(|p| p.condition == condition.name && p.algorithm == algorithm.name())
+                let p = sweep
+                    .point(condition.name, &algorithm.name())
                     .expect("point exists");
                 cells.push(format!(
                     "{} (BER {})",

@@ -10,9 +10,9 @@ use accel_sim::ArrayConfig;
 use qnn::fit::fit_classifier_head;
 use qnn::models;
 use qnn::SyntheticDatasetBuilder;
-use read_bench::experiments::{accuracy_sweep, Algorithm};
+use read_bench::experiments::accuracy_sweep;
 use read_bench::report;
-use read_bench::workloads::{resnet34_workloads, vgg16_workloads, WorkloadConfig};
+use read_pipeline::{resnet34_workloads, vgg16_workloads, Algorithm, WorkloadConfig};
 use timing::{paper_conditions, DelayModel};
 
 fn main() {
@@ -44,7 +44,7 @@ fn main() {
     let runs: Vec<(
         &str,
         qnn::Model,
-        Vec<read_bench::LayerWorkload>,
+        Vec<read_pipeline::LayerWorkload>,
         qnn::Dataset,
     )> = vec![
         (
@@ -69,7 +69,7 @@ fn main() {
 
     for (name, mut model, workloads, dataset) in runs {
         let clean = fit_classifier_head(&mut model, &dataset).expect("head fits");
-        let points = accuracy_sweep(
+        let sweep = accuracy_sweep(
             &model,
             &dataset,
             &workloads,
@@ -90,9 +90,8 @@ fn main() {
         for condition in &conditions {
             let mut cells = vec![condition.name.to_string()];
             for algorithm in &algorithms {
-                let p = points
-                    .iter()
-                    .find(|p| p.condition == condition.name && p.algorithm == algorithm.name())
+                let p = sweep
+                    .point(condition.name, &algorithm.name())
                     .expect("point exists");
                 cells.push(report::pct(p.topk));
             }

@@ -8,11 +8,11 @@
 //! rates, then reports the Pearson correlation of log(SFR) vs log(TER).
 
 use accel_sim::{ArrayConfig, Dataflow};
-use read_bench::experiments::Algorithm;
 use read_bench::report;
-use read_bench::workloads::{resnet18_workloads, vgg16_workloads, WorkloadConfig};
 use read_core::SortCriterion;
-use read_pipeline::{DelayErrorModel, ReadPipeline};
+use read_pipeline::{
+    resnet18_workloads, vgg16_workloads, Algorithm, DelayErrorModel, ReadPipeline, WorkloadConfig,
+};
 use timing::math::pearson_correlation;
 use timing::{DelayModel, OperatingCondition};
 

@@ -8,11 +8,11 @@
 //! converges within a few tens of iterations.
 
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
 use read_core::{
     nonneg_quantile_profile, nonneg_ratio_in_top, sort_input_channels, BalancedKMeans,
     DistanceMetric, SortCriterion,
 };
+use read_pipeline::{vgg16_workloads, WorkloadConfig};
 
 fn main() {
     let config = WorkloadConfig::default();

@@ -5,12 +5,11 @@
 //! 37.9x for cluster-then-reorder).
 
 use accel_sim::ArrayConfig;
-use read_bench::experiments::{
-    figure_pipeline_with_model, layerwise_ter, layerwise_ter_with, ter_reduction, Algorithm,
-};
+use read_bench::experiments::{figure_pipeline_with_model, layerwise_ter};
 use read_bench::report;
-use read_bench::workloads::{resnet18_workloads, vgg16_workloads, WorkloadConfig};
-use read_pipeline::MonteCarloErrorModel;
+use read_pipeline::{
+    resnet18_workloads, vgg16_workloads, Algorithm, MonteCarloErrorModel, WorkloadConfig,
+};
 use timing::{DelayModel, OperatingCondition};
 
 fn main() {
@@ -27,7 +26,8 @@ fn main() {
         ("VGG-16", vgg16_workloads(&config)),
         ("ResNet-18", resnet18_workloads(&config)),
     ] {
-        let rows = layerwise_ter(&workloads, &algorithms, &array, &delay, &condition);
+        let ter = layerwise_ter(&workloads, &algorithms, &array, &delay, &condition);
+        let rows = &ter.rows;
         report::section(&format!(
             "Fig. 8: layer-wise TER, {network} (aging 10y + 5% VT, 16x4 output-stationary array)"
         ));
@@ -69,8 +69,8 @@ fn main() {
             &printed,
         );
 
-        let (reorder_avg, reorder_max) = ter_reduction(&rows, &algorithms[1].name());
-        let (cluster_avg, cluster_max) = ter_reduction(&rows, &algorithms[2].name());
+        let (reorder_avg, reorder_max) = ter.ter_reduction(&algorithms[1].name(), "baseline");
+        let (cluster_avg, cluster_max) = ter.ter_reduction(&algorithms[2].name(), "baseline");
         println!();
         println!(
             "{network}: reorder reduction avg {reorder_avg:.1}x (max {reorder_max:.1}x); \
@@ -85,14 +85,17 @@ fn main() {
     // trials) brackets the analytic estimate on a representative layer —
     // the same schedule/simulation path, only the error-model stage swaps.
     let workloads: Vec<_> = vgg16_workloads(&config).into_iter().take(3).collect();
-    let analytic = layerwise_ter(&workloads, &[algorithms[0]], &array, &delay, &condition);
+    let analytic = layerwise_ter(&workloads, &[algorithms[0]], &array, &delay, &condition).rows;
     let mc_pipeline = figure_pipeline_with_model(
         &[algorithms[0]],
         &array,
         MonteCarloErrorModel::with_delay(delay, 32, 0xF168),
         &[condition],
     );
-    let sampled = layerwise_ter_with(&mc_pipeline, &workloads);
+    let sampled = mc_pipeline
+        .run_ter("layerwise-ter", &workloads)
+        .expect("generated workloads always simulate")
+        .rows;
     report::section("Monte-Carlo validation of the analytic TER (baseline schedule, 32 trials)");
     let rows: Vec<Vec<String>> = workloads
         .iter()

@@ -10,10 +10,9 @@
 //! (byte-identical to an unsharded run).
 
 use accel_sim::ArrayConfig;
-use read_bench::experiments::{corner_sweep, Algorithm};
+use read_bench::experiments::corner_sweep;
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
-use read_pipeline::SweepPlan;
+use read_pipeline::{vgg16_workloads, Algorithm, SweepPlan, WorkloadConfig};
 use timing::paper_conditions;
 
 fn main() {

@@ -7,10 +7,10 @@
 //! repeatedly crosses zero.
 
 use accel_sim::{ArrayConfig, PsumTraceRecorder, TeeObserver};
-use read_bench::experiments::{figure_pipeline, Algorithm};
+use read_bench::experiments::figure_pipeline;
 use read_bench::report;
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
 use read_core::SortCriterion;
+use read_pipeline::{vgg16_workloads, Algorithm, WorkloadConfig};
 use timing::{DelayModel, OperatingCondition};
 
 fn main() {

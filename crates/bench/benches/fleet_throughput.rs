@@ -3,11 +3,11 @@
 //! shim between driver and fleet — the regime windowed dispatch exists
 //! for.
 //!
-//! Same harness as `kernel_throughput`/`dataflow_throughput`: interleaved
-//! A/B samples (minimum of repeated timed runs after warmup) with
-//! byte-identical-result checks inside the measured pairs, and
-//! `--json <path>` to write the committed `BENCH_<pr>.json`
-//! perf-trajectory record.
+//! Same harness as `kernel_throughput`/`dataflow_throughput`
+//! ([`read_bench::ab`]): interleaved A/B samples (minimum of repeated
+//! timed runs after warmup) with byte-identical-result checks inside the
+//! measured pairs, and `--json <path>` to write the committed
+//! `BENCH_<pr>.json` perf-trajectory record.
 //!
 //! Topology: a `StoreServer` (shared artifact namespace) and two
 //! `WorkerServer`s run in-process; every TCP hop — driver→worker and
@@ -29,6 +29,7 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use read_bench::ab::{emit, time_ab, AbRecord};
 use read_core::SortCriterion;
 use read_pipeline::{
     vgg16_workloads_prefix, Algorithm, ArtifactStore, CornerSpec, Executor, LayerWorkload, McSpec,
@@ -40,90 +41,6 @@ use read_pipeline::{
 /// pays two of these per unit (request out, result back); a windowed
 /// driver amortizes them across its in-flight window.
 const LINE_DELAY: Duration = Duration::from_millis(6);
-
-/// Times an A/B pair with interleaved samples, returning each side's best
-/// observed seconds (see `kernel_throughput` for the rationale).
-fn time_ab(runs: usize, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
-    before();
-    after(); // warmup both sides (and the fleet's shared store)
-    let mut best_before = f64::INFINITY;
-    let mut best_after = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let start = Instant::now();
-        before();
-        best_before = best_before.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        after();
-        best_after = best_after.min(start.elapsed().as_secs_f64());
-    }
-    (best_before, best_after)
-}
-
-/// One A/B measurement over `elems` work units per run.
-struct Record {
-    kernel: String,
-    elems: u64,
-    before_s: f64,
-    after_s: f64,
-}
-
-impl Record {
-    fn ns_per_elem(&self, seconds: f64) -> f64 {
-        seconds * 1e9 / self.elems as f64
-    }
-
-    fn elems_per_sec(&self, seconds: f64) -> f64 {
-        self.elems as f64 / seconds
-    }
-
-    fn speedup(&self) -> f64 {
-        self.before_s / self.after_s
-    }
-
-    fn print(&self) {
-        println!(
-            "fleet {:<44} before {:>10.1} us/unit ({:.3e} units/s)  after {:>10.1} us/unit  speedup {:.2}x",
-            self.kernel,
-            self.ns_per_elem(self.before_s) / 1e3,
-            self.elems_per_sec(self.before_s),
-            self.ns_per_elem(self.after_s) / 1e3,
-            self.speedup()
-        );
-    }
-}
-
-fn side_json(record: &Record, seconds: f64) -> String {
-    format!(
-        "{{ \"seconds\": {seconds:.9}, \"ns_per_elem\": {:.4}, \"elems_per_sec\": {:.4e} }}",
-        record.ns_per_elem(seconds),
-        record.elems_per_sec(seconds)
-    )
-}
-
-fn to_json(records: &[Record]) -> String {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"profile\": \"{profile}\",\n"));
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"elems\": {}, \"before\": {}, \"after\": {}, \"speedup\": {:.3} }}{}\n",
-            r.kernel,
-            r.elems,
-            side_json(r, r.before_s),
-            side_json(r, r.after_s),
-            r.speedup(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
 
 /// One direction of a latency relay: a reader thread stamps each incoming
 /// line with its delivery deadline, a writer thread sleeps until the
@@ -313,7 +230,7 @@ fn main() {
     let mut records = Vec::new();
     for (window, label) in [(2usize, "window2"), (8, "window8")] {
         let (before, after) = time_ab(5, || run_fleet(1), || run_fleet(window));
-        records.push(Record {
+        records.push(AbRecord {
             kernel: format!("fleet/{label}_vs_lockstep_{units}units_2workers"),
             elems: units as u64,
             before_s: before,
@@ -330,11 +247,5 @@ fn main() {
     store.client().shutdown_daemon().expect("store shutdown");
     store.join().expect("store drained");
 
-    for r in &records {
-        r.print();
-    }
-    if let Some(path) = &json_path {
-        std::fs::write(path, to_json(&records)).expect("writable --json path");
-        println!("wrote fleet records to {path}");
-    }
+    emit("fleet", &records, json_path.as_deref());
 }

@@ -8,11 +8,12 @@
 //! Criterion is not available offline, so this uses a small built-in
 //! timing harness (median of repeated timed runs after warmup).
 //!
-//! The kernel A/B section times each packed kernel against the scalar
-//! reference it replaced *in the same run* and verifies byte-identical
-//! results while doing so.  Pass `--json <path>` to additionally write the
-//! measurements as a machine-readable record (the committed `BENCH_<pr>.json`
-//! perf trajectory), and `--kernels-only` to skip the legacy macro benches.
+//! The kernel A/B section ([`read_bench::ab`]) times each kernel against
+//! the scalar reference it replaced *in the same run* and verifies
+//! byte-identical results while doing so.  Pass `--json <path>` to
+//! additionally write the measurements as a machine-readable record (the
+//! committed `BENCH_<pr>.json` perf trajectory), and `--kernels-only` to
+//! skip the legacy macro benches.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -22,35 +23,14 @@ use accel_sim::{
     SimOptions,
 };
 use qnn::init::{synthetic_activations, WeightInit};
-use read_bench::experiments::{figure_pipeline, Algorithm};
-use read_bench::workloads::{vgg16_workloads, WorkloadConfig};
+use read_bench::ab::{emit, time_ab, AbRecord};
+use read_bench::experiments::figure_pipeline;
 use read_core::{
-    sign_flips_for_order_packed, sign_flips_for_order_scalar, sign_flips_for_order_with,
-    sort_input_channels, BalancedKMeans, ClusteringMode, DistanceMetric, ReadConfig, ReadOptimizer,
-    SignFlipScratch, SortCriterion,
+    sign_flips_for_order_scalar, sign_flips_for_order_with, sort_input_channels, BalancedKMeans,
+    ClusteringMode, DistanceMetric, ReadConfig, ReadOptimizer, SignFlipScratch, SortCriterion,
 };
+use read_pipeline::{vgg16_workloads, Algorithm, WorkloadConfig};
 use timing::{DelayModel, DepthHistogram, OperatingCondition};
-
-/// Times an A/B pair with interleaved samples (alternating before/after
-/// runs, so frequency drift and scheduler noise hit both sides equally)
-/// and returns each side's best observed time in seconds.  Minimum rather
-/// than median: for a deterministic compute kernel the fastest run is the
-/// least-interfered-with one.
-fn time_ab(runs: usize, mut before: impl FnMut(), mut after: impl FnMut()) -> (f64, f64) {
-    before();
-    after(); // warmup both sides
-    let mut best_before = f64::INFINITY;
-    let mut best_after = f64::INFINITY;
-    for _ in 0..runs.max(1) {
-        let start = Instant::now();
-        before();
-        best_before = best_before.min(start.elapsed().as_secs_f64());
-        let start = Instant::now();
-        after();
-        best_after = best_after.min(start.elapsed().as_secs_f64());
-    }
-    (best_before, best_after)
-}
 
 /// Times `f` (median of `runs` timed executions after one warmup) and
 /// prints a criterion-style line.
@@ -89,77 +69,9 @@ fn demo_weights(rows: usize, cols: usize) -> Matrix<i8> {
     Matrix::from_fn(rows, cols, |_, _| init.weight(rows))
 }
 
-/// One scalar-vs-packed kernel measurement.
-struct KernelRecord {
-    /// Kernel identifier, including the benchmarked shape.
-    kernel: String,
-    /// Elements (lanes/MACs) processed per run.
-    elems: u64,
-    /// Median seconds per run of the scalar reference.
-    before_s: f64,
-    /// Median seconds per run of the packed kernel.
-    after_s: f64,
-}
-
-impl KernelRecord {
-    fn ns_per_elem(&self, seconds: f64) -> f64 {
-        seconds * 1e9 / self.elems as f64
-    }
-
-    fn elems_per_sec(&self, seconds: f64) -> f64 {
-        self.elems as f64 / seconds
-    }
-
-    fn speedup(&self) -> f64 {
-        self.before_s / self.after_s
-    }
-
-    fn print(&self) {
-        println!(
-            "kernel {:<40} scalar {:>8.3} ns/elem  packed {:>8.3} ns/elem  speedup {:.2}x",
-            self.kernel,
-            self.ns_per_elem(self.before_s),
-            self.ns_per_elem(self.after_s),
-            self.speedup()
-        );
-    }
-}
-
-fn side_json(record: &KernelRecord, seconds: f64) -> String {
-    format!(
-        "{{ \"seconds\": {seconds:.9}, \"ns_per_elem\": {:.4}, \"elems_per_sec\": {:.4e} }}",
-        record.ns_per_elem(seconds),
-        record.elems_per_sec(seconds)
-    )
-}
-
-fn to_json(records: &[KernelRecord]) -> String {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"profile\": \"{profile}\",\n"));
-    out.push_str("  \"records\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"kernel\": \"{}\", \"elems\": {}, \"before\": {}, \"after\": {}, \"speedup\": {:.3} }}{}\n",
-            r.kernel,
-            r.elems,
-            side_json(r, r.before_s),
-            side_json(r, r.after_s),
-            r.speedup(),
-            if i + 1 < records.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Runs the scalar-vs-packed A/B benches, asserting byte-identical results.
-fn run_kernel_benches() -> Vec<KernelRecord> {
+/// Runs the kernel A/B benches, asserting that each packed kernel's results
+/// are byte-identical to its scalar reference.
+fn run_kernel_benches() -> Vec<AbRecord> {
     let mut records = Vec::new();
 
     // Sign-flip scoring: the optimizer's objective over a VGG-16-sized
@@ -169,58 +81,8 @@ fn run_kernel_benches() -> Vec<KernelRecord> {
     let order: Vec<usize> = (0..weights.rows()).rev().collect();
     let elems = (weights.rows() * weights.cols()) as u64;
     let mut scratch = SignFlipScratch::new();
-    let acts: Vec<i8> = {
-        let mut init = WeightInit::new(99);
-        (0..weights.rows()).map(|_| init.weight(64).abs()).collect()
-    };
-    for (name, activations) in [
-        ("signflip/packed_unit_1152x256", None),
-        ("signflip/packed_products_1152x256", Some(acts.as_slice())),
-    ] {
-        let expected =
-            sign_flips_for_order_scalar(&weights, &columns, &order, activations).expect("scores");
-        assert_eq!(
-            sign_flips_for_order_packed(&mut scratch, &weights, &columns, &order, activations)
-                .expect("scores"),
-            expected,
-            "packed scoring diverged from scalar"
-        );
-        let (before, after) = time_ab(
-            20,
-            || {
-                black_box(
-                    sign_flips_for_order_scalar(
-                        black_box(&weights),
-                        &columns,
-                        black_box(&order),
-                        activations,
-                    )
-                    .expect("scores"),
-                );
-            },
-            || {
-                black_box(
-                    sign_flips_for_order_packed(
-                        &mut scratch,
-                        black_box(&weights),
-                        &columns,
-                        black_box(&order),
-                        activations,
-                    )
-                    .expect("scores"),
-                );
-            },
-        );
-        records.push(KernelRecord {
-            kernel: name.into(),
-            elems,
-            before_s: before,
-            after_s: after,
-        });
-    }
-
-    // The routed scoring path: the allocation-free scalar kernel against
-    // the seed's allocating reference (this is what the optimizer calls).
+    // The routed scorer (allocation-free, what the optimizer calls) against
+    // the allocating scalar reference.
     let (before, after) = time_ab(
         20,
         || {
@@ -242,7 +104,7 @@ fn run_kernel_benches() -> Vec<KernelRecord> {
             );
         },
     );
-    records.push(KernelRecord {
+    records.push(AbRecord {
         kernel: "signflip/zero_alloc_unit_1152x256".into(),
         elems,
         before_s: before,
@@ -297,7 +159,7 @@ fn run_kernel_benches() -> Vec<KernelRecord> {
             black_box(&obs);
         },
     );
-    records.push(KernelRecord {
+    records.push(AbRecord {
         kernel: "gemm/depth_histogram_576x16x64".into(),
         elems: (576 * 16 * 64) as u64,
         before_s: before,
@@ -356,16 +218,13 @@ fn run_kernel_benches() -> Vec<KernelRecord> {
             black_box(&h);
         },
     );
-    records.push(KernelRecord {
+    records.push(AbRecord {
         kernel: "histogram/record_4096x64".into(),
         elems: lanes.len() as u64,
         before_s: before,
         after_s: after,
     });
 
-    for r in &records {
-        r.print();
-    }
     records
 }
 
@@ -382,11 +241,7 @@ fn main() {
         }
     }
 
-    let records = run_kernel_benches();
-    if let Some(path) = &json_path {
-        std::fs::write(path, to_json(&records)).expect("writable --json path");
-        println!("wrote kernel records to {path}");
-    }
+    emit("kernel", &run_kernel_benches(), json_path.as_deref());
     if kernels_only {
         return;
     }

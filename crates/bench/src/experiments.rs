@@ -2,21 +2,16 @@
 //! unified [`read_pipeline::ReadPipeline`] API.
 //!
 //! The schedule construction, simulation, caching and parallel fan-out all
-//! live in `read-pipeline`; this module keeps the figure-oriented row types
-//! and the historical function signatures the benches are written against.
-
-use std::sync::Arc;
+//! live in `read-pipeline`; this module only fixes the figure benches'
+//! pipeline shapes.
 
 use accel_sim::ArrayConfig;
 use qnn::{Dataset, Model};
-pub use read_pipeline::Algorithm;
 use read_pipeline::{
-    ArtifactStore, CacheStats, DelayErrorModel, ErrorModel, Executor, ReadPipeline, SweepPlan,
-    SweepReport, TopKEvaluator,
+    AccuracyReport, Algorithm, DelayErrorModel, ErrorModel, LayerWorkload, NetworkReport,
+    PipelineError, ReadPipeline, SweepPlan, SweepReport, ThreadExecutor, TopKEvaluator,
 };
 use timing::{DelayModel, DepthHistogram, OperatingCondition};
-
-use crate::workloads::LayerWorkload;
 
 /// Builds the standard figure pipeline: the given algorithms as schedule
 /// sources, the analytic error model over the given delay model, the given
@@ -77,33 +72,10 @@ pub fn corner_sweep(
     plan: SweepPlan,
     workloads: &[LayerWorkload],
 ) -> SweepReport {
-    corner_sweep_on(
-        read_pipeline::ThreadExecutor::machine(),
-        algorithms,
-        array,
-        plan,
-        workloads,
-    )
-}
-
-/// Like [`corner_sweep`], but on an explicit [`Executor`] — the seam for
-/// benchmarking a sweep across worker threads or processes (any strategy
-/// returns byte-identical reports, so only the wall clock changes).
-///
-/// # Panics
-///
-/// See [`corner_sweep`].
-pub fn corner_sweep_on(
-    executor: impl Executor + 'static,
-    algorithms: &[Algorithm],
-    array: &ArrayConfig,
-    plan: SweepPlan,
-    workloads: &[LayerWorkload],
-) -> SweepReport {
     let mut builder = ReadPipeline::builder()
         .array(*array)
         .sweep(plan)
-        .executor(executor);
+        .executor(ThreadExecutor::machine());
     for &algorithm in algorithms {
         builder = builder.source(algorithm);
     }
@@ -112,42 +84,6 @@ pub fn corner_sweep_on(
         .expect("sweep pipeline configuration is valid")
         .run_sweep("corner-sweep", workloads)
         .expect("generated workloads always simulate")
-}
-
-/// Like [`corner_sweep_on`], but over a shared content-addressed
-/// [`ArtifactStore`] (a `MemoryStore` shared between benches in one
-/// process, or a `DiskStore` persisting schedules, histograms and unit
-/// results across bench runs).  Returns the report together with the
-/// pipeline's [`CacheStats`], so a bench can print how much of the sweep
-/// was pure aggregation.
-///
-/// # Panics
-///
-/// See [`corner_sweep`].
-pub fn corner_sweep_stored(
-    executor: impl Executor + 'static,
-    store: Arc<dyn ArtifactStore>,
-    algorithms: &[Algorithm],
-    array: &ArrayConfig,
-    plan: SweepPlan,
-    workloads: &[LayerWorkload],
-) -> (SweepReport, CacheStats) {
-    let mut builder = ReadPipeline::builder()
-        .array(*array)
-        .sweep(plan)
-        .executor(executor)
-        .store_arc(store);
-    for &algorithm in algorithms {
-        builder = builder.source(algorithm);
-    }
-    let pipeline = builder
-        .build()
-        .expect("sweep pipeline configuration is valid");
-    let report = pipeline
-        .run_sweep("corner-sweep", workloads)
-        .expect("generated workloads always simulate");
-    let stats = pipeline.cache_stats();
-    (report, stats)
 }
 
 /// Simulates one layer under one algorithm and returns the triggered-depth
@@ -173,101 +109,23 @@ pub fn layer_report(
         .expect("generated workloads always simulate")
 }
 
-/// One row of the layer-wise TER tables (Figs. 7 and 8).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerTerRow {
-    /// Layer name.
-    pub layer: String,
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Timing error rate at the evaluated corner.
-    pub ter: f64,
-    /// Spread of the TER estimate (Monte-Carlo trial stddev or PE-to-PE
-    /// spread), when the error model produces one.
-    pub ter_stddev: Option<f64>,
-    /// Sign-flip rate of the schedule.
-    pub sign_flip_rate: f64,
-    /// MAC operations per output activation.
-    pub macs_per_output: usize,
-    /// Activation-level BER implied by the TER (Eq. (1)).
-    pub ber: f64,
-}
-
 /// Runs the layer-wise TER experiment: every workload under every algorithm
 /// at the given corner (the paper's Fig. 8 uses 10-year aging + 5 % VT).
+///
+/// # Panics
+///
+/// Panics if the simulation rejects the generated workloads, which indicates
+/// a bug in the harness rather than a recoverable condition.
 pub fn layerwise_ter(
     workloads: &[LayerWorkload],
     algorithms: &[Algorithm],
     array: &ArrayConfig,
     delay: &DelayModel,
     condition: &OperatingCondition,
-) -> Vec<LayerTerRow> {
-    let pipeline = figure_pipeline(algorithms, array, delay, &[*condition]);
-    layerwise_ter_with(&pipeline, workloads)
-}
-
-/// Runs the layer-wise TER experiment on an already-built pipeline (any
-/// error-model stage: analytic, Monte-Carlo, per-PE variation).
-pub fn layerwise_ter_with(
-    pipeline: &ReadPipeline,
-    workloads: &[LayerWorkload],
-) -> Vec<LayerTerRow> {
-    pipeline
+) -> NetworkReport {
+    figure_pipeline(algorithms, array, delay, &[*condition])
         .run_ter("layerwise-ter", workloads)
         .expect("generated workloads always simulate")
-        .rows
-        .into_iter()
-        .map(|row| LayerTerRow {
-            layer: row.layer,
-            algorithm: row.algorithm,
-            ter: row.ter,
-            ter_stddev: row.ter_stddev,
-            sign_flip_rate: row.sign_flip_rate,
-            macs_per_output: row.macs_per_output,
-            ber: row.ber,
-        })
-        .collect()
-}
-
-/// Geometric-mean TER reduction of `algorithm` relative to the baseline over
-/// the given rows, plus the maximum per-layer reduction.
-pub fn ter_reduction(rows: &[LayerTerRow], algorithm: &str) -> (f64, f64) {
-    let mut log_sum = 0.0;
-    let mut count = 0usize;
-    let mut max = 0.0f64;
-    for row in rows.iter().filter(|r| r.algorithm == algorithm) {
-        if let Some(base) = rows
-            .iter()
-            .find(|r| r.layer == row.layer && r.algorithm == "baseline")
-        {
-            if row.ter > 0.0 && base.ter > 0.0 {
-                let reduction = base.ter / row.ter;
-                log_sum += reduction.ln();
-                count += 1;
-                max = max.max(reduction);
-            }
-        }
-    }
-    if count == 0 {
-        (1.0, 1.0)
-    } else {
-        ((log_sum / count as f64).exp(), max)
-    }
-}
-
-/// One point of the accuracy figures (Figs. 10 and 11).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccuracyPoint {
-    /// Operating corner name.
-    pub condition: String,
-    /// Algorithm name.
-    pub algorithm: String,
-    /// Mean top-1 accuracy over the seeds.
-    pub top1: f64,
-    /// Mean top-k accuracy over the seeds.
-    pub topk: f64,
-    /// Mean per-layer BER used for the injection (for the record).
-    pub mean_ber: f64,
 }
 
 /// Runs the accuracy-under-PVTA experiment for one model.
@@ -279,7 +137,8 @@ pub struct AccuracyPoint {
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors from the model (shape mismatches).
+/// Propagates simulation and evaluation errors (e.g. shape mismatches
+/// between the model and the workloads).
 #[allow(clippy::too_many_arguments)]
 pub fn accuracy_sweep(
     model: &Model,
@@ -291,7 +150,7 @@ pub fn accuracy_sweep(
     delay: &DelayModel,
     seeds: u64,
     top_k: usize,
-) -> Result<Vec<AccuracyPoint>, qnn::QnnError> {
+) -> Result<AccuracyReport, PipelineError> {
     let mut builder = ReadPipeline::builder()
         .array(*array)
         .error_model(DelayErrorModel::new(*delay))
@@ -301,33 +160,17 @@ pub fn accuracy_sweep(
     for &algorithm in algorithms {
         builder = builder.source(algorithm);
     }
-    let pipeline = builder
+    builder
         .build()
-        .expect("sweep pipeline configuration is valid");
-    let report = pipeline
+        .expect("sweep pipeline configuration is valid")
         .run_accuracy_for(model, "accuracy-sweep", dataset, workloads, seeds)
-        .map_err(|e| match e {
-            read_pipeline::PipelineError::Eval(q) => q,
-            other => qnn::QnnError::dataset(other.to_string()),
-        })?;
-    Ok(report
-        .points
-        .into_iter()
-        .map(|p| AccuracyPoint {
-            condition: p.condition,
-            algorithm: p.algorithm,
-            top1: p.top1,
-            topk: p.topk,
-            mean_ber: p.mean_ber,
-        })
-        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads::{vgg16_workloads, WorkloadConfig};
     use read_core::SortCriterion;
+    use read_pipeline::{vgg16_workloads, MonteCarloErrorModel, WorkloadConfig};
 
     fn tiny_workloads() -> Vec<LayerWorkload> {
         let config = WorkloadConfig {
@@ -350,15 +193,18 @@ mod tests {
     #[test]
     fn reordering_reduces_ter_in_layerwise_experiment() {
         let workloads = tiny_workloads();
-        let rows = layerwise_ter(
+        let report = layerwise_ter(
             &workloads,
             &Algorithm::paper_set(),
             &ArrayConfig::paper_default(),
             &DelayModel::nangate15_like(),
             &OperatingCondition::aging_vt(10.0, 0.05),
         );
-        assert_eq!(rows.len(), workloads.len() * 3);
-        let (geo, max) = ter_reduction(&rows, &Algorithm::Reorder(SortCriterion::SignFirst).name());
+        assert_eq!(report.rows.len(), workloads.len() * 3);
+        let (geo, max) = report.ter_reduction(
+            &Algorithm::Reorder(SortCriterion::SignFirst).name(),
+            "baseline",
+        );
         assert!(geo > 1.0, "reorder should reduce TER, got {geo}x");
         assert!(max >= geo);
     }
@@ -378,47 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn ter_reduction_handles_missing_algorithm() {
-        let rows = vec![];
-        assert_eq!(ter_reduction(&rows, "reorder[sign_first]"), (1.0, 1.0));
-    }
-
-    #[test]
-    fn stored_corner_sweep_amortizes_repeat_runs() {
-        use read_pipeline::{MemoryStore, SerialExecutor};
-        let workloads = tiny_workloads();
-        let plan = SweepPlan::new()
-            .condition(OperatingCondition::aging_vt(10.0, 0.05))
-            .typical();
-        let store: Arc<dyn ArtifactStore> = Arc::new(MemoryStore::new());
-        let (cold, cold_stats) = corner_sweep_stored(
-            SerialExecutor,
-            Arc::clone(&store),
-            &[Algorithm::Baseline],
-            &ArrayConfig::paper_default(),
-            plan.clone(),
-            &workloads,
-        );
-        assert_eq!(cold_stats.misses as usize, workloads.len());
-        let (warm, warm_stats) = corner_sweep_stored(
-            SerialExecutor,
-            store,
-            &[Algorithm::Baseline],
-            &ArrayConfig::paper_default(),
-            plan,
-            &workloads,
-        );
-        assert_eq!(warm_stats.misses, 0, "schedules served from the store");
-        assert_eq!(
-            warm_stats.hist_misses, 0,
-            "histograms served from the store"
-        );
-        assert_eq!(cold.to_json(), warm.to_json());
-    }
-
-    #[test]
     fn monte_carlo_figure_pipeline_reports_spread() {
-        use read_pipeline::MonteCarloErrorModel;
         let workloads = tiny_workloads();
         let pipeline = figure_pipeline_with_model(
             &[Algorithm::Baseline],
@@ -426,7 +232,7 @@ mod tests {
             MonteCarloErrorModel::new(16, 3),
             &[OperatingCondition::aging_vt(10.0, 0.05)],
         );
-        let rows = layerwise_ter_with(&pipeline, &workloads);
+        let rows = pipeline.run_ter("layerwise-ter", &workloads).unwrap().rows;
         assert_eq!(rows.len(), workloads.len());
         assert!(rows.iter().all(|r| r.ter_stddev.is_some()));
         // Analytic rows carry no spread.
@@ -437,6 +243,6 @@ mod tests {
             &DelayModel::nangate15_like(),
             &OperatingCondition::aging_vt(10.0, 0.05),
         );
-        assert!(analytic.iter().all(|r| r.ter_stddev.is_none()));
+        assert!(analytic.rows.iter().all(|r| r.ter_stddev.is_none()));
     }
 }

@@ -2,20 +2,13 @@
 //!
 //! The benches under `benches/` regenerate every table and figure of the
 //! paper's evaluation section; this library holds the shared machinery:
-//! workload construction (synthetic trained layers of the paper's
-//! networks), schedule construction for the compared algorithms, TER / BER /
-//! accuracy experiment runners, and plain-text table printing.
+//! the figure pipelines and experiment runners over
+//! [`read_pipeline::ReadPipeline`], plain-text table printing, and the A/B
+//! timing harness of the throughput benches.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod ab;
 pub mod experiments;
 pub mod report;
-pub mod workloads;
-
-pub use experiments::{
-    accuracy_sweep, corner_sweep, corner_sweep_on, corner_sweep_stored, figure_pipeline,
-    layer_report, layerwise_ter, ter_reduction, AccuracyPoint, LayerTerRow,
-};
-pub use read_pipeline::Algorithm;
-pub use workloads::{resnet18_workloads, vgg16_workloads, LayerWorkload, WorkloadConfig};

@@ -45,7 +45,9 @@
 //! # Example
 //!
 //! ```
-//! use read_pipeline::prelude::*;
+//! use read_core::SortCriterion;
+//! use read_pipeline::{vgg16_workloads, Algorithm, ReadPipeline, WorkloadConfig};
+//! use timing::OperatingCondition;
 //!
 //! # fn main() -> Result<(), read_pipeline::PipelineError> {
 //! let pipeline = ReadPipeline::builder()
@@ -113,42 +115,3 @@ pub use workload::{
     resnet18_workloads, resnet18_workloads_prefix, resnet34_workloads, resnet34_workloads_prefix,
     vgg16_workloads, vgg16_workloads_prefix, LayerWorkload, WorkloadConfig,
 };
-
-/// Everything a pipeline consumer usually needs.
-pub mod prelude {
-    pub use crate::cache::CacheStats;
-    pub use crate::error::PipelineError;
-    pub use crate::executor::{
-        Executor, FlakyExecutor, FleetStats, SerialExecutor, SocketExecutor, SubprocessExecutor,
-        ThreadExecutor,
-    };
-    pub use crate::pipeline::{ReadPipeline, ReadPipelineBuilder};
-    pub use crate::plan::{Aggregator, PlanOutput, UnitLedger, UnitResult, WorkPlan, WorkUnit};
-    pub use crate::report::{
-        AccuracyPoint, AccuracyReport, DataflowNetworkReport, DataflowRow, LayerReport,
-        NetworkReport,
-    };
-    pub use crate::serve::{
-        AccuracySpec, CornerSpec, McSpec, ModelFamily, Priority, RequestKind, ServeClient,
-        ServeHandle, ServeReply, ServeRequest, ServeServer, ServerConfig, SourceSpec, WorkerConfig,
-        WorkerHandle, WorkerServer, NO_TIMEOUT,
-    };
-    pub use crate::stage::{
-        Algorithm, Baseline, DataflowProber, DelayErrorModel, ErrorModel, Evaluator, EventProber,
-        MonteCarloErrorModel, ScheduleSource, TopKEvaluator, VariationErrorModel,
-    };
-    pub use crate::store::{
-        ArtifactStore, DiskStore, MemoryStore, RemoteStore, StoreHandle, StoreRequest, StoreServer,
-        StoreStats,
-    };
-    pub use crate::sweep::{
-        DieSpec, MonteCarloSweep, SweepCell, SweepPlan, SweepReport, WorstCase,
-    };
-    pub use crate::workload::{
-        resnet18_workloads, resnet18_workloads_prefix, resnet34_workloads,
-        resnet34_workloads_prefix, vgg16_workloads, vgg16_workloads_prefix, LayerWorkload,
-        WorkloadConfig,
-    };
-    pub use read_core::{ClusteringMode, ReadConfig, ReadOptimizer, SortCriterion};
-    pub use timing::{OperatingCondition, OperatingCorner, TerEstimate, Variation};
-}

@@ -430,7 +430,14 @@ impl ReadPipeline {
     /// (schedules, histograms, memoized unit results) plus the attached
     /// artifact store's counters, when one is configured.
     pub fn cache_stats(&self) -> CacheStats {
-        let mut stats = self.cache.stats();
+        let (hits, misses, collisions, entries) = self.cache.counters();
+        let mut stats = CacheStats {
+            hits,
+            misses,
+            collisions,
+            entries,
+            ..CacheStats::default()
+        };
         let (hits, misses, collisions, entries) = self.hist_cache.counters();
         stats.hist_hits = hits;
         stats.hist_misses = misses;

@@ -246,9 +246,9 @@ pub trait ErrorModel: Send + Sync {
 }
 
 /// The default error model: the parametric Nangate-15nm-like MAC delay model
-/// evaluated over the depth histogram (the same math as
-/// [`timing::TerEstimator`], but reusing one simulation pass for any number
-/// of corners).
+/// evaluated over the depth histogram (the same math as the analytic
+/// [`timing::DynamicTimingAnalyzer`], but reusing one simulation pass for
+/// any number of corners).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayErrorModel {
     /// The MAC datapath delay model.

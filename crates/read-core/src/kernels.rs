@@ -1,29 +1,16 @@
-//! Sign-flip scoring kernels: the allocation-free scalar scorer and its
-//! word-parallel (bit-sliced) alternative.
+//! The allocation-free sign-flip scorer.
 //!
 //! [`crate::sign_flips_for_order`] scores an ordering by replaying the
 //! accumulation of every selected output channel and counting the
-//! partial-sum sign flips.  Two cores live here:
+//! partial-sum sign flips.  [`sign_flips_for_order_with`] is that fold with
+//! reusable scratch buffers, so a warm scoring call performs zero heap
+//! allocations (`tests/alloc_regression.rs` pins this down).
 //!
-//! * [`sign_flips_for_order_with`] — the routed default: the scalar fold
-//!   with reusable scratch buffers, so a warm scoring call performs zero
-//!   heap allocations (`tests/alloc_regression.rs` pins this down).
-//! * [`sign_flips_for_order_packed`] — packs up to 64 output channels into
-//!   the bit positions of `u64` words ("lanes") and accumulates all of
-//!   them per reduction row with a bit-sliced ripple-carry adder
-//!   ([`accel_sim::bitplane`]); a sign flip is then an XOR + popcount of
-//!   the accumulator sign plane.  Bit-exact with the scalar paths (the
-//!   accumulator is sized so it never wraps), but *measurably slower* on
-//!   commodity out-of-order cores — the scalar per-element work (one add +
-//!   sign compare) is too cheap for transpose-heavy bit-slicing to beat,
-//!   unlike the simulator's depth kernel where the scalar path burns a
-//!   24-iteration carry scan per MAC.  Kept routed through the benches and
-//!   equivalence tests as a measured alternative; see `BENCH_<pr>.json`.
-//!
-//! Equivalence — exhaustive shapes, remainder lane widths, error messages —
-//! is asserted in this module and in `tests/proptest_invariants.rs`.
+//! Equivalence with [`crate::sign_flips_for_order_scalar`] — shapes, column
+//! subsets, error messages — is asserted in this module and in
+//! `tests/proptest_invariants.rs`.
 
-use accel_sim::{bitplane, Matrix};
+use accel_sim::Matrix;
 
 use crate::error::ReadError;
 
@@ -34,9 +21,6 @@ use crate::error::ReadError;
 /// allocations.
 #[derive(Debug, Default, Clone)]
 pub struct SignFlipScratch {
-    /// Bit-plane accumulator: plane `k` holds bit `k` of every lane's
-    /// running partial sum.
-    acc: Vec<u64>,
     /// Bitset used to validate that `order` is a permutation.
     seen: Vec<u64>,
 }
@@ -75,103 +59,24 @@ fn validate_order_bitset(
     Ok(())
 }
 
-/// Number of bit planes needed so a running sum of `rows` addends, each of
-/// magnitude at most `max_abs`, is representable in two's complement
-/// without wrapping: `bits(rows * max_abs) + 1` (sign bit), clamped to the
-/// addend width below and the word width above.
-fn planes_needed(rows: usize, max_abs: u64, addend_planes: usize) -> usize {
-    let max_sum = (rows as u64).saturating_mul(max_abs).max(1);
-    let bits = 64 - max_sum.leading_zeros() as usize;
-    (bits + 1).clamp(addend_planes, 64)
-}
-
-/// Accumulates every 64-column chunk of `columns` across all rows of
-/// `order` in a single row pass and returns the total number of
-/// partial-sum sign flips.
+/// Allocation-free [`crate::sign_flips_for_order`]: reuses `scratch` across
+/// calls so a warm scoring call performs zero heap allocations (asserted by
+/// `tests/alloc_regression.rs`).
 ///
-/// All chunks advance together inside the row loop on purpose: each
-/// chunk's bit-sliced ripple-carry addition is a serial dependency chain,
-/// but different chunks' chains are independent, so interleaving them lets
-/// the CPU overlap their latency (and touches each weight row exactly
-/// once).
-fn packed_flips(
-    acc: &mut Vec<u64>,
-    weights: &Matrix<i8>,
-    columns: &[usize],
-    order: &[usize],
-    activations: Option<&[i8]>,
-) -> u64 {
-    // Unit activations keep the addends at weight width (8 planes);
-    // activation products span i16 (16 planes).
-    let (addend_planes, max_abs) = if activations.is_some() {
-        (16, 128u64 * 128)
-    } else {
-        (8, 128u64)
-    };
-    let planes = planes_needed(order.len(), max_abs, addend_planes);
-    let sign_plane = planes - 1;
-    let n_chunks = columns.len().div_ceil(64);
-    acc.clear();
-    acc.resize(planes * n_chunks, 0);
-    // Column selections are almost always contiguous runs (baseline
-    // segmentations, whole-matrix scoring); a run lets the gather be a
-    // straight slice copy instead of 64 indexed loads.
-    let contiguous = columns.windows(2).all(|w| w[1] == w[0] + 1);
-    let mut flips = 0u64;
-    match activations {
-        Some(acts) => {
-            let mut products = [0i16; 64];
-            for &r in order {
-                let row = weights.row(r);
-                let a = i16::from(acts[r]);
-                for (cols, acc) in columns.chunks(64).zip(acc.chunks_mut(planes)) {
-                    let lanes = cols.len();
-                    let before = acc[sign_plane];
-                    for (p, &c) in products.iter_mut().zip(cols) {
-                        *p = i16::from(row[c]) * a;
-                    }
-                    let addend = bitplane::planes_from_i16(&products[..lanes]);
-                    bitplane::add_sign_extended(acc, &addend, addend[15]);
-                    flips += u64::from(
-                        ((before ^ acc[sign_plane]) & bitplane::lane_mask(lanes)).count_ones(),
-                    );
-                }
-            }
-        }
-        None => {
-            let mut unit = [0i8; 64];
-            for &r in order {
-                let row = weights.row(r);
-                for (cols, acc) in columns.chunks(64).zip(acc.chunks_mut(planes)) {
-                    let lanes = cols.len();
-                    let before = acc[sign_plane];
-                    let addend = if contiguous {
-                        let base = cols[0];
-                        bitplane::planes_from_i8(&row[base..base + lanes])
-                    } else {
-                        for (u, &c) in unit.iter_mut().zip(cols) {
-                            *u = row[c];
-                        }
-                        bitplane::planes_from_i8(&unit[..lanes])
-                    };
-                    bitplane::add_sign_extended(acc, &addend, addend[7]);
-                    flips += u64::from(
-                        ((before ^ acc[sign_plane]) & bitplane::lane_mask(lanes)).count_ones(),
-                    );
-                }
-            }
-        }
-    }
-    flips
-}
-
-fn validate_scoring_inputs(
+/// Semantics, results and error messages are identical to
+/// [`crate::sign_flips_for_order`] (which simply wraps this function with a
+/// fresh scratch).
+///
+/// # Errors
+///
+/// Same conditions as [`crate::sign_flips_for_order`].
+pub fn sign_flips_for_order_with(
     scratch: &mut SignFlipScratch,
     weights: &Matrix<i8>,
     columns: &[usize],
     order: &[usize],
     activations: Option<&[i8]>,
-) -> Result<(), ReadError> {
+) -> Result<u64, ReadError> {
     validate_order_bitset(&mut scratch.seen, order, weights.rows())?;
     if let Some(acts) = activations {
         if acts.len() != weights.rows() {
@@ -191,33 +96,6 @@ fn validate_scoring_inputs(
             });
         }
     }
-    Ok(())
-}
-
-/// Allocation-free [`crate::sign_flips_for_order`]: reuses `scratch` across
-/// calls so a warm scoring call performs zero heap allocations (asserted by
-/// `tests/alloc_regression.rs`).
-///
-/// Semantics, results and error messages are identical to
-/// [`crate::sign_flips_for_order`] (which simply wraps this function with a
-/// fresh scratch).  The accumulation core is the scalar fold: the A/B
-/// benches in `kernel_throughput` showed the word-parallel scorer
-/// ([`sign_flips_for_order_packed`]) *slower* than the fold on commodity
-/// out-of-order cores — one add + sign compare per element is too cheap
-/// for transpose-heavy bit-slicing to beat — so the packed variant is kept
-/// as a measured alternative rather than the routed default.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::sign_flips_for_order`].
-pub fn sign_flips_for_order_with(
-    scratch: &mut SignFlipScratch,
-    weights: &Matrix<i8>,
-    columns: &[usize],
-    order: &[usize],
-    activations: Option<&[i8]>,
-) -> Result<u64, ReadError> {
-    validate_scoring_inputs(scratch, weights, columns, order, activations)?;
     let mut total = 0u64;
     // The activation branch is hoisted out of the per-element closure: this
     // function is a cross-crate call boundary, so the Option would
@@ -245,77 +123,10 @@ pub fn sign_flips_for_order_with(
     Ok(total)
 }
 
-/// Word-parallel (bit-sliced) [`crate::sign_flips_for_order`]: scores up to
-/// 64 output channels per pass over the rows.
-///
-/// Results and error messages are bit-identical to the scalar paths; the
-/// equivalence tests in this module and `tests/proptest_invariants.rs` pin
-/// that down.  See [`sign_flips_for_order_with`] for why this is not the
-/// routed default, and `BENCH_<pr>.json` for the measured trajectory.
-///
-/// # Errors
-///
-/// Same conditions as [`crate::sign_flips_for_order`].
-pub fn sign_flips_for_order_packed(
-    scratch: &mut SignFlipScratch,
-    weights: &Matrix<i8>,
-    columns: &[usize],
-    order: &[usize],
-    activations: Option<&[i8]>,
-) -> Result<u64, ReadError> {
-    validate_scoring_inputs(scratch, weights, columns, order, activations)?;
-    Ok(packed_flips(
-        &mut scratch.acc,
-        weights,
-        columns,
-        order,
-        activations,
-    ))
-}
-
-/// Word-parallel [`crate::count_sign_flips`] over many addend sequences at
-/// once: returns the total sign-flip count across all lanes.
-///
-/// Each element of `lanes` is one independent accumulation (one output
-/// activation).  Sequences may have different lengths; shorter lanes are
-/// padded with zero addends, which never flip a sign.  Arithmetic is
-/// i64-wrapping, exactly like the scalar fold, so the result equals
-/// `lanes.iter().map(|l| count_sign_flips(l) as u64).sum()` for *all*
-/// inputs, overflowing ones included.
-///
-/// # Example
-///
-/// ```
-/// use read_core::{count_sign_flips, packed_count_sign_flips};
-///
-/// let lanes: Vec<Vec<i64>> = vec![vec![-1, 7, -5, 4], vec![7, 4, -1, -5], vec![-3]];
-/// let scalar: u64 = lanes.iter().map(|l| count_sign_flips(l.iter().copied()) as u64).sum();
-/// assert_eq!(packed_count_sign_flips(&lanes), scalar);
-/// ```
-pub fn packed_count_sign_flips<S: AsRef<[i64]>>(lanes: &[S]) -> u64 {
-    let mut total = 0u64;
-    for chunk in lanes.chunks(64) {
-        let mask = bitplane::lane_mask(chunk.len());
-        let steps = chunk.iter().map(|l| l.as_ref().len()).max().unwrap_or(0);
-        let mut acc = [0u64; 64];
-        let mut buf = [0i64; 64];
-        for t in 0..steps {
-            for (b, lane) in buf.iter_mut().zip(chunk) {
-                *b = lane.as_ref().get(t).copied().unwrap_or(0);
-            }
-            let addend = bitplane::planes_from_i64(&buf[..chunk.len()]);
-            let before = acc[63];
-            bitplane::add_sign_extended(&mut acc, &addend, addend[63]);
-            total += u64::from(((before ^ acc[63]) & mask).count_ones());
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{count_sign_flips, sign_flips_for_order, sign_flips_for_order_scalar};
+    use crate::metrics::{sign_flips_for_order, sign_flips_for_order_scalar};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -333,10 +144,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_sign_flips_match_scalar_across_shapes() {
+    fn sign_flips_match_scalar_across_shapes() {
         let mut rng = StdRng::seed_from_u64(0x51f1);
         let mut scratch = SignFlipScratch::new();
-        // Column counts straddle the 64-lane word boundary on purpose.
         for &(rows, cols) in &[
             (1usize, 1usize),
             (7, 3),
@@ -356,33 +166,28 @@ mod tests {
                 let reused =
                     sign_flips_for_order_with(&mut scratch, &w, &columns, &order, activations)
                         .unwrap();
-                let packed =
-                    sign_flips_for_order_packed(&mut scratch, &w, &columns, &order, activations)
-                        .unwrap();
                 assert_eq!(
-                    packed,
+                    routed,
                     scalar,
                     "{rows}x{cols} acts={}",
                     activations.is_some()
                 );
-                assert_eq!(routed, scalar);
                 assert_eq!(reused, scalar);
             }
         }
     }
 
     #[test]
-    fn packed_sign_flips_match_scalar_on_column_subsets() {
+    fn sign_flips_match_scalar_on_column_subsets() {
         let mut rng = StdRng::seed_from_u64(0xc0de);
         let w = random_weights(&mut rng, 24, 90);
         let order = random_order(&mut rng, 24);
-        // Repeated and unsorted column selections are allowed (and take the
-        // non-contiguous gather path in the packed kernel).
+        // Repeated and unsorted column selections are allowed.
         let columns = vec![3usize, 89, 3, 41, 0, 77, 12, 12];
         let scalar = sign_flips_for_order_scalar(&w, &columns, &order, None).unwrap();
         let mut scratch = SignFlipScratch::new();
         assert_eq!(
-            sign_flips_for_order_packed(&mut scratch, &w, &columns, &order, None).unwrap(),
+            sign_flips_for_order_with(&mut scratch, &w, &columns, &order, None).unwrap(),
             scalar
         );
         assert_eq!(
@@ -392,7 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn packed_errors_match_scalar_errors() {
+    fn errors_match_scalar_errors() {
         let w = Matrix::from_fn(8, 4, |r, c| (((r * 5 + c * 3) % 9) as i8) - 4);
         let good: Vec<usize> = (0..8).collect();
         type Case = (Vec<usize>, Vec<usize>, Option<Vec<i8>>);
@@ -410,69 +215,24 @@ mod tests {
             let routed =
                 sign_flips_for_order_with(&mut scratch, &w, &columns, &order, acts.as_deref())
                     .unwrap_err();
-            let packed =
-                sign_flips_for_order_packed(&mut scratch, &w, &columns, &order, acts.as_deref())
-                    .unwrap_err();
             assert_eq!(format!("{routed}"), format!("{scalar}"));
-            assert_eq!(format!("{packed}"), format!("{scalar}"));
         }
-    }
-
-    #[test]
-    fn packed_count_matches_scalar_on_ragged_lanes() {
-        let mut rng = StdRng::seed_from_u64(0xabcd);
-        for lanes_n in [1usize, 5, 63, 64, 65, 130] {
-            let lanes: Vec<Vec<i64>> = (0..lanes_n)
-                .map(|l| {
-                    let len = (rng.gen::<u64>() % 9) as usize + l % 3;
-                    (0..len)
-                        .map(|_| (rng.gen::<u64>() % 2001) as i64 - 1000)
-                        .collect()
-                })
-                .collect();
-            let scalar: u64 = lanes
-                .iter()
-                .map(|l| count_sign_flips(l.iter().copied()) as u64)
-                .sum();
-            assert_eq!(packed_count_sign_flips(&lanes), scalar, "lanes={lanes_n}");
-        }
-    }
-
-    #[test]
-    fn packed_count_matches_scalar_at_i64_extremes() {
-        // Wrapping behaviour must match the scalar wrapping fold.
-        let lanes = vec![
-            vec![i64::MAX, 1, -1, i64::MIN],
-            vec![i64::MIN, i64::MIN],
-            vec![0, 0, -1, 1],
-            vec![],
-        ];
-        let scalar: u64 = lanes
-            .iter()
-            .map(|l| count_sign_flips(l.iter().copied()) as u64)
-            .sum();
-        assert_eq!(packed_count_sign_flips(&lanes), scalar);
     }
 
     #[test]
     fn scratch_reuse_does_not_leak_state() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut scratch = SignFlipScratch::new();
-        // A large call followed by a small one: stale accumulator/bitset
-        // contents must not change results.
+        // A large call followed by a small one: stale bitset contents must
+        // not change results.
         let big = random_weights(&mut rng, 50, 70);
         let big_cols: Vec<usize> = (0..70).collect();
         let big_order = random_order(&mut rng, 50);
-        sign_flips_for_order_packed(&mut scratch, &big, &big_cols, &big_order, None).unwrap();
+        sign_flips_for_order_with(&mut scratch, &big, &big_cols, &big_order, None).unwrap();
         let small = random_weights(&mut rng, 4, 3);
         let small_cols: Vec<usize> = (0..3).collect();
         let small_order = random_order(&mut rng, 4);
         let scalar = sign_flips_for_order_scalar(&small, &small_cols, &small_order, None).unwrap();
-        assert_eq!(
-            sign_flips_for_order_packed(&mut scratch, &small, &small_cols, &small_order, None)
-                .unwrap(),
-            scalar
-        );
         assert_eq!(
             sign_flips_for_order_with(&mut scratch, &small, &small_cols, &small_order, None)
                 .unwrap(),

@@ -68,10 +68,7 @@ pub use cluster::{
     cluster_sign_difference, sign_difference, BalancedKMeans, ClusterResult, DistanceMetric,
 };
 pub use error::ReadError;
-pub use kernels::{
-    packed_count_sign_flips, sign_flips_for_order_packed, sign_flips_for_order_with,
-    SignFlipScratch,
-};
+pub use kernels::{sign_flips_for_order_with, SignFlipScratch};
 pub use lut::AddressLut;
 pub use metrics::{
     channel_stats, count_sign_flips, nonneg_quantile_profile, nonneg_ratio_in_top,

@@ -20,9 +20,8 @@
 //!   -depth histogram, at an [`OperatingCorner`] (condition + silicon
 //!   [`Variation`]).  This is the seam the pipeline crate's `ErrorModel`
 //!   stage builds on.
-//! * [`ter`] — timing-error-rate estimation helpers and the paper's
-//!   Eq. (1) conversion from MAC-level TER to activation-level BER.
-//! * [`error_inject`] — bit-flip fault models for accumulator words.
+//! * [`ter`] — the paper's Eq. (1) conversion from MAC-level TER to
+//!   activation-level BER, and its inverse.
 //!
 //! The model is calibrated so that the *mechanism* matches the paper: the
 //! partial-sum sign flip is the critical input pattern, nominal conditions
@@ -61,7 +60,6 @@
 pub mod analysis;
 pub mod delay;
 pub mod dta;
-pub mod error_inject;
 pub mod math;
 pub mod pvta;
 pub mod ter;
@@ -72,6 +70,5 @@ pub use analysis::{
 };
 pub use delay::DelayModel;
 pub use dta::{AnalysisMode, DepthHistogram, DynamicTimingAnalyzer, TimingReport};
-pub use error_inject::{BitFlipModel, FaultInjector};
 pub use pvta::{paper_conditions, AgingModel, OperatingCondition, PAPER_CONDITIONS};
-pub use ter::{ber_from_ter, ter_for_target_ber, LayerTer, TerEstimator};
+pub use ter::{ber_from_ter, ter_for_target_ber};

@@ -1,11 +1,4 @@
-//! Timing-error-rate estimation helpers and the TER → BER conversion of the
-//! paper's Eq. (1).
-
-use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, SimError, SimOptions};
-
-use crate::delay::DelayModel;
-use crate::dta::{DynamicTimingAnalyzer, TimingReport};
-use crate::pvta::OperatingCondition;
+//! The TER → BER conversion of the paper's Eq. (1), and its inverse.
 
 /// Bit error rate of an output activation computed with `n_macs` MAC
 /// operations, each failing independently with probability `ter`
@@ -50,140 +43,9 @@ pub fn ter_for_target_ber(ber: f64, n_macs: usize) -> f64 {
     -((-ber).ln_1p() / n_macs as f64).exp_m1()
 }
 
-/// Per-layer TER result, pairing the measured rate with the layer's
-/// MAC-per-output count so the BER can be derived.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerTer {
-    /// Human-readable layer name (e.g. `"conv3_2"`).
-    pub layer: String,
-    /// Measured (or estimated) MAC-level timing error rate.
-    pub ter: f64,
-    /// Number of MAC operations accumulated into one output activation.
-    pub macs_per_output: usize,
-    /// Measured sign-flip rate for the same run.
-    pub sign_flip_rate: f64,
-}
-
-impl LayerTer {
-    /// Activation-level BER implied by this layer's TER (Eq. (1)).
-    pub fn ber(&self) -> f64 {
-        ber_from_ter(self.ter, self.macs_per_output)
-    }
-}
-
-/// High-level estimator: runs a GEMM on the array under a schedule and
-/// operating condition and reports the timing statistics.
-///
-/// This is the glue most experiments use; it owns a [`DelayModel`] and an
-/// [`ArrayConfig`] and evaluates any number of (problem, schedule, corner)
-/// combinations.
-#[derive(Debug, Clone)]
-pub struct TerEstimator {
-    delay: DelayModel,
-    array: ArrayConfig,
-    dataflow: Dataflow,
-    options: SimOptions,
-}
-
-impl TerEstimator {
-    /// Creates an estimator for the paper's 16x4 output-stationary array
-    /// with the default delay model and exhaustive simulation.
-    pub fn new() -> Self {
-        TerEstimator {
-            delay: DelayModel::nangate15_like(),
-            array: ArrayConfig::paper_default(),
-            dataflow: Dataflow::OutputStationary,
-            options: SimOptions::exhaustive(),
-        }
-    }
-
-    /// Overrides the delay model.
-    pub fn with_delay_model(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Overrides the array geometry.
-    pub fn with_array(mut self, array: ArrayConfig) -> Self {
-        self.array = array;
-        self
-    }
-
-    /// Overrides the dataflow.
-    pub fn with_dataflow(mut self, dataflow: Dataflow) -> Self {
-        self.dataflow = dataflow;
-        self
-    }
-
-    /// Overrides the simulation options (e.g. pixel sampling).
-    pub fn with_options(mut self, options: SimOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// The array geometry used by this estimator.
-    pub fn array(&self) -> &ArrayConfig {
-        &self.array
-    }
-
-    /// The delay model used by this estimator.
-    pub fn delay_model(&self) -> &DelayModel {
-        &self.delay
-    }
-
-    /// Analyzes a problem under the baseline schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors (dimension mismatches, invalid
-    /// schedules).
-    pub fn analyze(
-        &self,
-        problem: &GemmProblem,
-        condition: &OperatingCondition,
-    ) -> Result<TimingReport, SimError> {
-        let schedule = ComputeSchedule::baseline(
-            problem.reduction_len(),
-            problem.num_channels(),
-            self.array.cols(),
-        );
-        self.analyze_with_schedule(problem, &schedule, condition)
-    }
-
-    /// Analyzes a problem under an explicit compute schedule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors (dimension mismatches, invalid
-    /// schedules).
-    pub fn analyze_with_schedule(
-        &self,
-        problem: &GemmProblem,
-        schedule: &ComputeSchedule,
-        condition: &OperatingCondition,
-    ) -> Result<TimingReport, SimError> {
-        let mut dta = DynamicTimingAnalyzer::new(self.delay, *condition);
-        problem.simulate_with_schedule(
-            &self.array,
-            self.dataflow,
-            schedule,
-            &self.options,
-            &mut dta,
-        )?;
-        Ok(dta.report())
-    }
-}
-
-impl Default for TerEstimator {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel_sim::Matrix;
 
     #[test]
     fn ber_limits() {
@@ -218,47 +80,5 @@ mod tests {
         }
         assert_eq!(ter_for_target_ber(0.0, 100), 0.0);
         assert_eq!(ter_for_target_ber(1.0, 100), 1.0);
-    }
-
-    #[test]
-    fn layer_ter_ber() {
-        let layer = LayerTer {
-            layer: "conv1".into(),
-            ter: 1e-4,
-            macs_per_output: 576,
-            sign_flip_rate: 0.01,
-        };
-        assert!((layer.ber() - ber_from_ter(1e-4, 576)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn estimator_reports_more_errors_under_stress() {
-        let w = Matrix::from_fn(48, 4, |r, c| (((r * 11 + c * 3) % 15) as i8) - 7);
-        let a = Matrix::from_fn(48, 12, |r, c| ((r + 2 * c) % 5) as i8);
-        let problem = GemmProblem::new(w, a).unwrap();
-        let est = TerEstimator::new();
-        let ideal = est.analyze(&problem, &OperatingCondition::ideal()).unwrap();
-        let worst = est
-            .analyze(&problem, &OperatingCondition::aging_vt(10.0, 0.05))
-            .unwrap();
-        assert!(worst.ter > ideal.ter);
-        assert_eq!(ideal.total_cycles, worst.total_cycles);
-    }
-
-    #[test]
-    fn estimator_builder_overrides() {
-        let est = TerEstimator::new()
-            .with_array(ArrayConfig::new(8, 8))
-            .with_dataflow(Dataflow::WeightStationary)
-            .with_options(SimOptions::sampled(4, 1));
-        assert_eq!(est.array().cols(), 8);
-        let w = Matrix::from_fn(16, 8, |r, c| ((r + c) % 7) as i8 - 3);
-        let a = Matrix::from_fn(16, 20, |r, c| ((r * c) % 4) as i8);
-        let problem = GemmProblem::new(w, a).unwrap();
-        let report = est
-            .analyze(&problem, &OperatingCondition::vt(0.05))
-            .unwrap();
-        // Sampling restricts the analysis to 4 pixels x 8 channels x 16 MACs.
-        assert_eq!(report.total_cycles, 4 * 8 * 16);
     }
 }

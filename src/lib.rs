@@ -18,8 +18,8 @@
 //!   clocks exchanging typed tokens over bounded channels, with Chrome-
 //!   trace recording and dynamic-timing reports (stalls, utilization,
 //!   buffer occupancy).
-//! * [`timing`] — dynamic timing analysis, PVTA variation corners,
-//!   timing-error-rate estimation and error injection.
+//! * [`timing`] — dynamic timing analysis, PVTA variation corners and
+//!   timing-error-rate estimation.
 //! * [`qnn`] — quantized (int8) CNN inference substrate with a VGG/ResNet
 //!   model zoo, synthetic datasets, and fault-injection evaluation.
 //!
@@ -94,29 +94,10 @@ pub mod prelude {
     pub use read_core::{
         ClusterSchedule, ClusteringMode, LayerSchedule, ReadConfig, ReadOptimizer, SortCriterion,
     };
-    pub use read_pipeline::{
-        resnet18_workloads, resnet18_workloads_prefix, resnet34_workloads,
-        resnet34_workloads_prefix, vgg16_workloads, vgg16_workloads_prefix,
-    };
-    pub use read_pipeline::{AccuracyPoint, AccuracyReport};
-    pub use read_pipeline::{
-        AccuracySpec, CornerSpec, McSpec, ModelFamily, Priority, RequestKind, ServeClient,
-        ServeHandle, ServeReply, ServeRequest, ServeServer, ServerConfig, SourceSpec, WorkerConfig,
-        WorkerHandle, WorkerServer, NO_TIMEOUT,
-    };
-    pub use read_pipeline::{
-        Aggregator, Algorithm, ArtifactStore, Baseline, CacheStats, DelayErrorModel, DieSpec,
-        DiskStore, ErrorModel, Evaluator, Executor, FlakyExecutor, FleetStats, LayerReport,
-        LayerWorkload, MemoryStore, MonteCarloErrorModel, MonteCarloSweep, NetworkReport,
-        PipelineError, PlanOutput, ReadPipeline, ReadPipelineBuilder, RemoteStore, ScheduleSource,
-        SerialExecutor, SocketExecutor, StoreHandle, StoreRequest, StoreServer, StoreStats,
-        SubprocessExecutor, SweepCell, SweepPlan, SweepReport, ThreadExecutor, TopKEvaluator,
-        UnitLedger, UnitResult, VariationErrorModel, WorkPlan, WorkUnit, WorkloadConfig, WorstCase,
-    };
-    pub use read_pipeline::{DataflowNetworkReport, DataflowProber, DataflowRow, EventProber};
+    pub use read_pipeline::*;
     pub use timing::{
         ber_from_ter, paper_conditions, AnalyticAnalysis, DelayModel, DepthHistogram,
         DynamicTimingAnalyzer, MonteCarloAnalysis, OperatingCondition, OperatingCorner, PeOffsets,
-        TerEstimate, TerEstimator, TimingAnalysis, Variation,
+        TerEstimate, TimingAnalysis, Variation,
     };
 }

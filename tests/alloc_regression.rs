@@ -78,7 +78,7 @@ fn warm_scoring_calls_do_not_allocate() {
         "warm sign_flips_for_order_with calls must not allocate"
     );
 
-    // Sanity: the packed result the warm loop produced matches the scalar
+    // Sanity: the result the warm loop produced matches the scalar
     // reference (which is free to allocate).
     assert_eq!(
         sign_flips_for_order_scalar(&weights, &columns, &order, Some(&acts)).unwrap(),

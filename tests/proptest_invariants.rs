@@ -15,10 +15,9 @@ use accel_sim::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use read_core::{
-    count_sign_flips, packed_count_sign_flips, sign_flips_for_order, sign_flips_for_order_packed,
-    sign_flips_for_order_scalar, sign_flips_for_order_with, sort_input_channels, AddressLut,
-    BalancedKMeans, ClusteringMode, DistanceMetric, ReadConfig, ReadOptimizer, SignFlipScratch,
-    SortCriterion,
+    count_sign_flips, sign_flips_for_order, sign_flips_for_order_scalar, sign_flips_for_order_with,
+    sort_input_channels, AddressLut, BalancedKMeans, ClusteringMode, DistanceMetric, ReadConfig,
+    ReadOptimizer, SignFlipScratch, SortCriterion,
 };
 use read_pipeline::{SweepPlan, SweepReport};
 use timing::{
@@ -201,43 +200,11 @@ fn sign_flip_counter_is_order_sum_invariant() {
     }
 }
 
-/// The word-parallel sign-flip counter agrees with the scalar fold for
-/// arbitrary i64 addends — full-range (wrapping) values included — and
-/// arbitrary lane counts, ragged lane lengths included.
+/// The routed ordering scorer is bit-exact with the scalar reference for
+/// random matrices, column subsets and activation vectors, with one scratch
+/// reused across every case.
 #[test]
-fn packed_sign_flip_counter_matches_scalar_fold() {
-    let mut gen = Gen::new(0xBEEF);
-    for case in 0..CASES {
-        let lanes_n = gen.range(1, 150);
-        let lanes: Vec<Vec<i64>> = (0..lanes_n)
-            .map(|_| {
-                let len = gen.range(0, 30);
-                (0..len)
-                    .map(|_| {
-                        if case % 4 == 0 {
-                            // Every fourth case stresses the full i64 range,
-                            // where the running sum wraps.
-                            gen.next_u64() as i64
-                        } else {
-                            gen.range(0, 2_000_000) as i64 - 1_000_000
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let scalar: u64 = lanes
-            .iter()
-            .map(|l| count_sign_flips(l.iter().copied()) as u64)
-            .sum();
-        assert_eq!(packed_count_sign_flips(&lanes), scalar, "lanes={lanes_n}");
-    }
-}
-
-/// The packed ordering scorer is bit-exact with the scalar reference for
-/// random matrices, column subsets and activation vectors, including column
-/// counts that are not multiples of the 64-lane word width.
-#[test]
-fn packed_order_scorer_matches_scalar_reference() {
+fn order_scorer_matches_scalar_reference() {
     let mut gen = Gen::new(0x5C04E);
     let mut scratch = SignFlipScratch::new();
     for _ in 0..CASES {
@@ -253,12 +220,8 @@ fn packed_order_scorer_matches_scalar_reference() {
         let acts: Vec<i8> = (0..w.rows()).map(|_| gen.i8()).collect();
         for activations in [None, Some(acts.as_slice())] {
             let scalar = sign_flips_for_order_scalar(&w, &columns, &order, activations).unwrap();
-            let packed =
-                sign_flips_for_order_packed(&mut scratch, &w, &columns, &order, activations)
-                    .unwrap();
             let routed =
                 sign_flips_for_order_with(&mut scratch, &w, &columns, &order, activations).unwrap();
-            assert_eq!(packed, scalar);
             assert_eq!(routed, scalar);
         }
     }

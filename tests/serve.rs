@@ -144,19 +144,34 @@ fn interactive_request_preempts_an_in_flight_bulk_sweep() {
     )
     .unwrap();
     let addr = handle.addr();
+    let client = handle.client();
 
     let (bulk_done, interactive_done, interactive_reply, bulk_reply) =
         std::thread::scope(|scope| {
+            // 8 histogram units (4 layers x 2 sources) plus their
+            // Monte-Carlo shards, all behind the single slot: after its
+            // first store write the sweep still has hundreds of
+            // milliseconds of work queued, against the few milliseconds
+            // the probe below needs to connect.
             let bulk = scope.spawn(move || {
                 let mut request = sweep_request();
                 request.layers = 4;
                 let reply = ServeClient::new(addr).request(&request).unwrap();
                 (Instant::now(), reply)
             });
-            // Let the bulk sweep get into flight, then ask for a small
-            // interactive TER on *disjoint* work (different workload seed,
-            // so nothing is served by the bulk run's artifacts).
-            std::thread::sleep(Duration::from_millis(300));
+            // Wait until the bulk sweep is in flight — its first computed
+            // artifact has written through to the daemon store — then ask
+            // for a small interactive TER on *disjoint* work (different
+            // workload seed, so nothing is served by the bulk run's
+            // artifacts).
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while client.stats().unwrap().store_writes == 0 {
+                assert!(
+                    Instant::now() < deadline,
+                    "the bulk sweep never wrote an artifact"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
             let interactive = scope.spawn(move || {
                 let mut request = ServeRequest::ter("interactive-probe");
                 request.layers = 1;
@@ -181,7 +196,6 @@ fn interactive_request_preempts_an_in_flight_bulk_sweep() {
          sweep is still in flight"
     );
 
-    let client = handle.client();
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
