@@ -208,7 +208,8 @@ impl GemmProblem {
         let mut total_cycles = 0u64;
 
         // Observers that only need depth/sign statistics opt into the
-        // word-parallel kernel (64 pixels per reduction step).  Both
+        // word-parallel kernel (64 outputs per reduction step, drawn from
+        // any groups, channels and pixels).  Both
         // dataflows perform the same per-output additions in the same order
         // (weight-stationary tiling only interleaves outputs and round-trips
         // psums through the idempotent `MacUnit::load`), so the cycle

@@ -1,12 +1,14 @@
-//! The word-parallel GEMM simulation kernel: 64 output pixels per step.
+//! The word-parallel GEMM simulation kernel: 64 outputs per step.
 //!
 //! When an observer only needs triggered-depth and sign-flip statistics (it
 //! returns a [`DepthWordSink`] from
 //! [`CycleObserver::depth_word_sink`](crate::trace::CycleObserver::depth_word_sink)),
 //! the simulator routes through this kernel instead of the scalar MAC loop.
-//! A word of output pixels shares one reduction step: the 64 products are
-//! packed into 16 bit planes ([`crate::bitplane`]) and a single bit-sliced
-//! pass over the 24 accumulator planes computes, for every lane at once,
+//! Every output `(group, channel, pixel)` of the layer is one lane, and 64
+//! lanes share one reduction step, whichever groups, channels and pixels
+//! they come from: the 64 products are packed into 16 bit planes
+//! ([`crate::bitplane`]) and a single bit-sliced pass over the 24
+//! accumulator planes computes, for every lane at once,
 //!
 //! * the wrapped 24-bit partial sum (ripple-carry addition),
 //! * the longest carry-propagation run (the bit-sliced transcription of
@@ -19,6 +21,13 @@
 //! scalar path.  The per-lane triggered depths (`max(carry_run, msb)`) are
 //! handed to the sink as packed [`DepthWord`]s.
 //!
+//! Lanes are laid out group by group, channel by channel, pixel by pixel,
+//! so a word may straddle groups and the last one may end mid-group.  A
+//! lane gathers its products through its own group's row order; lanes of
+//! different groups still step in lockstep because
+//! [`ComputeSchedule::validate`] (run before the kernel) makes every row
+//! order a permutation of `0..R`, so every output takes exactly `R` steps.
+//!
 //! # Equivalence with the scalar path
 //!
 //! Both dataflows perform, for every `(channel, pixel)` output, the same
@@ -30,7 +39,7 @@
 //! cycle-order-insensitive integer tally therefore accumulates results
 //! byte-identical to the scalar path; the in-crate exhaustive tests and the
 //! cross-crate property tests pin this for every `(weight, activation)`
-//! pair and for random problems at lane-remainder widths.
+//! pair and for random problems whose words straddle groups.
 
 use crate::bitplane::{self, DEPTH_PLANES};
 use crate::mac::{sign_extend, ACC_BITS};
@@ -40,10 +49,19 @@ use crate::trace::{DepthWord, DepthWordSink};
 
 const ACC_PLANES: usize = ACC_BITS as usize;
 
+/// One lane of a word: the output `(channel, pixel)` it accumulates and the
+/// row order of the group that output belongs to.
+struct Lane<'a> {
+    order: &'a [usize],
+    channel: usize,
+    pixel: usize,
+}
+
 /// Runs the full GEMM through the packed depth kernel, filling `outputs`
-/// and streaming one [`DepthWord`] per (group, channel, reduction step,
-/// pixel-word) to the sink.  `pixels` is the sorted list of simulated output
-/// pixels; partial trailing words run with a narrowed lane mask.
+/// and streaming one [`DepthWord`] per (reduction step, 64-output word) to
+/// the sink.  `pixels` is the sorted list of simulated output pixels; a
+/// partial trailing word runs with a narrowed lane mask.  The schedule must
+/// have passed [`ComputeSchedule::validate`] for this problem.
 pub(crate) fn run_depth_words(
     weights: &Matrix<i8>,
     activations: &Matrix<i8>,
@@ -53,28 +71,41 @@ pub(crate) fn run_depth_words(
     outputs: &mut Matrix<i32>,
     total_cycles: &mut u64,
 ) {
+    let reduction_len = weights.rows();
+    let (w, w_stride) = (weights.as_slice(), weights.cols());
+    let (a, a_stride) = (activations.as_slice(), activations.cols());
+    let mut lanes = schedule.groups().iter().flat_map(|group| {
+        group.columns.iter().flat_map(move |&channel| {
+            pixels.iter().map(move |&pixel| Lane {
+                order: &group.row_order,
+                channel,
+                pixel,
+            })
+        })
+    });
+    let mut word: Vec<Lane> = Vec::with_capacity(64);
     let mut products = [0i16; 64];
-    for chunk in pixels.chunks(64) {
-        let mask = bitplane::lane_mask(chunk.len());
-        for group in schedule.groups() {
-            for &channel in &group.columns {
-                let mut acc = [0u64; ACC_PLANES];
-                for &r in &group.row_order {
-                    let w = i32::from(weights[(r, channel)]);
-                    let act_row = activations.row(r);
-                    for (l, &pixel) in chunk.iter().enumerate() {
-                        // i8 x i8 products fit i16 exactly.
-                        products[l] = (w * i32::from(act_row[pixel])) as i16;
-                    }
-                    let addend = bitplane::planes_from_i16(&products[..chunk.len()]);
-                    let word = depth_step(&mut acc, &addend, mask);
-                    *total_cycles += chunk.len() as u64;
-                    sink.on_depth_word(&word);
-                }
-                for (l, &pixel) in chunk.iter().enumerate() {
-                    outputs[(channel, pixel)] = extract_psum(&acc, l);
-                }
+    loop {
+        word.clear();
+        word.extend(lanes.by_ref().take(64));
+        if word.is_empty() {
+            return;
+        }
+        let mask = bitplane::lane_mask(word.len());
+        let mut acc = [0u64; ACC_PLANES];
+        for step in 0..reduction_len {
+            for (product, lane) in products.iter_mut().zip(&word) {
+                let r = lane.order[step];
+                // i8 x i8 products fit i16 exactly.
+                *product = (i32::from(w[r * w_stride + lane.channel])
+                    * i32::from(a[r * a_stride + lane.pixel])) as i16;
             }
+            let addend = bitplane::planes_from_i16(&products[..word.len()]);
+            sink.on_depth_word(&depth_step(&mut acc, &addend, mask));
+        }
+        *total_cycles += (word.len() * reduction_len) as u64;
+        for (l, lane) in word.iter().enumerate() {
+            outputs[(lane.channel, lane.pixel)] = extract_psum(&acc, l);
         }
     }
 }
@@ -258,44 +289,66 @@ mod tests {
         }
     }
 
+    /// A random schedule over `r` rows and `k` channels: the channels
+    /// shuffled into groups of uneven widths (1 to 4), each group with its
+    /// own random row order.
+    fn random_schedule(rng: &mut StdRng, r: usize, k: usize) -> ComputeSchedule {
+        use rand::seq::SliceRandom;
+        let mut channels: Vec<usize> = (0..k).collect();
+        channels.shuffle(rng);
+        let mut groups = Vec::new();
+        let mut rest = channels.as_slice();
+        while !rest.is_empty() {
+            let width = rng.gen_range(1..5usize).min(rest.len());
+            let mut row_order: Vec<usize> = (0..r).collect();
+            row_order.shuffle(rng);
+            groups.push(ColumnGroup {
+                columns: rest[..width].to_vec(),
+                row_order,
+            });
+            rest = &rest[width..];
+        }
+        ComputeSchedule::new(groups)
+    }
+
     /// Full simulations through the public API: the packed path produces the
     /// same outputs, cycle counts and depth/flip tallies as the scalar path,
-    /// for both dataflows, reordered schedules, pixel sampling, and pixel
-    /// counts that are not multiples of the 64-lane word width.
+    /// for both dataflows, pixel sampling, and schedules of several groups
+    /// with distinct row orders and uneven widths, so that words straddle
+    /// groups and end mid-group at every pixel count.
     #[test]
     fn packed_simulation_matches_scalar_path() {
         let mut rng = StdRng::seed_from_u64(0x90A7);
         let array = ArrayConfig::new(4, 2);
-        for case in 0..12 {
-            let r = rng.gen_range(1..40);
-            let k = rng.gen_range(1..6);
-            let m = rng.gen_range(1..150); // covers <64, =64k and remainders
-            let weights = Matrix::from_fn(r, k, |_, _| rng.gen::<u64>() as i8);
-            let activations = Matrix::from_fn(r, m, |_, _| rng.gen::<u64>() as i8);
-            let problem = GemmProblem::new(weights, activations).unwrap();
-            let options = if case % 3 == 0 && m > 4 {
-                SimOptions::sampled(m / 2, case as u64)
-            } else {
-                SimOptions::exhaustive()
-            };
-            // A non-trivial schedule: reversed rows, reversed channels.
-            let schedule = ComputeSchedule::new(vec![ColumnGroup {
-                columns: (0..k).rev().collect(),
-                row_order: (0..r).rev().collect(),
-            }]);
-            for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
-                let mut packed = DepthCounts::default();
-                let mut scalar = ScalarPath(DepthCounts::default());
-                let fast = problem
-                    .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut packed)
-                    .unwrap();
-                let slow = problem
-                    .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut scalar)
-                    .unwrap();
-                assert_eq!(fast.outputs, slow.outputs, "case {case} {dataflow:?}");
-                assert_eq!(fast.total_cycles, slow.total_cycles);
-                assert_eq!(fast.simulated_pixels, slow.simulated_pixels);
-                assert_eq!(packed, scalar.0, "tallies case {case} {dataflow:?}");
+        for m in [1usize, 3, 4, 5, 17, 64, 65, 70] {
+            for sampled in [false, true] {
+                let r = rng.gen_range(1..40);
+                let k = rng.gen_range(1..12);
+                let weights = Matrix::from_fn(r, k, |_, _| rng.gen::<u64>() as i8);
+                let activations = Matrix::from_fn(r, m, |_, _| rng.gen::<u64>() as i8);
+                let problem = GemmProblem::new(weights, activations).unwrap();
+                let options = if sampled {
+                    SimOptions::sampled(m.div_ceil(2), m as u64)
+                } else {
+                    SimOptions::exhaustive()
+                };
+                let schedule = random_schedule(&mut rng, r, k);
+                for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
+                    let mut packed = DepthCounts::default();
+                    let mut scalar = ScalarPath(DepthCounts::default());
+                    let fast = problem
+                        .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut packed)
+                        .unwrap();
+                    let slow = problem
+                        .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut scalar)
+                        .unwrap();
+                    let case = format!("m={m} sampled={sampled} r={r} k={k} {dataflow:?}");
+                    assert_eq!(fast.outputs, slow.outputs, "{case}");
+                    assert_eq!(fast.total_cycles, slow.total_cycles, "{case}");
+                    assert_eq!(fast.simulated_pixels, slow.simulated_pixels, "{case}");
+                    assert_eq!(packed, scalar.0, "tallies {case}");
+                    assert_eq!(packed.total, (r * k * fast.simulated_pixels.len()) as u64);
+                }
             }
         }
     }

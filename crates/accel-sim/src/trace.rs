@@ -21,8 +21,9 @@ pub struct CycleContext {
 }
 
 /// Up to 64 lanes' worth of per-cycle depth/sign statistics, produced by the
-/// word-parallel simulation kernel (one word of output pixels per reduction
-/// step).
+/// word-parallel simulation kernel (one word of outputs per reduction step;
+/// a lane is one `(group, channel, pixel)` output, and one word may mix
+/// groups, channels and pixels).
 ///
 /// Lane `l` of every field is bit `l`.  `depth_planes` is a packed per-lane
 /// counter (little-endian bit planes, see [`crate::bitplane`]) holding each
@@ -82,10 +83,11 @@ pub trait CycleObserver {
 
     /// Opt-in hook for the word-parallel simulation path: an observer that
     /// only needs depth/sign statistics returns `Some(self)` here and the
-    /// simulator feeds it packed [`DepthWord`]s (64 output pixels per
-    /// reduction step) instead of scalar cycles.  The aggregate it
-    /// accumulates is byte-identical to the scalar path because depth and
-    /// sign-flip tallies are integer counts, insensitive to cycle order.
+    /// simulator feeds it packed [`DepthWord`]s (64 outputs per reduction
+    /// step) instead of scalar cycles.  The aggregate it accumulates is
+    /// byte-identical to the scalar path because depth and sign-flip
+    /// tallies are integer counts, insensitive to cycle order and to which
+    /// outputs share a word.
     ///
     /// The default returns `None`, keeping full-trace observers (and any
     /// float-accumulating analyzer, where summation order matters) on the

@@ -113,58 +113,63 @@ fn run_kernel_benches() -> Vec<AbRecord> {
 
     // GEMM depth-histogram simulation: the packed bit-plane psum-depth
     // kernel against the scalar MacUnit path, same problem, same observer
-    // semantics (`ScalarPath` pins the scalar route).
-    let sim_weights = demo_weights(576, 16);
-    let acts = synthetic_activations(576 * 64, 0.45, 7);
-    let activations = Matrix::from_fn(576, 64, |r, p| acts[r * 64 + p]);
-    let problem = GemmProblem::new(sim_weights, activations).expect("consistent");
-    let array = ArrayConfig::paper_default();
-    let options = SimOptions::exhaustive();
-    let mut scalar_hist = ScalarPath(DepthHistogram::new());
-    problem
-        .simulate(
-            &array,
-            Dataflow::OutputStationary,
-            &options,
-            &mut scalar_hist,
-        )
-        .expect("simulates");
-    let mut packed_hist = DepthHistogram::new();
-    problem
-        .simulate(
-            &array,
-            Dataflow::OutputStationary,
-            &options,
-            &mut packed_hist,
-        )
-        .expect("simulates");
-    assert_eq!(
-        packed_hist, scalar_hist.0,
-        "packed depth histogram diverged from scalar"
-    );
-    let (before, after) = time_ab(
-        10,
-        || {
-            let mut obs = ScalarPath(DepthHistogram::new());
-            problem
-                .simulate(&array, Dataflow::OutputStationary, &options, &mut obs)
-                .expect("simulates");
-            black_box(&obs);
-        },
-        || {
-            let mut obs = DepthHistogram::new();
-            problem
-                .simulate(&array, Dataflow::OutputStationary, &options, &mut obs)
-                .expect("simulates");
-            black_box(&obs);
-        },
-    );
-    records.push(AbRecord {
-        kernel: "gemm/depth_histogram_576x16x64".into(),
-        elems: (576 * 16 * 64) as u64,
-        before_s: before,
-        after_s: after,
-    });
+    // semantics (`ScalarPath` pins the scalar route).  The 4-pixel shape is
+    // the paper flows' default (`WorkloadConfig::pixels_per_layer`), where
+    // each word's 64 lanes span 16 output channels; the 64-pixel shape is
+    // the original micro-bench.
+    for (rows, channels, pixels) in [(576, 16, 64), (1152, 64, 4)] {
+        let sim_weights = demo_weights(rows, channels);
+        let acts = synthetic_activations(rows * pixels, 0.45, 7);
+        let activations = Matrix::from_fn(rows, pixels, |r, p| acts[r * pixels + p]);
+        let problem = GemmProblem::new(sim_weights, activations).expect("consistent");
+        let array = ArrayConfig::paper_default();
+        let options = SimOptions::exhaustive();
+        let mut scalar_hist = ScalarPath(DepthHistogram::new());
+        problem
+            .simulate(
+                &array,
+                Dataflow::OutputStationary,
+                &options,
+                &mut scalar_hist,
+            )
+            .expect("simulates");
+        let mut packed_hist = DepthHistogram::new();
+        problem
+            .simulate(
+                &array,
+                Dataflow::OutputStationary,
+                &options,
+                &mut packed_hist,
+            )
+            .expect("simulates");
+        assert_eq!(
+            packed_hist, scalar_hist.0,
+            "packed depth histogram diverged from scalar"
+        );
+        let (before, after) = time_ab(
+            10,
+            || {
+                let mut obs = ScalarPath(DepthHistogram::new());
+                problem
+                    .simulate(&array, Dataflow::OutputStationary, &options, &mut obs)
+                    .expect("simulates");
+                black_box(&obs);
+            },
+            || {
+                let mut obs = DepthHistogram::new();
+                problem
+                    .simulate(&array, Dataflow::OutputStationary, &options, &mut obs)
+                    .expect("simulates");
+                black_box(&obs);
+            },
+        );
+        records.push(AbRecord {
+            kernel: format!("gemm/depth_histogram_{rows}x{channels}x{pixels}"),
+            elems: (rows * channels * pixels) as u64,
+            before_s: before,
+            after_s: after,
+        });
+    }
 
     // Histogram accumulation: packed word-at-a-time recording against the
     // per-lane scalar path over pre-generated depth words.

@@ -741,7 +741,8 @@ mod tests {
     fn packed_histogram_is_byte_identical_to_scalar_path() {
         use accel_sim::ScalarPath;
         let problem = {
-            // 70 pixels: one full 64-lane word plus a 6-lane remainder.
+            // 5 channels x 70 pixels = 350 outputs in two column groups:
+            // one word straddles the groups and the last holds 30 lanes.
             let w = Matrix::from_fn(48, 5, |r, c| (((r * 13 + c * 7) % 17) as i8) - 8);
             let a = Matrix::from_fn(48, 70, |r, c| (((r * 3 + c) % 9) as i8) - 2);
             GemmProblem::new(w, a).unwrap()

@@ -9,8 +9,8 @@
 //! trivially reproducible.
 
 use accel_sim::{
-    bitplane, carry_chain_length, ArrayConfig, Dataflow, DepthWord, GemmProblem, MacUnit, Matrix,
-    NullObserver, SimOptions, ACC_BITS,
+    bitplane, carry_chain_length, ArrayConfig, ColumnGroup, ComputeSchedule, Dataflow, DepthWord,
+    GemmProblem, MacUnit, Matrix, NullObserver, ScalarPath, SimOptions, ACC_BITS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -264,6 +264,66 @@ fn packed_histogram_accumulation_matches_scalar() {
             }
         }
         assert_eq!(packed, scalar, "lanes={lanes}");
+    }
+}
+
+/// The word-parallel simulation kernel (64 `(group, channel, pixel)`
+/// outputs per word) fills the same depth histogram, outputs and cycle
+/// count as the scalar MAC path, for random schedules of several groups
+/// with their own row orders and uneven widths, pixel counts around the
+/// word width, both dataflows and sampled pixels.
+#[test]
+fn packed_simulation_matches_scalar_on_random_schedules() {
+    let mut gen = Gen::new(0x5C4E);
+    for case in 0..CASES {
+        let weights = gen.weight_matrix(48, 10);
+        let (r, k) = (weights.rows(), weights.cols());
+        let m = [1, 3, 4, 5, 17, 64, 65, 70][case % 8];
+        let activations = Matrix::from_fn(r, m, |_, _| gen.i8());
+        let problem = GemmProblem::new(weights, activations).unwrap();
+        // Channels in random order, cut into groups of 1 to 5 columns, each
+        // group with its own random row order.
+        let mut channels: Vec<usize> = (0..k).collect();
+        for i in (1..k).rev() {
+            channels.swap(i, gen.range(0, i + 1));
+        }
+        let mut groups = Vec::new();
+        let mut rest = channels.as_slice();
+        while !rest.is_empty() {
+            let width = gen.range(1, 6).min(rest.len());
+            let mut row_order: Vec<usize> = (0..r).collect();
+            for i in (1..r).rev() {
+                row_order.swap(i, gen.range(0, i + 1));
+            }
+            groups.push(ColumnGroup {
+                columns: rest[..width].to_vec(),
+                row_order,
+            });
+            rest = &rest[width..];
+        }
+        let schedule = ComputeSchedule::new(groups);
+        // Every pixel count meets both dataflows.
+        let dataflow = Dataflow::ALL[(case / 8) % 2];
+        let options = if case % 3 == 0 {
+            SimOptions::sampled(gen.range(1, m + 1), gen.next_u64())
+        } else {
+            SimOptions::exhaustive()
+        };
+        let array = ArrayConfig::new(4, 2);
+        let mut packed = DepthHistogram::new();
+        let mut scalar = ScalarPath(DepthHistogram::new());
+        let fast = problem
+            .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut packed)
+            .unwrap();
+        let slow = problem
+            .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut scalar)
+            .unwrap();
+        assert_eq!(
+            packed, scalar.0,
+            "case {case}: m={m} r={r} k={k} {dataflow:?}"
+        );
+        assert_eq!(fast, slow, "case {case}");
+        assert_eq!(packed.total(), (r * k * fast.simulated_pixels.len()) as u64);
     }
 }
 
