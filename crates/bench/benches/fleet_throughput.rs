@@ -17,7 +17,7 @@
 //! delay while a lock-step peer pays a full round trip per unit.
 //!
 //! * `window2_vs_lockstep` / `window8_vs_lockstep` — before =
-//!   `SocketExecutor::window(1)` (the pre-windowed lock-step protocol),
+//!   `SocketExecutor::window(1)` (lock-step: one unit in flight),
 //!   after = the same fleet driven with 2 or 8 units in flight per worker.
 //!   Workers are warm (the shared store memoizes unit artifacts and each
 //!   connection prefetches them in `mget` batches), so the measured cost

@@ -22,8 +22,8 @@
 //!
 //! The engine drives the existing [`accel_sim::CycleObserver`] seam: every
 //! MAC cycle is fed through `on_cycle`/`on_output_done` exactly as the
-//! analytic path does, so `timing::DepthHistogram` and
-//! `timing::DynamicTimingAnalyzer` consume it unchanged.  Because the
+//! analytic path does, so `timing::DepthHistogram` and any other cycle
+//! observer consume it unchanged.  Because the
 //! program lowered onto the contexts performs the **same MAC multiset in
 //! the same per-output order** as [`GemmProblem::simulate_with_schedule`]
 //! (WS psums round-trip through the idempotent `MacUnit::load`), any

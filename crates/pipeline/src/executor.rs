@@ -1,25 +1,29 @@
-//! Execution strategies for a [`WorkPlan`]: the [`Executor`] trait and its
-//! in-process ([`SerialExecutor`], [`ThreadExecutor`]) and multi-process
-//! ([`SubprocessExecutor`]) implementations.
+//! Execution strategies for a [`WorkPlan`]: the [`Executor`] trait, its
+//! in-process implementations ([`SerialExecutor`], [`ThreadExecutor`]) and
+//! its remote ones ([`SubprocessExecutor`] over worker processes' stdio,
+//! [`SocketExecutor`] over TCP).
 //!
 //! An executor receives a plan plus a unit-index range and returns one
 //! [`UnitResult`] per unit.  Units are position-independent and results are
 //! self-identifying, so *how* the range is executed — one thread, a scoped
-//! thread pool, or worker processes speaking the wire protocol over
-//! stdin/stdout — never changes what the [`crate::Aggregator`] folds the
-//! results into: every executor produces byte-identical reports.  This
-//! trait is the seam later distribution backends (machines, job queues)
-//! plug into; they only need to return the same results for the same unit
-//! ids.
+//! thread pool, or remote workers speaking the wire protocol — never
+//! changes what the [`crate::Aggregator`] folds the results into: every
+//! executor produces byte-identical reports.
+//!
+//! The two remote executors differ only in their transport.  Both run one
+//! windowed driver over a [`UnitLedger`]: the same `window=<n>` handshake,
+//! the same window of units in flight per worker, and the same rule for a
+//! worker that dies — its in-flight units are requeued on the survivors.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::ops::Range;
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::PipelineError;
@@ -108,26 +112,44 @@ impl Executor for ThreadExecutor {
     }
 }
 
+/// Unit lines a remote driver streams ahead of their results on one worker.
+const DEFAULT_WINDOW: usize = 8;
+
+/// Dispatches a unit gets before the worker deaths that lose it fail the
+/// run.
+const DEFAULT_ATTEMPTS: u32 = 3;
+
+/// The error of a run whose deadline passed.
+const TIMED_OUT: &str = "request timed out while units were outstanding";
+
 /// Distributes units across worker *processes* speaking the
-/// [`crate::plan`] wire protocol: each worker receives unit-id lines on
-/// stdin and answers one encoded [`UnitResult`] line per unit on stdout.
+/// [`crate::plan`] wire protocol: unit lines go down each worker's stdin,
+/// one encoded [`UnitResult`] line per unit comes back on its stdout.
 ///
-/// The driver splits the range into one contiguous chunk per worker,
-/// spawns every worker, feeds and drains them concurrently, and re-orders
-/// the self-identifying results by unit index — so the aggregate is
-/// byte-identical to a serial run regardless of worker count or scheduling.
+/// The driver is the windowed one [`SocketExecutor`] runs, with the child's
+/// stdio pipes as the transport: each session opens with the `window=<n>`
+/// handshake, then streams up to 8 unit lines ahead of their results.  A
+/// worker that dies mid-stream — it hangs up, or writes a line that is
+/// neither a result nor a `!` failure — loses its in-flight units to the
+/// surviving workers, up to 3 attempts per unit.  Results self-identify,
+/// so the aggregate is byte-identical to a serial run regardless of worker
+/// count, scheduling or deaths.  [`SubprocessExecutor::stats`] counts the
+/// deaths and retries.
 ///
 /// A worker is any command that reconstructs the same pipeline and plan and
 /// calls [`WorkPlan::serve`] on its stdio — see `examples/shard_worker.rs`
-/// for the canonical self-spawning driver.  Lines a worker writes that are
-/// neither a decodable result nor a `!`-prefixed failure report are ignored
-/// (harness chatter); failure reports and missing results abort the run.
+/// for the canonical self-spawning driver.  Lines a worker writes before
+/// its handshake reply are skipped (a test harness banner, say).  A dead
+/// worker's error carries its exit status and captured stderr, and a
+/// worker that exits non-zero after answering every unit it took fails
+/// the run.
 #[derive(Debug, Clone)]
 pub struct SubprocessExecutor {
     program: PathBuf,
     args: Vec<String>,
     envs: Vec<(String, String)>,
     workers: usize,
+    stats: Arc<FleetStats>,
 }
 
 impl SubprocessExecutor {
@@ -139,6 +161,7 @@ impl SubprocessExecutor {
             args: Vec::new(),
             envs: Vec::new(),
             workers: 2,
+            stats: Arc::new(FleetStats::default()),
         }
     }
 
@@ -171,7 +194,13 @@ impl SubprocessExecutor {
         self.workers
     }
 
-    fn spawn_worker(&self) -> Result<Child, PipelineError> {
+    /// Shared fleet diagnostics (deaths, retries); clones of this executor
+    /// accumulate into the same counters.
+    pub fn stats(&self) -> Arc<FleetStats> {
+        Arc::clone(&self.stats)
+    }
+
+    fn spawn_worker(&self) -> Result<ChildLink, String> {
         let mut command = Command::new(&self.program);
         command
             .args(&self.args)
@@ -184,156 +213,159 @@ impl SubprocessExecutor {
         for (key, value) in &self.envs {
             command.env(key, value);
         }
-        command.spawn().map_err(|e| {
-            PipelineError::exec(format!(
-                "failed to spawn worker {:?}: {e}",
-                self.program.display()
-            ))
-        })
+        let child = command
+            .spawn()
+            .map_err(|e| format!("failed to spawn worker {:?}: {e}", self.program.display()))?;
+        ChildLink::new(child)
+    }
+}
+
+impl Executor for SubprocessExecutor {
+    fn name(&self) -> String {
+        format!(
+            "subprocess[{}x {}]",
+            self.workers.max(1),
+            self.program.display()
+        )
     }
 
-    /// Feeds `units` to one worker and returns its results matched back to
-    /// the request order.
-    ///
-    /// Every exit path — protocol error, worker crash, even a panic in a
-    /// driver thread — reaps the child (via [`ChildGuard`]); no path leaves
-    /// a zombie.  Protocol errors carry the worker's exit status and its
-    /// captured stderr so a mid-stream death is diagnosable from the error
-    /// alone.
-    fn drive_worker(&self, units: &[WorkUnit]) -> Result<Vec<UnitResult>, PipelineError> {
-        let mut guard = ChildGuard::new(self.spawn_worker()?);
-        let Some(mut stdin) = guard.child.stdin.take() else {
-            return Err(PipelineError::exec("worker stdin was not piped"));
+    fn execute(
+        &self,
+        plan: &WorkPlan<'_>,
+        range: Range<usize>,
+    ) -> Result<Vec<UnitResult>, PipelineError> {
+        let units = range_units(plan, range)?;
+        let workers: Vec<String> = (0..self.workers.max(1).min(units.len()))
+            .map(|i| format!("#{i}"))
+            .collect();
+        let config = DriverConfig {
+            stats: &self.stats,
+            window: DEFAULT_WINDOW,
+            max_attempts: DEFAULT_ATTEMPTS,
+            spec: None,
+            deadline: None,
         };
-        let Some(stdout) = guard.child.stdout.take() else {
-            return Err(PipelineError::exec("worker stdout was not piped"));
+        drive(config, &units, &workers, |_| self.spawn_worker())
+    }
+}
+
+/// The units at `range` of `plan`, for a driver that ships them by value.
+fn range_units(plan: &WorkPlan<'_>, range: Range<usize>) -> Result<Vec<WorkUnit>, PipelineError> {
+    range
+        .map(|index| {
+            plan.units()
+                .get(index)
+                .cloned()
+                .ok_or_else(|| PipelineError::exec(format!("unit index {index} out of range")))
+        })
+        .collect()
+}
+
+/// A line transport to one remote worker: a child process's stdio pipes
+/// ([`ChildLink`]) or a TCP stream ([`TcpLink`]).
+trait Link {
+    /// Writes one line.
+    fn send(&mut self, line: &str) -> std::io::Result<()>;
+
+    /// Reads the next line into `line`; `Ok(0)` means the worker hung up.
+    /// A transport that can time out waits no later than `deadline`.  The
+    /// error is the reason the read failed.
+    fn recv(&mut self, line: &mut String, deadline: Option<Instant>) -> Result<usize, String>;
+
+    /// Closes the link as `end` says.  Returns how the worker process
+    /// exited when that is worth reporting: always after an unclean end,
+    /// and after [`End::Clean`] only when it exited non-zero.
+    fn close(self, end: End) -> Option<String>;
+}
+
+/// How a session leaves its link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum End {
+    /// Every unit the worker took was answered: let it finish.
+    Clean,
+    /// The worker hung up: reap it.
+    HungUp,
+    /// The session is abandoned: stop the worker.
+    Kill,
+}
+
+/// A worker child process: units go down its stdin and replies come up its
+/// stdout, while a thread of its own drains stderr so a chatty worker never
+/// blocks on a full pipe.
+struct ChildLink {
+    guard: ChildGuard,
+    stdin: ChildStdin,
+    stdout: BufReader<ChildStdout>,
+    stderr: JoinHandle<String>,
+}
+
+impl ChildLink {
+    fn new(child: Child) -> Result<ChildLink, String> {
+        // From here on every exit path reaps the child.
+        let mut guard = ChildGuard::new(child);
+        let child = &mut guard.child;
+        let (Some(stdin), Some(stdout), Some(mut stderr)) =
+            (child.stdin.take(), child.stdout.take(), child.stderr.take())
+        else {
+            return Err("worker stdio was not piped".to_string());
         };
-        let stderr = guard.child.stderr.take();
-
-        // Feed from a scoped thread while draining on this one, so neither
-        // pipe can fill up and deadlock the pair.  stderr is drained on its
-        // own thread for the same reason: a chatty worker must not block on
-        // a full stderr pipe while the driver waits for stdout.
-        let (drained, written, stderr_text) = std::thread::scope(|scope| {
-            let writer = scope.spawn(move || -> std::io::Result<()> {
-                for unit in units {
-                    writeln!(stdin, "{}", unit.encode())?;
-                }
-                stdin.flush()
-                // Dropping stdin closes the pipe: the worker sees EOF and
-                // exits its serve loop.
-            });
-            let stderr_reader = scope.spawn(move || {
-                let mut text = String::new();
-                if let Some(mut pipe) = stderr {
-                    let _ = pipe.read_to_string(&mut text);
-                }
-                text
-            });
-
-            // Unit → request-index lookup: results self-identify, so each
-            // line is matched in O(1) rather than scanning the chunk.
-            let unit_index: HashMap<&WorkUnit, usize> = units
-                .iter()
-                .enumerate()
-                .map(|(index, unit)| (unit, index))
-                .collect();
-            let mut results: Vec<Option<UnitResult>> = vec![None; units.len()];
-            let drain = |results: &mut Vec<Option<UnitResult>>| -> Result<(), PipelineError> {
-                for line in BufReader::new(stdout).lines() {
-                    let line = line.map_err(|e| {
-                        PipelineError::exec(format!("worker stdout read failed: {e}"))
-                    })?;
-                    let line = line.trim();
-                    if let Some(failure) = line.strip_prefix('!') {
-                        return Err(PipelineError::exec(format!(
-                            "worker reported failure: {failure}"
-                        )));
-                    }
-                    // Non-protocol chatter (e.g. a test harness banner) is
-                    // skipped; only decodable results are collected.
-                    let Ok(result) = UnitResult::decode(line) else {
-                        continue;
-                    };
-                    let unit = result.unit();
-                    match unit_index.get(&unit).copied() {
-                        Some(index) if results[index].is_none() => {
-                            results[index] = Some(result);
-                        }
-                        Some(_) => {
-                            return Err(PipelineError::exec(format!(
-                                "worker returned unit {:?} twice",
-                                unit.encode()
-                            )));
-                        }
-                        None => {
-                            return Err(PipelineError::exec(format!(
-                                "worker returned unrequested unit {:?}",
-                                unit.encode()
-                            )));
-                        }
-                    }
-                }
-                Ok(())
-            };
-            let drained = drain(&mut results);
-            // If drain aborted early, a *serve-based* worker unblocks on its
-            // own (its result writes hit EPIPE and it exits) — but a wedged
-            // or foreign worker may never exit, leaving the writer blocked
-            // on a full stdin pipe and the stderr reader short of EOF.  Kill
-            // the child here so both joins below are guaranteed to return.
-            if drained.is_err() {
-                let _ = guard.child.kill();
-            }
-            let written: Result<(), PipelineError> = match writer.join() {
-                Ok(Ok(())) => Ok(()),
-                Ok(Err(e)) => Err(PipelineError::exec(format!(
-                    "worker stdin write failed: {e}"
-                ))),
-                Err(_) => Err(PipelineError::exec("worker stdin writer thread panicked")),
-            };
-            let stderr_text = stderr_reader.join().unwrap_or_default();
-            (drained.map(|()| results), written, stderr_text)
+        let stderr = std::thread::spawn(move || {
+            let mut text = Vec::new();
+            let _ = stderr.read_to_end(&mut text);
+            String::from_utf8_lossy(&text).into_owned()
         });
+        Ok(ChildLink {
+            guard,
+            stdin,
+            stdout: BufReader::new(stdout),
+            stderr,
+        })
+    }
+}
 
-        let status = guard
-            .wait()
-            .map_err(|e| PipelineError::exec(format!("worker wait failed: {e}")))?;
-        let results = match drained.and_then(|results| written.map(|()| results)) {
-            Ok(results) => results,
-            Err(e) => {
-                return Err(PipelineError::exec(format!(
-                    "{e} ({}{})",
-                    describe_exit(status),
-                    stderr_excerpt(&stderr_text)
-                )));
+impl Link for ChildLink {
+    fn send(&mut self, line: &str) -> std::io::Result<()> {
+        writeln!(self.stdin, "{line}")
+    }
+
+    fn recv(&mut self, line: &mut String, _deadline: Option<Instant>) -> Result<usize, String> {
+        // Pipes get no timeout: a worker process is trusted to make progress
+        // or exit.
+        self.stdout
+            .read_line(line)
+            .map_err(|e| format!("read failed: {e}"))
+    }
+
+    fn close(mut self, end: End) -> Option<String> {
+        // EOF on stdin ends the worker's serve loop.
+        drop(self.stdin);
+        match end {
+            // Read out whatever follows the protocol (a test harness's
+            // summary, say) so the worker never writes into a closed pipe.
+            End::Clean => {
+                let _ = std::io::copy(&mut self.stdout, &mut std::io::sink());
             }
-        };
-        if !status.success() {
-            return Err(PipelineError::exec(format!(
-                "{}{}",
-                describe_exit(status),
-                stderr_excerpt(&stderr_text)
-            )));
+            End::HungUp => {}
+            End::Kill => {
+                let _ = self.guard.child.kill();
+            }
         }
-        // The protocol succeeded: forward the worker's diagnostics to the
-        // driver's stderr, preserving the visibility the old
-        // `Stdio::inherit` gave worker panics and harness chatter.
-        if !stderr_text.is_empty() {
-            eprint!("{stderr_text}");
+        let status = self.guard.wait();
+        let stderr = self.stderr.join().unwrap_or_default();
+        match status {
+            Ok(status) if end == End::Clean && status.success() => {
+                // Forward the worker's diagnostics, preserving the
+                // visibility an inherited stderr gives worker panics and
+                // harness chatter.
+                eprint!("{stderr}");
+                None
+            }
+            Ok(status) => Some(format!(
+                "worker exited with {status}{}",
+                stderr_excerpt(&stderr)
+            )),
+            Err(e) => Some(format!("worker wait failed: {e}")),
         }
-        results
-            .into_iter()
-            .zip(units)
-            .map(|(slot, unit)| {
-                slot.ok_or_else(|| {
-                    PipelineError::exec(format!(
-                        "worker returned no result for unit {:?}",
-                        unit.encode()
-                    ))
-                })
-            })
-            .collect()
     }
 }
 
@@ -372,12 +404,6 @@ impl Drop for ChildGuard {
     }
 }
 
-/// Human-readable exit summary: "worker exited with exit status: 7" or, for
-/// a still-running (killed) worker, the signal form the platform reports.
-fn describe_exit(status: ExitStatus) -> String {
-    format!("worker exited with {status}")
-}
-
 /// Bounded stderr attachment for error messages (the full stream could be
 /// megabytes of harness output; errors stay greppable).
 fn stderr_excerpt(text: &str) -> String {
@@ -398,56 +424,76 @@ fn stderr_excerpt(text: &str) -> String {
     format!("; worker stderr: {excerpt}")
 }
 
-impl Executor for SubprocessExecutor {
-    fn name(&self) -> String {
-        format!(
-            "subprocess[{}x {}]",
-            self.workers.max(1),
-            self.program.display()
-        )
-    }
+/// A TCP connection to a `read-worker`: every read waits at most the
+/// liveness timeout.
+struct TcpLink {
+    reader: BufReader<TcpStream>,
+    liveness: Duration,
+}
 
-    fn execute(
-        &self,
-        plan: &WorkPlan<'_>,
-        range: Range<usize>,
-    ) -> Result<Vec<UnitResult>, PipelineError> {
-        let units: Vec<WorkUnit> = range
-            .map(|index| {
-                plan.units()
-                    .get(index)
-                    .cloned()
-                    .ok_or_else(|| PipelineError::exec(format!("unit index {index} out of range")))
-            })
-            .collect::<Result<_, _>>()?;
-        if units.is_empty() {
-            return Ok(Vec::new());
+impl TcpLink {
+    fn connect(
+        addr: &str,
+        connect_timeout: Duration,
+        liveness: Duration,
+    ) -> Result<TcpLink, String> {
+        let addrs = addr
+            .to_socket_addrs()
+            .map_err(|e| format!("address did not resolve: {e}"))?;
+        let mut last_error = "address resolved to nothing".to_string();
+        for sock_addr in addrs {
+            match TcpStream::connect_timeout(&sock_addr, connect_timeout) {
+                Ok(stream) => {
+                    stream
+                        .set_read_timeout(Some(liveness))
+                        .map_err(|e| format!("set_read_timeout failed: {e}"))?;
+                    let _ = stream.set_nodelay(true);
+                    return Ok(TcpLink {
+                        reader: BufReader::new(stream),
+                        liveness,
+                    });
+                }
+                Err(e) => last_error = format!("connect failed: {e}"),
+            }
         }
-        let workers = self.workers.max(1).min(units.len());
-        let per_chunk = units.len().div_ceil(workers);
-        let chunks: Vec<&[WorkUnit]> = units.chunks(per_chunk).collect();
-        // One driver thread per worker process; chunk order is preserved, so
-        // the concatenation is in unit-index order.
-        let chunk_results = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| scope.spawn(move || self.drive_worker(chunk)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker driver thread"))
-                .collect::<Vec<_>>()
-        });
-        let mut out = Vec::with_capacity(units.len());
-        for chunk in chunk_results {
-            out.extend(chunk?);
-        }
-        Ok(out)
+        Err(last_error)
     }
 }
 
-/// Observed fleet behavior of a [`SocketExecutor`], shared across clones of
-/// the executor (counters accumulate over every `execute` call).
+impl Link for TcpLink {
+    fn send(&mut self, line: &str) -> std::io::Result<()> {
+        writeln!(self.reader.get_ref(), "{line}")
+    }
+
+    fn recv(&mut self, line: &mut String, deadline: Option<Instant>) -> Result<usize, String> {
+        if let Some(deadline) = deadline {
+            // Wake no later than the deadline, however long the liveness
+            // timeout is.
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err("deadline passed".to_string());
+            }
+            self.reader
+                .get_ref()
+                .set_read_timeout(Some(left.min(self.liveness)))
+                .map_err(|e| format!("set_read_timeout failed: {e}"))?;
+        }
+        self.reader.read_line(line).map_err(|e| match e.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                format!("liveness timeout: no response within {:?}", self.liveness)
+            }
+            _ => format!("read failed: {e}"),
+        })
+    }
+
+    fn close(self, _end: End) -> Option<String> {
+        None
+    }
+}
+
+/// Observed fleet behavior of a [`SocketExecutor`] or a
+/// [`SubprocessExecutor`], shared across clones of the executor (counters
+/// accumulate over every `execute` call).
 ///
 /// These are diagnostics, not part of the result contract: a run that
 /// reports deaths and retries still aggregates byte-identically to a serial
@@ -469,7 +515,7 @@ impl FleetStats {
         self.worker_deaths.load(Ordering::Relaxed)
     }
 
-    /// Worker addresses that never completed the connect + handshake.
+    /// Workers that never completed the connect (or spawn) and handshake.
     pub fn failed_connects(&self) -> u64 {
         self.failed_connects.load(Ordering::Relaxed)
     }
@@ -484,17 +530,16 @@ impl FleetStats {
         self.completed_units.load(Ordering::Relaxed)
     }
 
-    /// The largest in-flight window observed on any single worker: 1 under
-    /// lock-step dispatch, up to [`SocketExecutor::window`] when pipelining
-    /// actually filled the wire.
+    /// The largest in-flight window observed on any single worker: up to
+    /// the negotiated window when pipelining actually filled the wire.
     pub fn inflight_peak(&self) -> u64 {
         self.inflight_peak.load(Ordering::Relaxed)
     }
 
     /// In-flight units swept back to the pending queue by worker deaths —
-    /// under windowed dispatch one death can requeue a whole window, and
-    /// this counter makes that recovery observable (it counts only the
-    /// requeued units; budget-exhausted losses fail the run instead).
+    /// one death can requeue a whole window, and this counter makes that
+    /// recovery observable (it counts only the requeued units;
+    /// budget-exhausted losses fail the run instead).
     pub fn requeued_inflight(&self) -> u64 {
         self.requeued_inflight.load(Ordering::Relaxed)
     }
@@ -529,67 +574,240 @@ impl FleetStats {
     }
 }
 
-/// How a connect + handshake attempt against one worker address ended.
-enum ConnectOutcome {
-    /// Connected and the worker accepted the pipeline spec; the `usize` is
-    /// the negotiated in-flight window (1 = lock-step peer).
-    Ready(BufReader<TcpStream>, usize),
-    /// The worker is unreachable or died during the handshake; its share of
-    /// the plan is redistributed to surviving workers.
-    Down(String),
-    /// The worker *answered* and rejected the spec — a configuration error
-    /// that retrying on other workers cannot fix.
+/// What a remote executor runs the windowed driver with.
+struct DriverConfig<'a> {
+    stats: &'a FleetStats,
+    /// Unit lines streamed ahead of results; a worker may grant fewer.
+    window: usize,
+    max_attempts: u32,
+    /// The pipeline spec a TCP worker rebuilds its plan from; a child
+    /// process starts with its plan.
+    spec: Option<&'a str>,
+    deadline: Option<Instant>,
+}
+
+/// Why a worker session stopped before the plan settled.
+enum Stop {
+    /// The worker hung up, a read or write failed, or the worker broke the
+    /// protocol; `End` says how to leave its link.
+    Died(String, End),
+    /// The worker answered the handshake with a `!` rejection — a
+    /// configuration mismatch that no other worker can fix.
     Rejected(String),
+    /// The run's deadline passed while waiting on the worker.
+    Expired,
 }
 
-/// How the optional `window=<n>` pre-spec negotiation ended.
-enum WindowOutcome {
-    /// The worker understands the streamed protocol and answered
-    /// `ok window=<m>`; pipeline at `min(requested, m)`.
-    Negotiated(BufReader<TcpStream>, usize),
-    /// The worker rejected (or closed on) the unknown line — an old
-    /// lock-step peer.  Reconnect fresh and drive it at window 1.
-    LockStep,
-    /// The connection itself failed.
-    Down(String),
+/// The windowed driver both remote executors run: one session per worker,
+/// all drawing units from one ledger.  Returns the results in unit order.
+fn drive<L: Link>(
+    config: DriverConfig<'_>,
+    units: &[WorkUnit],
+    workers: &[String],
+    open: impl Fn(&str) -> Result<L, String> + Sync,
+) -> Result<Vec<UnitResult>, PipelineError> {
+    if units.is_empty() {
+        return Ok(Vec::new());
+    }
+    let shared = FleetShared::new(config, units, workers.len());
+    std::thread::scope(|scope| {
+        for (worker, name) in workers.iter().enumerate() {
+            let (shared, open) = (&shared, &open);
+            scope.spawn(move || match open(name) {
+                Ok(link) => shared.session(worker, name, link),
+                Err(reason) => shared.failed_connect(&format!("worker {name}: {reason}")),
+            });
+        }
+    });
+    shared.into_results()
 }
 
-/// How one response read from a live worker ended.
-enum Exchange {
-    /// The worker answered with a self-identifying unit result.
-    Completed(UnitResult),
-    /// The worker reported an in-band (`!`-prefixed) unit failure — a
-    /// deterministic error every worker would reproduce, so it is recorded,
-    /// not retried.  Workers answer in request order, so it belongs to the
-    /// oldest in-flight unit.
-    UnitFailed(String),
-    /// The connection died (EOF, io error, liveness timeout, or an
-    /// undecodable response); every in-flight unit is lost.
-    Death(String),
-}
-
-/// Shared driver state for one [`SocketExecutor::execute`] call: the unit
-/// ledger, worker liveness, and the first fatal (non-retryable) error.
-struct FleetShared {
+/// Shared state of one windowed run: the unit ledger, worker liveness, and
+/// the first fatal (non-retryable) error.
+struct FleetShared<'a> {
+    config: DriverConfig<'a>,
+    units: &'a [WorkUnit],
     ledger: Mutex<UnitLedger>,
     work_cv: Condvar,
     live_workers: Mutex<usize>,
     fatal: Mutex<Option<String>>,
 }
 
-impl FleetShared {
-    fn new(units: usize, max_attempts: u32, workers: usize) -> Self {
-        let mut ledger = UnitLedger::new(units, max_attempts);
+impl<'a> FleetShared<'a> {
+    fn new(config: DriverConfig<'a>, units: &'a [WorkUnit], workers: usize) -> Self {
+        let mut ledger = UnitLedger::new(units.len(), config.max_attempts);
         for _ in 0..workers {
-            // Worker id i belongs to the driver thread of address i.
+            // Worker id i belongs to the session of worker i.
             ledger.add_worker();
         }
         FleetShared {
+            config,
+            units,
             ledger: Mutex::new(ledger),
             work_cv: Condvar::new(),
             live_workers: Mutex::new(workers),
             fatal: Mutex::new(None),
         }
+    }
+
+    /// One worker's session over `link`: the handshake, then windowed unit
+    /// streaming until the plan settles, the run fails or the worker dies.
+    /// Every way out closes the link.
+    fn session<L: Link>(&self, worker: usize, name: &str, mut link: L) {
+        let (streamed, stop) = match self.handshake(&mut link) {
+            Ok(window) => (true, self.stream(worker, &mut link, window)),
+            Err(stop) => (false, Err(stop)),
+        };
+        match stop {
+            Ok(()) if self.fatal_set() => {
+                link.close(End::Kill);
+            }
+            Ok(()) => {
+                if let Some(exit) = link.close(End::Clean) {
+                    self.set_fatal(format!("worker {name} failed after its session: {exit}"));
+                }
+            }
+            Err(Stop::Died(reason, end)) => {
+                let reason = match link.close(end) {
+                    Some(exit) => format!("{reason} ({exit})"),
+                    None => reason,
+                };
+                if streamed {
+                    self.die(worker, &format!("worker {name} died: {reason}"));
+                } else {
+                    self.failed_connect(&format!("worker {name} failed its handshake: {reason}"));
+                }
+            }
+            Err(Stop::Rejected(reason)) => {
+                link.close(End::Kill);
+                self.set_fatal(format!("worker {name} rejected {reason}"));
+                self.worker_down("handshake rejected");
+            }
+            Err(Stop::Expired) => {
+                // Not a worker death: nothing is requeued, the run fails.
+                link.close(End::Kill);
+                self.set_fatal(TIMED_OUT.to_string());
+            }
+        }
+    }
+
+    /// Sends `window=<n>` and waits for the grant, skipping whatever the
+    /// worker prints before it (a test harness banner, say); then, for a
+    /// TCP worker, sends the pipeline spec and waits for its acceptance.
+    /// Returns the negotiated window.
+    fn handshake<L: Link>(&self, link: &mut L) -> Result<usize, Stop> {
+        let send_failed = |e: std::io::Error| Stop::Died(format!("send failed: {e}"), End::Kill);
+        link.send(&format!("window={}", self.config.window))
+            .map_err(send_failed)?;
+        let granted = loop {
+            let line = self.read(link)?;
+            if let Some(reason) = line.strip_prefix('!') {
+                return Err(Stop::Rejected(format!("the window handshake: {reason}")));
+            }
+            if let Some(granted) = line.strip_prefix("ok window=") {
+                break granted.parse::<usize>().map_err(|_| {
+                    Stop::Died(format!("unexpected window response {line:?}"), End::Kill)
+                })?;
+            }
+        };
+        if let Some(spec) = self.config.spec {
+            link.send(spec).map_err(send_failed)?;
+            let line = self.read(link)?;
+            if let Some(reason) = line.strip_prefix('!') {
+                return Err(Stop::Rejected(format!("pipeline spec: {reason}")));
+            }
+            if !line.starts_with("ok") {
+                return Err(Stop::Died(
+                    format!("unexpected handshake response {line:?}"),
+                    End::Kill,
+                ));
+            }
+        }
+        Ok(self.config.window.min(granted).max(1))
+    }
+
+    /// Streams units to one worker, keeping up to `window` of them in
+    /// flight, and settles each answer in the ledger.  `Ok` means this
+    /// worker has nothing left to do: the plan settled or the run failed.
+    ///
+    /// Answers are matched against the in-flight set: results
+    /// self-identify, and an in-band `!` failure belongs to the oldest
+    /// outstanding unit (workers answer in request order).  A death loses
+    /// the whole in-flight set, which [`FleetShared::die`] requeues.
+    fn stream<L: Link>(&self, worker: usize, link: &mut L, window: usize) -> Result<(), Stop> {
+        let died = |reason: String| Stop::Died(reason, End::Kill);
+        // Mirror of the ledger's in-flight set for this worker, in send
+        // order (front = oldest outstanding unit).
+        let mut inflight: VecDeque<usize> = VecDeque::with_capacity(window);
+        loop {
+            // Top up the window.  Block only with an empty window: the
+            // queue may be momentarily dry while another worker's units
+            // are in flight, and this worker may be the survivor that has
+            // to run them if they are lost.
+            while inflight.len() < window {
+                let job = if inflight.is_empty() {
+                    self.next_job(worker)
+                } else {
+                    self.try_job(worker)
+                };
+                let Some((slot, _attempt)) = job else { break };
+                inflight.push_back(slot);
+                link.send(&self.units[slot].encode())
+                    .map_err(|e| died(format!("unit send failed: {e}")))?;
+            }
+            if inflight.is_empty() {
+                return Ok(());
+            }
+            self.config.stats.observe_inflight(inflight.len() as u64);
+            let line = self.read(link)?;
+            let (slot, settled) = if let Some(failure) = line.strip_prefix('!') {
+                // Deterministic: every worker would fail the unit the same
+                // way, so it is recorded, not retried.
+                let slot = inflight.pop_front().expect("window is non-empty");
+                let reason = format!("worker reported failure: {failure}");
+                (slot, self.fail(worker, slot, reason))
+            } else {
+                // After the handshake every line is protocol traffic: one
+                // that does not decode means the stream is corrupt and the
+                // worker cannot be trusted with further units.
+                let result = UnitResult::decode(&line)
+                    .map_err(|_| died(format!("undecodable response line {line:?}")))?;
+                let unit = result.unit();
+                let at = inflight
+                    .iter()
+                    .position(|&slot| self.units[slot] == unit)
+                    .ok_or_else(|| died(format!("answered with wrong unit {:?}", unit.encode())))?;
+                let slot = inflight.remove(at).expect("position is in range");
+                (slot, self.complete(worker, slot, result))
+            };
+            if !settled {
+                return Err(died(format!("ledger lost track of slot {slot}")));
+            }
+        }
+    }
+
+    /// The next non-blank line from `link`, trimmed.
+    fn read<L: Link>(&self, link: &mut L) -> Result<String, Stop> {
+        loop {
+            let mut line = String::new();
+            match link.recv(&mut line, self.config.deadline) {
+                Ok(0) => return Err(Stop::Died("stream closed (EOF)".to_string(), End::HungUp)),
+                Ok(_) => {}
+                Err(_) if self.expired() => return Err(Stop::Expired),
+                Err(reason) => return Err(Stop::Died(reason, End::Kill)),
+            }
+            line.truncate(line.trim_end().len());
+            line.drain(..line.len() - line.trim_start().len());
+            if !line.is_empty() {
+                return Ok(line);
+            }
+        }
+    }
+
+    fn expired(&self) -> bool {
+        self.config
+            .deadline
+            .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
     fn lock_ledger(&self) -> std::sync::MutexGuard<'_, UnitLedger> {
@@ -617,18 +835,16 @@ impl FleetShared {
     /// Workers must *not* exit on a momentarily-empty queue: another
     /// worker's in-flight unit may yet be lost and re-queued, and this
     /// worker may be the only survivor able to run it.
-    fn next_job(&self, worker: usize, deadline: Option<Instant>) -> Option<(usize, u32)> {
+    fn next_job(&self, worker: usize) -> Option<(usize, u32)> {
         let mut ledger = self.lock_ledger();
         loop {
             if self.fatal_set() {
                 return None;
             }
-            if let Some(deadline) = deadline {
-                if Instant::now() >= deadline {
-                    drop(ledger);
-                    self.set_fatal("request timed out while units were outstanding".to_string());
-                    return None;
-                }
+            if self.expired() {
+                drop(ledger);
+                self.set_fatal(TIMED_OUT.to_string());
+                return None;
             }
             if let Some(job) = ledger.checkout_for(worker) {
                 return Some(job);
@@ -674,12 +890,33 @@ impl FleetShared {
         matched
     }
 
-    /// Requeues (or budget-fails) every unit in `worker`'s window; returns
-    /// `(requeued, held)` counts.
-    fn lose_all(&self, worker: usize, reason: &str) -> (usize, usize) {
-        let counts = self.lock_ledger().lose_all(worker, reason);
+    /// A worker died mid-stream: requeues (or budget-fails) every unit in
+    /// its window, then takes it out of the live set.
+    fn die(&self, worker: usize, reason: &str) {
+        let stats = self.config.stats;
+        stats.worker_deaths.fetch_add(1, Ordering::Relaxed);
+        // Requeue the in-flight window *before* the live-worker decrement:
+        // if this was the last worker, the units must already be re-queued
+        // (or budget-failed) so `abandon_pending` accounts for them too.
+        let (requeued, _held) = self.lock_ledger().lose_all(worker, reason);
         self.work_cv.notify_all();
-        counts
+        stats
+            .retried_units
+            .fetch_add(requeued as u64, Ordering::Relaxed);
+        stats
+            .requeued_inflight
+            .fetch_add(requeued as u64, Ordering::Relaxed);
+        self.worker_down(reason);
+    }
+
+    /// A worker never got as far as streaming units; its share of the plan
+    /// goes to the others.
+    fn failed_connect(&self, reason: &str) {
+        self.config
+            .stats
+            .failed_connects
+            .fetch_add(1, Ordering::Relaxed);
+        self.worker_down(reason);
     }
 
     /// Removes one worker from the live set; when the last worker is gone,
@@ -696,26 +933,46 @@ impl FleetShared {
         }
         self.work_cv.notify_all();
     }
+
+    /// The run's outcome: its fatal error, or every unit's result in unit
+    /// order (the smallest failing unit's error otherwise).
+    fn into_results(self) -> Result<Vec<UnitResult>, PipelineError> {
+        let fatal = self.fatal.into_inner().unwrap_or_else(|e| e.into_inner());
+        if let Some(reason) = fatal {
+            return Err(PipelineError::exec(reason));
+        }
+        let results = self
+            .ledger
+            .into_inner()
+            .unwrap_or_else(|e| e.into_inner())
+            .into_results()?;
+        self.config
+            .stats
+            .completed_units
+            .fetch_add(results.len() as u64, Ordering::Relaxed);
+        Ok(results)
+    }
 }
 
 /// Distributes units across worker *machines*: connects to N TCP addresses
 /// (each served by a `read-worker` process), streams encoded [`WorkUnit`]
 /// lines, and collects self-identifying [`UnitResult`] lines.
 ///
-/// Unlike the local executors, remote workers can die mid-stream — the
-/// driver detects EOF, io errors, liveness timeouts, and malformed or
-/// mismatched responses, and re-queues the lost unit for a surviving worker
-/// (up to [`SocketExecutor::max_attempts`] attempts per unit).  Because
-/// results self-identify and the [`crate::Aggregator`] accepts any
+/// Remote workers can die mid-stream — the driver detects EOF, io errors,
+/// liveness timeouts, and malformed or mismatched responses, and re-queues
+/// the lost units for a surviving worker (up to
+/// [`SocketExecutor::max_attempts`] attempts per unit).  Because results
+/// self-identify and the [`crate::Aggregator`] accepts any
 /// partition/permutation, a run that survives worker deaths aggregates
-/// byte-identically to [`SerialExecutor`].
+/// byte-identically to [`SerialExecutor`].  [`SubprocessExecutor`] runs the
+/// same driver over child processes' stdio.
 ///
 /// Wire session, per worker (line-delimited, same unit grammar as
 /// [`WorkPlan::serve`]):
 ///
 /// ```text
-/// driver → worker   window=<n>                (only when window > 1)
-/// worker → driver   ok window=<m>             (old peers "!"/close → window 1)
+/// driver → worker   window=<n>                (always first, n ≥ 1)
+/// worker → driver   ok window=<m>             (or "!<reason>" = rejected)
 /// driver → worker   <pipeline spec line>      (a ServeRequest encoding)
 /// worker → driver   ok units=<n>              (or "!<reason>" = rejected)
 /// driver → worker   <unit line>               (up to the window streamed ahead)
@@ -723,14 +980,12 @@ impl FleetShared {
 /// ```
 ///
 /// Dispatch is *windowed*: the driver streams up to
-/// [`SocketExecutor::window`] unit lines per worker before awaiting
-/// results, hiding the per-message network latency that a lock-step
-/// exchange pays on every unit.  Loss accounting stays exact — the ledger
-/// tracks each worker's in-flight *set*, results self-identify and are
-/// matched against that set out of order, and a dead connection requeues
-/// precisely the units it still held.  Old lock-step workers that do not
-/// understand the `window=` line are driven at window 1, byte-identically
-/// to before.
+/// `min(n, m)` unit lines per worker before awaiting results, hiding the
+/// per-message network latency that a one-at-a-time exchange pays on every
+/// unit.  Loss accounting stays exact — the ledger tracks each worker's
+/// in-flight *set*, results self-identify and are matched against that set
+/// out of order, and a dead connection requeues precisely the units it
+/// still held.
 #[derive(Debug, Clone)]
 pub struct SocketExecutor {
     spec: String,
@@ -754,8 +1009,8 @@ impl SocketExecutor {
             workers: workers.into_iter().map(Into::into).collect(),
             connect_timeout: Duration::from_secs(5),
             liveness_timeout: Duration::from_secs(120),
-            max_attempts: 3,
-            window: 8,
+            max_attempts: DEFAULT_ATTEMPTS,
+            window: DEFAULT_WINDOW,
             stats: Arc::new(FleetStats::default()),
         }
     }
@@ -786,9 +1041,9 @@ impl SocketExecutor {
 
     /// Sets the per-worker in-flight window (default 8, clamped to ≥ 1):
     /// how many unit lines are streamed ahead of results on one
-    /// connection.  1 restores the lock-step exchange; the negotiated
-    /// window is further capped by what the worker answers in the
-    /// `window=` handshake.
+    /// connection.  1 sends each unit only after the previous answer; the
+    /// negotiated window is further capped by what the worker answers in
+    /// the `window=` handshake.
     #[must_use]
     pub fn window(mut self, window: usize) -> Self {
         self.window = window.max(1);
@@ -808,13 +1063,14 @@ impl SocketExecutor {
 
     /// [`Executor::execute`] with an optional wall-clock deadline: when it
     /// expires the run fails with a "timed out" error instead of waiting
-    /// for stragglers.  Deadline granularity is bounded by the liveness
-    /// timeout (a worker blocked in a read notices on its next wake).
+    /// for stragglers.  Every wait on a worker ends by the deadline, so the
+    /// run returns promptly even when the liveness timeout is longer; an
+    /// expiry counts no worker death and requeues nothing.
     ///
     /// # Errors
     ///
-    /// Unit failures (smallest failing index wins), spec rejection by a
-    /// worker, all workers dead with units outstanding, attempt budget
+    /// Unit failures (smallest failing index wins), handshake rejection by
+    /// a worker, all workers dead with units outstanding, attempt budget
     /// exhaustion, or deadline expiry.
     pub fn execute_with_deadline(
         &self,
@@ -822,297 +1078,22 @@ impl SocketExecutor {
         range: Range<usize>,
         deadline: Option<Instant>,
     ) -> Result<Vec<UnitResult>, PipelineError> {
-        let units: Vec<WorkUnit> = range
-            .map(|index| {
-                plan.units()
-                    .get(index)
-                    .cloned()
-                    .ok_or_else(|| PipelineError::exec(format!("unit index {index} out of range")))
-            })
-            .collect::<Result<_, _>>()?;
-        if units.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.workers.is_empty() {
+        let units = range_units(plan, range)?;
+        if self.workers.is_empty() && !units.is_empty() {
             return Err(PipelineError::exec(
                 "socket executor has no worker addresses",
             ));
         }
-        let shared = FleetShared::new(units.len(), self.max_attempts, self.workers.len());
-        std::thread::scope(|scope| {
-            for (worker, addr) in self.workers.iter().enumerate() {
-                let shared = &shared;
-                let units = &units;
-                scope.spawn(move || self.drive_fleet_worker(worker, addr, units, shared, deadline));
-            }
-        });
-        let fatal = shared.fatal.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(reason) = fatal {
-            return Err(PipelineError::exec(reason));
-        }
-        let results = shared
-            .ledger
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_results()?;
-        self.stats
-            .completed_units
-            .fetch_add(results.len() as u64, Ordering::Relaxed);
-        Ok(results)
-    }
-
-    /// One driver thread's session against one worker address: connect,
-    /// handshake (window negotiation + spec), then windowed unit streaming
-    /// until the plan settles or the connection dies.
-    ///
-    /// The driver keeps its window full — blocking for work only when
-    /// nothing is in flight — and matches each response against its
-    /// in-flight set: results self-identify, in-band `!` failures belong
-    /// to the oldest outstanding unit (workers answer in request order).
-    /// On death every unit still in flight is requeued at once.
-    fn drive_fleet_worker(
-        &self,
-        worker: usize,
-        addr: &str,
-        units: &[WorkUnit],
-        shared: &FleetShared,
-        deadline: Option<Instant>,
-    ) {
-        let (mut reader, window) = match self.connect_worker(addr) {
-            ConnectOutcome::Ready(reader, window) => (reader, window.max(1)),
-            ConnectOutcome::Down(reason) => {
-                self.stats.failed_connects.fetch_add(1, Ordering::Relaxed);
-                shared.worker_down(&format!("worker {addr}: {reason}"));
-                return;
-            }
-            ConnectOutcome::Rejected(reason) => {
-                // A spec the worker refuses is a driver/worker configuration
-                // mismatch; no amount of reassignment fixes it.
-                shared.set_fatal(format!("worker {addr} rejected pipeline spec: {reason}"));
-                shared.worker_down("spec rejected");
-                return;
-            }
+        let config = DriverConfig {
+            stats: &self.stats,
+            window: self.window,
+            max_attempts: self.max_attempts,
+            spec: Some(&self.spec),
+            deadline,
         };
-        // Mirror of the ledger's in-flight set for this worker, in send
-        // order (front = oldest outstanding unit).
-        let mut inflight: VecDeque<(usize, u32)> = VecDeque::new();
-        let die = |inflight: &mut VecDeque<(usize, u32)>, reason: String| {
-            self.stats.worker_deaths.fetch_add(1, Ordering::Relaxed);
-            // Requeue the in-flight window *before* the live-worker
-            // decrement: if this was the last worker, the units must
-            // already be re-queued (or budget-failed) so `abandon_pending`
-            // accounts for them too.
-            let reason = format!("worker {addr} died: {reason}");
-            let (requeued, _held) = shared.lose_all(worker, &reason);
-            inflight.clear();
-            self.stats
-                .retried_units
-                .fetch_add(requeued as u64, Ordering::Relaxed);
-            self.stats
-                .requeued_inflight
-                .fetch_add(requeued as u64, Ordering::Relaxed);
-            shared.worker_down(&reason);
-        };
-        loop {
-            // Top up the window.  Block only with an empty window: the
-            // queue may be momentarily dry while another worker's units
-            // are in flight, and this worker may be the survivor that has
-            // to run them if they are lost.
-            while inflight.len() < window {
-                let job = if inflight.is_empty() {
-                    shared.next_job(worker, deadline)
-                } else {
-                    shared.try_job(worker)
-                };
-                let Some((slot, attempt)) = job else { break };
-                inflight.push_back((slot, attempt));
-                let mut stream = reader.get_ref();
-                if let Err(e) = writeln!(stream, "{}", units[slot].encode()) {
-                    die(&mut inflight, format!("unit send failed: {e}"));
-                    return;
-                }
-            }
-            if inflight.is_empty() {
-                // Nothing pending, nothing in flight here: settled or fatal.
-                return;
-            }
-            self.stats.observe_inflight(inflight.len() as u64);
-            match self.receive(&mut reader) {
-                Exchange::Completed(result) => {
-                    let Some(at) = inflight
-                        .iter()
-                        .position(|&(slot, _)| units[slot] == result.unit())
-                    else {
-                        die(
-                            &mut inflight,
-                            format!("answered with wrong unit {:?}", result.unit().encode()),
-                        );
-                        return;
-                    };
-                    let (slot, _) = inflight.remove(at).expect("position is in range");
-                    if !shared.complete(worker, slot, result) {
-                        die(&mut inflight, format!("ledger lost track of slot {slot}"));
-                        return;
-                    }
-                }
-                Exchange::UnitFailed(reason) => {
-                    let (slot, _) = inflight.pop_front().expect("window is non-empty");
-                    if !shared.fail(worker, slot, reason) {
-                        die(&mut inflight, format!("ledger lost track of slot {slot}"));
-                        return;
-                    }
-                }
-                Exchange::Death(reason) => {
-                    die(&mut inflight, reason);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Connects to one worker address and performs the handshake (window
-    /// negotiation, then the pipeline spec).
-    fn connect_worker(&self, addr: &str) -> ConnectOutcome {
-        let addrs = match addr.to_socket_addrs() {
-            Ok(addrs) => addrs,
-            Err(e) => return ConnectOutcome::Down(format!("address did not resolve: {e}")),
-        };
-        let mut last_error = "address resolved to nothing".to_string();
-        for sock_addr in addrs {
-            match TcpStream::connect_timeout(&sock_addr, self.connect_timeout) {
-                Ok(stream) => return self.handshake(stream, &sock_addr),
-                Err(e) => last_error = format!("connect failed: {e}"),
-            }
-        }
-        ConnectOutcome::Down(last_error)
-    }
-
-    fn prepare(&self, stream: TcpStream) -> Result<BufReader<TcpStream>, String> {
-        if let Err(e) = stream.set_read_timeout(Some(self.liveness_timeout)) {
-            return Err(format!("set_read_timeout failed: {e}"));
-        }
-        let _ = stream.set_nodelay(true);
-        Ok(BufReader::new(stream))
-    }
-
-    fn handshake(&self, stream: TcpStream, sock_addr: &std::net::SocketAddr) -> ConnectOutcome {
-        let mut window = self.window.max(1);
-        let mut stream = stream;
-        if window > 1 {
-            match self.negotiate_window(stream) {
-                WindowOutcome::Negotiated(reader, peer) => {
-                    return self.spec_handshake(reader, window.min(peer.max(1)));
-                }
-                WindowOutcome::LockStep => {
-                    // The old peer closed the connection on the unknown
-                    // line; reconnect fresh and drive it lock-step.
-                    window = 1;
-                    match TcpStream::connect_timeout(sock_addr, self.connect_timeout) {
-                        Ok(fresh) => stream = fresh,
-                        Err(e) => {
-                            return ConnectOutcome::Down(format!(
-                                "reconnect for lock-step fallback failed: {e}"
-                            ));
-                        }
-                    }
-                }
-                WindowOutcome::Down(reason) => return ConnectOutcome::Down(reason),
-            }
-        }
-        let reader = match self.prepare(stream) {
-            Ok(reader) => reader,
-            Err(reason) => return ConnectOutcome::Down(reason),
-        };
-        self.spec_handshake(reader, window)
-    }
-
-    /// Sends `window=<n>` and classifies the peer: a streamed-protocol
-    /// worker answers `ok window=<m>`; an old lock-step worker rejects the
-    /// line (`!`-reply and/or close), which is the fallback signal.
-    fn negotiate_window(&self, stream: TcpStream) -> WindowOutcome {
-        let mut reader = match self.prepare(stream) {
-            Ok(reader) => reader,
-            Err(reason) => return WindowOutcome::Down(reason),
-        };
-        if let Err(e) = writeln!(reader.get_ref(), "window={}", self.window) {
-            return WindowOutcome::Down(format!("window send failed: {e}"));
-        }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return WindowOutcome::LockStep,
-            Ok(_) => {}
-            Err(e) => return WindowOutcome::Down(format!("window negotiation read failed: {e}")),
-        }
-        let line = line.trim();
-        if line.starts_with('!') {
-            return WindowOutcome::LockStep;
-        }
-        match line
-            .strip_prefix("ok window=")
-            .and_then(|m| m.parse::<usize>().ok())
-        {
-            Some(peer) => WindowOutcome::Negotiated(reader, peer),
-            None => WindowOutcome::Down(format!("unexpected window response {line:?}")),
-        }
-    }
-
-    /// Sends the pipeline spec and awaits acceptance on a prepared
-    /// connection.
-    fn spec_handshake(&self, mut reader: BufReader<TcpStream>, window: usize) -> ConnectOutcome {
-        if let Err(e) = writeln!(reader.get_ref(), "{}", self.spec) {
-            return ConnectOutcome::Down(format!("spec send failed: {e}"));
-        }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) => return ConnectOutcome::Down("connection closed during handshake".to_string()),
-            Ok(_) => {}
-            Err(e) => return ConnectOutcome::Down(format!("handshake read failed: {e}")),
-        }
-        let line = line.trim();
-        if let Some(reason) = line.strip_prefix('!') {
-            return ConnectOutcome::Rejected(reason.to_string());
-        }
-        if line.starts_with("ok") {
-            ConnectOutcome::Ready(reader, window)
-        } else {
-            ConnectOutcome::Down(format!("unexpected handshake response {line:?}"))
-        }
-    }
-
-    /// Reads one response line from an established connection.
-    fn receive(&self, reader: &mut BufReader<TcpStream>) -> Exchange {
-        let mut line = String::new();
-        loop {
-            line.clear();
-            match reader.read_line(&mut line) {
-                Ok(0) => return Exchange::Death("connection closed (EOF) mid-stream".to_string()),
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Exchange::Death(format!(
-                        "liveness timeout: no response within {:?}",
-                        self.liveness_timeout
-                    ));
-                }
-                Err(e) => return Exchange::Death(format!("read failed: {e}")),
-            }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            if let Some(failure) = trimmed.strip_prefix('!') {
-                return Exchange::UnitFailed(format!("worker reported failure: {failure}"));
-            }
-            // Unlike local subprocess stdout, this connection carries only
-            // protocol traffic: an undecodable line means the stream is
-            // corrupt and the worker cannot be trusted with further units.
-            return match UnitResult::decode(trimmed) {
-                Ok(result) => Exchange::Completed(result),
-                Err(_) => Exchange::Death(format!("undecodable response line {trimmed:?}")),
-            };
-        }
+        drive(config, &units, &self.workers, |addr| {
+            TcpLink::connect(addr, self.connect_timeout, self.liveness_timeout)
+        })
     }
 }
 

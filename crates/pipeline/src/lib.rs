@@ -23,10 +23,13 @@
 //! Every experiment first expands into a [`WorkPlan`] — a typed, enumerable
 //! list of position-independent [`WorkUnit`]s with a deterministic text
 //! wire encoding — and then runs on an [`Executor`]: [`SerialExecutor`],
-//! [`ThreadExecutor`] (scoped worker threads) or [`SubprocessExecutor`]
+//! [`ThreadExecutor`] (scoped worker threads), [`SubprocessExecutor`]
 //! (worker processes speaking the unit-id/unit-result protocol over
-//! stdin/stdout).  The [`Aggregator`] folds any permutation or partition of
-//! unit results back into typed, deterministically-serializable
+//! stdin/stdout) or [`SocketExecutor`] (the same protocol to worker
+//! daemons over TCP); the two remote executors share one windowed driver
+//! that requeues a dead worker's units.  The [`Aggregator`] folds any
+//! permutation or partition of unit results back into typed,
+//! deterministically-serializable
 //! [`LayerReport`]/[`NetworkReport`]/[`AccuracyReport`]/[`SweepReport`]
 //! results, byte-identical across execution strategies.  Schedules and
 //! histograms are cached under seed-aware keys so repeated corners never

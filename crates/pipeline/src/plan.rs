@@ -341,6 +341,19 @@ fn parse_range(value: &str, line: &str) -> Result<Range<u32>, PipelineError> {
     Ok(lo..hi)
 }
 
+/// The worker's reply to the driver's `window=<n>` handshake line:
+/// `ok window=<m>` granting `n` capped at 1024, or a `!` rejection of a
+/// malformed `n`.  `None` when `line` is not a handshake line.  Workers
+/// answer units strictly in request order whatever the grant, so it only
+/// bounds how far a driver streams ahead.
+pub(crate) fn window_reply(line: &str) -> Option<String> {
+    let requested = line.strip_prefix("window=")?;
+    Some(match requested.parse::<usize>() {
+        Ok(n) if n >= 1 => format!("ok window={}", n.min(1024)),
+        _ => format!("!bad window line {line:?}"),
+    })
+}
+
 /// What a [`WorkPlan`] produces when aggregated.
 pub(crate) enum PlanKind<'a> {
     /// A layer-wise TER experiment ([`ReadPipeline::run_ter`]).
@@ -948,14 +961,17 @@ impl<'a> WorkPlan<'a> {
         }
     }
 
-    /// Answers the wire protocol on a stream pair: reads one unit id per
-    /// line from `input`, executes it, and writes the encoded result line to
-    /// `output` (flushing after each).  This is the whole worker side of
+    /// Answers the wire protocol on a stream pair: reads one line at a time
+    /// from `input` and writes its reply line to `output` (flushing after
+    /// each).  This is the whole worker side of
     /// [`crate::SubprocessExecutor`] — a worker process reconstructs the
     /// same pipeline and plan, then calls `serve(stdin, stdout)`.
     ///
-    /// Failures are reported in-band as `!`-prefixed lines (so the driver
-    /// can attribute them) and serving continues with the next unit.
+    /// A `window=<n>` line gets the same handshake reply a fleet worker
+    /// gives (`ok window=<m>`); every other line is a unit id, answered
+    /// with its encoded result.  Failures are reported in-band as
+    /// `!`-prefixed lines (so the driver can attribute them) and serving
+    /// continues with the next line.
     ///
     /// # Errors
     ///
@@ -967,7 +983,8 @@ impl<'a> WorkPlan<'a> {
             if line.is_empty() {
                 continue;
             }
-            writeln!(output, "{}", self.answer(line))?;
+            let reply = window_reply(line).unwrap_or_else(|| self.answer(line));
+            writeln!(output, "{reply}")?;
             output.flush()?;
         }
         Ok(())
@@ -1415,8 +1432,9 @@ impl<'p, 'a> Aggregator<'p, 'a> {
 /// *completed* or *failed* — with a bounded number of re-dispatch attempts
 /// when a worker is lost mid-unit.
 ///
-/// The ledger is pure bookkeeping (no I/O, no threads); a distributed
-/// executor like [`crate::SocketExecutor`] drives it under a mutex:
+/// The ledger is pure bookkeeping (no I/O, no threads); the windowed
+/// driver of [`crate::SubprocessExecutor`] and [`crate::SocketExecutor`]
+/// drives it under a mutex:
 ///
 /// * [`UnitLedger::checkout`] hands the next pending unit to a worker.
 /// * [`UnitLedger::complete`] / [`UnitLedger::fail`] settle an in-flight

@@ -53,7 +53,7 @@ use crate::error::PipelineError;
 use crate::exec::{resolve_threads, run_indexed_threads};
 use crate::executor::SocketExecutor;
 use crate::pipeline::ReadPipeline;
-use crate::plan::{UnitResult, WorkPlan, WorkUnit};
+use crate::plan::{window_reply, UnitResult, WorkPlan, WorkUnit};
 use crate::stage::Algorithm;
 use crate::store::{ArtifactStore, MemoryStore};
 use crate::sweep::SweepPlan;
@@ -1666,16 +1666,17 @@ struct WorkerDaemon {
 }
 
 /// The fleet worker daemon: the remote analog of handing
-/// [`WorkPlan::serve`] a pipe pair.  Each connection opens with a `req v1`
-/// pipeline spec line; the worker rebuilds the same [`WorkPlan`] the driver
-/// holds (same spec → same unit encodings) and answers unit lines with
-/// unit-result lines until EOF.
+/// [`WorkPlan::serve`] a pipe pair.  Each driver session opens with the
+/// `window=<n>` handshake, answered by the same reply [`WorkPlan::serve`]
+/// gives, then a `req v1` pipeline spec line; the worker rebuilds the same
+/// [`WorkPlan`] the driver holds (same spec → same unit encodings) and
+/// answers unit lines with unit-result lines until EOF.
 ///
 /// Per-connection wire session (driver side documented on
 /// [`SocketExecutor`]):
 ///
 /// ```text
-/// ← window=<n>              (optional: streamed-protocol negotiation)
+/// ← window=<n>              (the driver's first line)
 /// → ok window=<m>           (m = n clamped to [1, 1024])
 /// ← <req v1 spec line>      (or: ping / shutdown)
 /// → ok units=<n>            (or "!<reason>" = spec rejected)
@@ -1685,9 +1686,7 @@ struct WorkerDaemon {
 ///
 /// Units are answered strictly in request order, one reply per unit line,
 /// so a pipelining driver can attribute in-band `!` failures to its oldest
-/// outstanding unit.  The negotiation line exists for interop: a driver
-/// that receives `!`/close instead of `ok window=` knows it is talking to
-/// an old lock-step worker and falls back to window 1.
+/// outstanding unit.
 ///
 /// On `shutdown` the worker stops: idle connections close at once, and an
 /// open driver session ends at its next unit boundary — the driver sees
@@ -1820,20 +1819,12 @@ impl Handler for WorkerDaemon {
                 let _ = writeln!(conn.out, "ok shutdown");
                 return conn.stop();
             }
-            if let Some(requested) = line.strip_prefix("window=") {
-                // Streamed-protocol negotiation: echo the accepted window
-                // (serving is FIFO regardless — requests queue in the socket
-                // — so the cap only bounds how far drivers run ahead).
-                match requested.parse::<usize>() {
-                    Ok(n) if n >= 1 => {
-                        let _ = writeln!(conn.out, "ok window={}", n.min(1024));
-                        continue;
-                    }
-                    _ => {
-                        let _ = writeln!(conn.out, "!bad window line {line:?}");
-                        return;
-                    }
+            if let Some(reply) = window_reply(&line) {
+                let _ = writeln!(conn.out, "{reply}");
+                if reply.starts_with('!') {
+                    return;
                 }
+                continue;
             }
             let spec = ServeRequest::decode(&line)
                 .and_then(|request| RequestJob::build(request, Arc::clone(&self.store)));

@@ -10,8 +10,7 @@
 //!   [`MonteCarloErrorModel`] (seeded sampling with mean/stddev TER
 //!   aggregation) and [`VariationErrorModel`] (per-PE process variation of
 //!   one die).  All three delegate to the [`timing::TimingAnalysis`]
-//!   engines, so no consumer ever hand-wires a
-//!   [`timing::DynamicTimingAnalyzer`].
+//!   engines over one [`timing::DepthHistogram`] per simulation pass.
 //! * [`Evaluator`] — measures model accuracy under per-layer BERs
 //!   (implemented by [`TopKEvaluator`] wrapping
 //!   [`qnn::fault::evaluate_topk`]).
@@ -246,9 +245,8 @@ pub trait ErrorModel: Send + Sync {
 }
 
 /// The default error model: the parametric Nangate-15nm-like MAC delay model
-/// evaluated over the depth histogram (the same math as the analytic
-/// [`timing::DynamicTimingAnalyzer`], but reusing one simulation pass for
-/// any number of corners).
+/// evaluated over the depth histogram (the expected error count summed over
+/// every cycle, reusing one simulation pass for any number of corners).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayErrorModel {
     /// The MAC datapath delay model.

@@ -2,21 +2,14 @@
 //! design operates ([`OperatingCorner`]) and one trait for *how* its timing
 //! error rate is derived ([`TimingAnalysis`]).
 //!
-//! Historically the crate offered three disconnected paths:
-//!
-//! * the analytic depth-histogram evaluation ([`DepthHistogram::ter`]),
-//! * the per-cycle Monte-Carlo sampling mode of
-//!   [`crate::DynamicTimingAnalyzer`], and
-//! * the per-PE process-variation machinery
-//!   ([`crate::DynamicTimingAnalyzer::with_process_variation`]),
-//!
-//! which callers had to hand-wire together.  This module folds all three
-//! behind [`TimingAnalysis`]: every engine consumes a triggered-depth
-//! histogram (one simulation pass, reusable across corners) and an
+//! Every engine consumes a triggered-depth histogram ([`DepthHistogram`],
+//! one simulation pass, reusable across corners) and an
 //! [`OperatingCorner`] — an [`OperatingCondition`] plus a [`Variation`]
 //! describing the silicon — and produces a [`TerEstimate`] with an optional
-//! spread.  The pipeline crate's `ErrorModel` stage builds directly on these
-//! engines, so benches and tests never construct an analyzer by hand.
+//! spread.  [`AnalyticAnalysis`] folds the histogram in closed form,
+//! per PE of a specific die when the corner asks for one ([`PeOffsets`]);
+//! [`MonteCarloAnalysis`] samples error counts per trial.  The pipeline
+//! crate's `ErrorModel` stage builds directly on these engines.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -151,11 +144,8 @@ impl std::fmt::Display for OperatingCorner {
 
 /// Fixed per-PE process delay offsets of one die.
 ///
-/// This is the single place per-PE offsets are drawn, shared by the
-/// cycle-level analyzer
-/// ([`crate::DynamicTimingAnalyzer::with_process_variation`]) and the
-/// histogram-based engines here, so the two paths model the same die for the
-/// same `(geometry, sigma, seed)`.
+/// This is the single place per-PE offsets are drawn, so every evaluation
+/// of a die sees the same silicon for the same `(geometry, sigma, seed)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeOffsets {
     offsets: Vec<f64>,
@@ -653,9 +643,9 @@ mod tests {
     }
 
     #[test]
-    fn pe_offsets_match_analyzer_drawing() {
-        // The shared drawing is what with_process_variation uses, so the
-        // histogram engines and the cycle-level analyzer model the same die.
+    fn pe_offsets_are_deterministic_and_centred() {
+        // One seed draws one die: every evaluation of it must see the same
+        // offsets.
         let delay = DelayModel::nangate15_like();
         let offsets = PeOffsets::draw(8, delay.sigma_process, 42);
         assert_eq!(offsets.len(), 8);

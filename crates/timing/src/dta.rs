@@ -1,292 +1,16 @@
-//! Dynamic timing analysis: converting simulated MAC cycles into timing
-//! errors.
+//! Dynamic timing analysis: the triggered-depth histogram that turns
+//! simulated MAC cycles into timing-error estimates.
 //!
-//! The analyzer implements [`accel_sim::CycleObserver`], so it can be plugged
-//! directly into a [`accel_sim::GemmProblem`] simulation.  Two analysis modes
-//! are provided:
-//!
-//! * [`AnalysisMode::Analytic`] (default) — every cycle contributes its
-//!   closed-form error probability to the expected error count.  This gives
-//!   smooth, low-variance TER estimates even at the 1e-7 level without
-//!   having to simulate billions of cycles, mirroring how an LVF-based
-//!   statistical STA/DTA flow reports failure probabilities.
-//! * [`AnalysisMode::MonteCarlo`] — every cycle draws a Bernoulli sample, so
-//!   discrete error events (and their locations) can be observed.
+//! A cycle's error probability depends only on its triggered path depth
+//! and the operating corner, so one [`DepthHistogram`] per simulation pass
+//! serves every corner: [`DepthHistogram::ter`] folds it in closed form,
+//! and the [`crate::analysis`] engines add Monte-Carlo sampling and per-PE
+//! process variation on top of it.
 
-use accel_sim::{
-    bitplane, ArrayConfig, CycleContext, CycleObserver, DepthWord, DepthWordSink, MacCycle,
-};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use accel_sim::{bitplane, CycleContext, CycleObserver, DepthWord, DepthWordSink, MacCycle};
 
-use crate::analysis::{OperatingCorner, PeOffsets, Variation};
 use crate::delay::DelayModel;
 use crate::pvta::OperatingCondition;
-
-/// How the analyzer turns per-cycle error probabilities into a TER estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AnalysisMode {
-    /// Accumulate expected errors analytically (low-variance, deterministic).
-    #[default]
-    Analytic,
-    /// Draw a Bernoulli sample per cycle with the given RNG seed.
-    MonteCarlo {
-        /// Seed of the per-analyzer random number generator.
-        seed: u64,
-    },
-}
-
-impl AnalysisMode {
-    /// Placeholder seed for the analyzer's RNG in analytic mode, where the
-    /// generator is constructed but never consumed.  Kept as a named
-    /// constant so the "analytic mode has no sampling seed" decision lives
-    /// in exactly one documented place.
-    pub const ANALYTIC_PLACEHOLDER_SEED: u64 = 0;
-
-    /// The sampling seed of this mode: `Some` for Monte-Carlo, `None` for
-    /// analytic mode, which draws no random numbers.
-    pub fn seed(&self) -> Option<u64> {
-        match self {
-            AnalysisMode::Analytic => None,
-            AnalysisMode::MonteCarlo { seed } => Some(*seed),
-        }
-    }
-}
-
-/// Summary of a dynamic-timing-analysis run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingReport {
-    /// Corner name the analysis was run at.
-    pub condition: &'static str,
-    /// Total MAC cycles analyzed.
-    pub total_cycles: u64,
-    /// Expected (analytic) or observed (Monte-Carlo) number of timing errors.
-    pub errors: f64,
-    /// Timing error rate: `errors / total_cycles`.
-    pub ter: f64,
-    /// Number of cycles whose partial-sum sign flipped.
-    pub sign_flips: u64,
-    /// Sign-flip rate: `sign_flips / total_cycles`.
-    pub sign_flip_rate: f64,
-    /// Fraction of the expected errors contributed by sign-flip cycles.
-    pub sign_flip_error_fraction: f64,
-    /// Clock period used (normalized units).
-    pub clock_period: f64,
-    /// Number of completed output activations observed.
-    pub outputs: u64,
-}
-
-impl TimingReport {
-    /// Activation-level bit error rate implied by this TER for outputs that
-    /// accumulate `macs_per_output` MAC operations (the paper's Eq. (1)).
-    pub fn ber(&self, macs_per_output: usize) -> f64 {
-        crate::ter::ber_from_ter(self.ter, macs_per_output)
-    }
-}
-
-/// An [`accel_sim::CycleObserver`] that performs dynamic timing analysis.
-///
-/// # Example
-///
-/// ```
-/// use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix, SimOptions};
-/// use timing::{AnalysisMode, DelayModel, DynamicTimingAnalyzer, OperatingCondition};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let w = Matrix::from_fn(32, 4, |r, c| ((r * 3 + c) % 9) as i8 - 4);
-/// let a = Matrix::from_fn(32, 4, |r, c| ((r + c) % 5) as i8);
-/// let problem = GemmProblem::new(w, a)?;
-/// let mut dta = DynamicTimingAnalyzer::new(
-///     DelayModel::nangate15_like(),
-///     OperatingCondition::aging_vt(10.0, 0.05),
-/// );
-/// problem.simulate(
-///     &ArrayConfig::paper_default(),
-///     Dataflow::OutputStationary,
-///     &SimOptions::exhaustive(),
-///     &mut dta,
-/// )?;
-/// println!("TER = {:.3e}", dta.report().ter);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct DynamicTimingAnalyzer {
-    delay: DelayModel,
-    condition: OperatingCondition,
-    mode: AnalysisMode,
-    rng: StdRng,
-    /// Per-PE process offsets, when PE-level variation is enabled.
-    pe_offsets: Option<(ArrayConfig, Vec<f64>)>,
-    total_cycles: u64,
-    expected_errors: f64,
-    observed_errors: u64,
-    sign_flips: u64,
-    sign_flip_error_mass: f64,
-    outputs: u64,
-}
-
-impl DynamicTimingAnalyzer {
-    /// Creates an analytic-mode analyzer.
-    pub fn new(delay: DelayModel, condition: OperatingCondition) -> Self {
-        Self::with_mode(delay, condition, AnalysisMode::Analytic)
-    }
-
-    /// Creates an analyzer with an explicit analysis mode.
-    pub fn with_mode(delay: DelayModel, condition: OperatingCondition, mode: AnalysisMode) -> Self {
-        // Analytic mode never samples; its RNG only exists to keep the
-        // struct uniform across modes (see ANALYTIC_PLACEHOLDER_SEED).
-        let seed = mode
-            .seed()
-            .unwrap_or(AnalysisMode::ANALYTIC_PLACEHOLDER_SEED);
-        DynamicTimingAnalyzer {
-            delay,
-            condition,
-            mode,
-            rng: StdRng::seed_from_u64(seed),
-            pe_offsets: None,
-            total_cycles: 0,
-            expected_errors: 0.0,
-            observed_errors: 0,
-            sign_flips: 0,
-            sign_flip_error_mass: 0.0,
-            outputs: 0,
-        }
-    }
-
-    /// Creates an analyzer for a full [`OperatingCorner`]: the corner's
-    /// condition drives the delay derate and a [`Variation::PerPe`] corner
-    /// enables per-PE process variation on the given array geometry.
-    ///
-    /// This is the cycle-level counterpart of the histogram-based
-    /// [`crate::TimingAnalysis`] engines — both draw the same per-PE
-    /// offsets ([`PeOffsets`]) for the same corner.
-    pub fn at_corner(delay: DelayModel, corner: OperatingCorner, mode: AnalysisMode) -> Self {
-        let analyzer = Self::with_mode(delay, corner.condition, mode);
-        match corner.variation {
-            Variation::Typical => analyzer,
-            Variation::PerPe { rows, cols, seed } => {
-                analyzer.with_process_variation(ArrayConfig::new(rows, cols), seed)
-            }
-        }
-    }
-
-    /// Enables per-PE process variation: each processing element of `array`
-    /// receives a fixed Gaussian delay offset drawn with `seed`.
-    ///
-    /// When enabled, the per-cycle random component only models the cycle-to
-    /// -cycle environmental noise; the process component is attributed to
-    /// the specific PE that executed the cycle.
-    pub fn with_process_variation(mut self, array: ArrayConfig, seed: u64) -> Self {
-        let offsets = PeOffsets::draw(array.pe_count(), self.delay.sigma_process, seed);
-        self.pe_offsets = Some((array, offsets.as_slice().to_vec()));
-        self
-    }
-
-    fn process_offset(&self, ctx: &CycleContext) -> f64 {
-        match &self.pe_offsets {
-            Some((array, offsets)) => {
-                let row = ctx.pixel % array.rows();
-                let col = ctx.channel % array.cols();
-                offsets[row * array.cols() + col]
-            }
-            None => 0.0,
-        }
-    }
-
-    /// The operating condition this analyzer evaluates.
-    pub fn condition(&self) -> &OperatingCondition {
-        &self.condition
-    }
-
-    /// The delay model in use.
-    pub fn delay_model(&self) -> &DelayModel {
-        &self.delay
-    }
-
-    /// Number of MAC cycles analyzed so far.
-    pub fn total_cycles(&self) -> u64 {
-        self.total_cycles
-    }
-
-    /// Current timing-error-rate estimate.
-    pub fn ter(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        let errors = match self.mode {
-            AnalysisMode::Analytic => self.expected_errors,
-            AnalysisMode::MonteCarlo { .. } => self.observed_errors as f64,
-        };
-        errors / self.total_cycles as f64
-    }
-
-    /// Produces the analysis report.
-    pub fn report(&self) -> TimingReport {
-        let errors = match self.mode {
-            AnalysisMode::Analytic => self.expected_errors,
-            AnalysisMode::MonteCarlo { .. } => self.observed_errors as f64,
-        };
-        let total = self.total_cycles.max(1) as f64;
-        TimingReport {
-            condition: self.condition.name,
-            total_cycles: self.total_cycles,
-            errors,
-            ter: if self.total_cycles == 0 {
-                0.0
-            } else {
-                errors / total
-            },
-            sign_flips: self.sign_flips,
-            sign_flip_rate: if self.total_cycles == 0 {
-                0.0
-            } else {
-                self.sign_flips as f64 / total
-            },
-            sign_flip_error_fraction: if self.expected_errors > 0.0 {
-                self.sign_flip_error_mass / self.expected_errors
-            } else {
-                0.0
-            },
-            clock_period: self.delay.clock_period(),
-            outputs: self.outputs,
-        }
-    }
-
-    /// Resets all counters, keeping the configuration.
-    pub fn reset(&mut self) {
-        self.total_cycles = 0;
-        self.expected_errors = 0.0;
-        self.observed_errors = 0;
-        self.sign_flips = 0;
-        self.sign_flip_error_mass = 0.0;
-        self.outputs = 0;
-    }
-}
-
-impl CycleObserver for DynamicTimingAnalyzer {
-    fn on_cycle(&mut self, ctx: &CycleContext, cycle: &MacCycle) {
-        self.total_cycles += 1;
-        if cycle.sign_flip {
-            self.sign_flips += 1;
-        }
-        let offset = self.process_offset(ctx);
-        let p = self.delay.error_probability(cycle, &self.condition, offset);
-        self.expected_errors += p;
-        if cycle.sign_flip {
-            self.sign_flip_error_mass += p;
-        }
-        if let AnalysisMode::MonteCarlo { .. } = self.mode {
-            if p > 0.0 && self.rng.gen::<f64>() < p {
-                self.observed_errors += 1;
-            }
-        }
-    }
-
-    fn on_output_done(&mut self, _ctx: &CycleContext, _final_psum: i32) {
-        self.outputs += 1;
-    }
-}
 
 /// Histogram of triggered path depths over a simulation.
 ///
@@ -527,178 +251,104 @@ mod tests {
         GemmProblem::new(w, a).unwrap()
     }
 
-    fn run(condition: OperatingCondition) -> TimingReport {
-        let mut dta = DynamicTimingAnalyzer::new(DelayModel::nangate15_like(), condition);
+    /// The analytic per-cycle fold, kept as the oracle of the histogram
+    /// path: the expected error count `Σ p(cycle)` at one condition on
+    /// typical silicon, and the part of it from sign-flip cycles.
+    struct CycleOracle {
+        delay: DelayModel,
+        condition: OperatingCondition,
+        cycles: u64,
+        sign_flips: u64,
+        errors: f64,
+        sign_flip_errors: f64,
+    }
+
+    impl CycleOracle {
+        fn ter(&self) -> f64 {
+            self.errors / self.cycles as f64
+        }
+
+        fn sign_flip_error_fraction(&self) -> f64 {
+            self.sign_flip_errors / self.errors
+        }
+    }
+
+    impl CycleObserver for CycleOracle {
+        fn on_cycle(&mut self, _ctx: &CycleContext, cycle: &MacCycle) {
+            let p = self.delay.error_probability(cycle, &self.condition, 0.0);
+            self.cycles += 1;
+            self.errors += p;
+            if cycle.sign_flip {
+                self.sign_flips += 1;
+                self.sign_flip_errors += p;
+            }
+        }
+    }
+
+    fn run(condition: OperatingCondition) -> CycleOracle {
+        let mut oracle = CycleOracle {
+            delay: DelayModel::nangate15_like(),
+            condition,
+            cycles: 0,
+            sign_flips: 0,
+            errors: 0.0,
+            sign_flip_errors: 0.0,
+        };
         demo_problem()
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
                 &SimOptions::exhaustive(),
-                &mut dta,
+                &mut oracle,
             )
             .unwrap();
-        dta.report()
+        oracle
     }
 
     #[test]
     fn stress_increases_ter() {
         let ideal = run(OperatingCondition::ideal());
         let worst = run(OperatingCondition::aging_vt(10.0, 0.05));
-        assert_eq!(ideal.total_cycles, worst.total_cycles);
-        assert!(ideal.ter < 1e-6);
-        assert!(worst.ter > ideal.ter * 10.0);
-        assert!(worst.ter < 0.5);
+        assert_eq!(ideal.cycles, worst.cycles);
+        assert!(ideal.ter() < 1e-6);
+        assert!(worst.ter() > ideal.ter() * 10.0);
+        assert!(worst.ter() < 0.5);
     }
 
+    /// The paper's claim: the partial-sum sign flip is the critical input
+    /// pattern, causing most timing errors under stress.
     #[test]
     fn sign_flips_dominate_errors_under_stress() {
         let worst = run(OperatingCondition::aging_vt(10.0, 0.05));
         assert!(worst.sign_flips > 0);
         assert!(
-            worst.sign_flip_error_fraction > 0.5,
+            worst.sign_flip_error_fraction() > 0.5,
             "sign flips should contribute most of the error mass, got {}",
-            worst.sign_flip_error_fraction
+            worst.sign_flip_error_fraction()
         );
     }
 
     #[test]
-    fn monte_carlo_agrees_with_analytic_order_of_magnitude() {
-        // Use an extreme corner so the Monte-Carlo run sees enough events.
-        let condition = OperatingCondition::aging_vt(10.0, 0.10);
-        let problem = demo_problem();
-        let mut analytic = DynamicTimingAnalyzer::new(DelayModel::nangate15_like(), condition);
-        let mut sampled = DynamicTimingAnalyzer::with_mode(
-            DelayModel::nangate15_like(),
-            condition,
-            AnalysisMode::MonteCarlo { seed: 11 },
-        );
-        let array = ArrayConfig::paper_default();
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut analytic,
-            )
-            .unwrap();
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut sampled,
-            )
-            .unwrap();
-        let a = analytic.report().ter;
-        let s = sampled.report().ter;
-        assert!(a > 0.0);
-        // Loose agreement: the Monte-Carlo estimate is within 5x of the
-        // analytic expectation (small-sample noise).
-        assert!(s < a * 5.0 + 1e-3);
-        assert!(s > a / 5.0 - 1e-3 || s == 0.0);
-    }
-
-    #[test]
-    fn process_variation_changes_estimate_slightly() {
+    fn depth_histogram_matches_analyzer_ter() {
         let condition = OperatingCondition::aging_vt(10.0, 0.05);
-        let problem = demo_problem();
-        let array = ArrayConfig::paper_default();
-        let mut plain = DynamicTimingAnalyzer::new(DelayModel::nangate15_like(), condition);
-        let mut with_pv = DynamicTimingAnalyzer::new(DelayModel::nangate15_like(), condition)
-            .with_process_variation(array, 3);
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut plain,
-            )
-            .unwrap();
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut with_pv,
-            )
-            .unwrap();
-        let p = plain.report().ter;
-        let v = with_pv.report().ter;
-        assert!(p > 0.0 && v > 0.0);
-        assert!(v < p * 100.0 && v > p / 100.0);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut dta = DynamicTimingAnalyzer::new(
-            DelayModel::nangate15_like(),
-            OperatingCondition::aging_vt(10.0, 0.05),
-        );
+        let mut hist = DepthHistogram::new();
         demo_problem()
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
                 &SimOptions::exhaustive(),
-                &mut dta,
-            )
-            .unwrap();
-        assert!(dta.total_cycles() > 0);
-        dta.reset();
-        assert_eq!(dta.total_cycles(), 0);
-        assert_eq!(dta.ter(), 0.0);
-        assert_eq!(dta.report().outputs, 0);
-    }
-
-    #[test]
-    fn empty_report_is_well_formed() {
-        let dta =
-            DynamicTimingAnalyzer::new(DelayModel::nangate15_like(), OperatingCondition::ideal());
-        let r = dta.report();
-        assert_eq!(r.total_cycles, 0);
-        assert_eq!(r.ter, 0.0);
-        assert_eq!(r.sign_flip_rate, 0.0);
-    }
-
-    #[test]
-    fn report_ber_uses_equation_one() {
-        let worst = run(OperatingCondition::aging_vt(10.0, 0.05));
-        let ber = worst.ber(1000);
-        assert!(ber >= worst.ter);
-        assert!(ber <= 1.0);
-    }
-
-    #[test]
-    fn depth_histogram_matches_analyzer_ter() {
-        let problem = demo_problem();
-        let array = ArrayConfig::paper_default();
-        let delay = DelayModel::nangate15_like();
-        let condition = OperatingCondition::aging_vt(10.0, 0.05);
-        let mut hist = DepthHistogram::new();
-        let mut dta = DynamicTimingAnalyzer::new(delay, condition);
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut hist,
             )
             .unwrap();
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut dta,
-            )
-            .unwrap();
-        let from_hist = hist.ter(&delay, &condition);
-        let from_dta = dta.report().ter;
+        let oracle = run(condition);
+        let from_hist = hist.ter(&DelayModel::nangate15_like(), &condition);
+        let from_cycles = oracle.ter();
         assert!(
-            (from_hist - from_dta).abs() <= from_dta * 1e-9 + 1e-15,
-            "{from_hist} vs {from_dta}"
+            (from_hist - from_cycles).abs() <= from_cycles * 1e-9 + 1e-15,
+            "{from_hist} vs {from_cycles}"
         );
-        assert_eq!(hist.total(), dta.report().total_cycles);
-        assert_eq!(hist.sign_flips(), dta.report().sign_flips);
+        assert_eq!(hist.total(), oracle.cycles);
+        assert_eq!(hist.sign_flips(), oracle.sign_flips);
     }
 
     #[test]

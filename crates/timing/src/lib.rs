@@ -11,10 +11,11 @@
 //! * [`pvta::OperatingCondition`] — the voltage/temperature/aging corners
 //!   used in the paper (Ideal, VT-3 %, VT-5 %, Aging-10y, and combinations),
 //!   mapped to delay derating factors.
-//! * [`dta::DynamicTimingAnalyzer`] — an [`accel_sim::CycleObserver`] that
-//!   converts every simulated MAC cycle into a timing-error probability (or
-//!   a sampled error event) by comparing the triggered path delay against
-//!   the clock period chosen by static timing analysis.
+//! * [`dta::DepthHistogram`] — an [`accel_sim::CycleObserver`] that records
+//!   the carry depth each simulated MAC cycle triggers.  A cycle's error
+//!   probability depends only on that depth and the corner — the triggered
+//!   path delay against the clock period chosen by static timing analysis
+//!   — so one histogram yields the timing error rate (TER) at every corner.
 //! * [`analysis`] — the unified [`TimingAnalysis`] interface: analytic,
 //!   Monte-Carlo and per-PE-variation TER derivation from one triggered
 //!   -depth histogram, at an [`OperatingCorner`] (condition + silicon
@@ -32,24 +33,26 @@
 //!
 //! ```
 //! use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix, SimOptions};
-//! use timing::{DelayModel, DynamicTimingAnalyzer, OperatingCondition};
+//! use timing::{DelayModel, DepthHistogram, OperatingCondition};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let weights = Matrix::from_fn(64, 4, |r, c| ((r * 17 + c * 5) % 13) as i8 - 6);
 //! let acts = Matrix::from_fn(64, 8, |r, c| ((r + 3 * c) % 7) as i8);
 //! let problem = GemmProblem::new(weights, acts)?;
 //!
-//! let delay = DelayModel::nangate15_like();
-//! let condition = OperatingCondition::aging_vt(10.0, 0.05);
-//! let mut dta = DynamicTimingAnalyzer::new(delay, condition);
+//! // One simulation pass records the triggered depths...
+//! let mut hist = DepthHistogram::new();
 //! problem.simulate(
 //!     &ArrayConfig::paper_default(),
 //!     Dataflow::OutputStationary,
 //!     &SimOptions::exhaustive(),
-//!     &mut dta,
+//!     &mut hist,
 //! )?;
-//! let report = dta.report();
-//! assert!(report.ter >= 0.0 && report.ter <= 1.0);
+//! // ...and yields the TER at any corner without simulating again.
+//! let delay = DelayModel::nangate15_like();
+//! let ideal = hist.ter(&delay, &OperatingCondition::ideal());
+//! let stressed = hist.ter(&delay, &OperatingCondition::aging_vt(10.0, 0.05));
+//! assert!(ideal <= stressed && stressed <= 1.0);
 //! # Ok(())
 //! # }
 //! ```
@@ -69,6 +72,6 @@ pub use analysis::{
     Variation,
 };
 pub use delay::DelayModel;
-pub use dta::{AnalysisMode, DepthHistogram, DynamicTimingAnalyzer, TimingReport};
+pub use dta::DepthHistogram;
 pub use pvta::{paper_conditions, AgingModel, OperatingCondition, PAPER_CONDITIONS};
 pub use ter::{ber_from_ter, ter_for_target_ber};

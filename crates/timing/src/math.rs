@@ -6,7 +6,7 @@
 /// Uses the Chebyshev-fitted rational approximation (Numerical Recipes
 /// `erfcc`), whose fractional error is below `1.2e-7` over the full range —
 /// accurate enough for the timing-error tail probabilities (down to ~1e-9)
-/// used by the dynamic timing analyzer.
+/// used by the delay model.
 pub fn erfc(x: f64) -> f64 {
     let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);

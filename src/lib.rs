@@ -97,7 +97,7 @@ pub mod prelude {
     pub use read_pipeline::*;
     pub use timing::{
         ber_from_ter, paper_conditions, AnalyticAnalysis, DelayModel, DepthHistogram,
-        DynamicTimingAnalyzer, MonteCarloAnalysis, OperatingCondition, OperatingCorner, PeOffsets,
-        TerEstimate, TimingAnalysis, Variation,
+        MonteCarloAnalysis, OperatingCondition, OperatingCorner, PeOffsets, TerEstimate,
+        TimingAnalysis, Variation,
     };
 }

@@ -9,9 +9,11 @@
 //! loudly) and bulk-request routing through a `read-serve` daemon with a
 //! fleet configured.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use read_repro::prelude::*;
 
@@ -234,7 +236,7 @@ fn flaky_socket_transport_reaggregates_or_fails_loudly() {
 /// dialing `upstream` — it hands the other worker a deterministic head
 /// start at claiming units, without touching the bytes.
 fn slow_start_proxy(upstream: std::net::SocketAddr, delay: Duration) -> String {
-    use std::net::{Shutdown, TcpListener, TcpStream};
+    use std::net::Shutdown;
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     std::thread::spawn(move || {
@@ -329,6 +331,107 @@ fn worker_death_with_a_full_window_requeues_in_flight_units() {
         flaky.join().is_err(),
         "the rigged worker must report its injected death"
     );
+}
+
+// ---- handshake deaths and deadlines ---------------------------------------
+
+/// A stub worker at a fresh local address: every driver connection is
+/// handed to `session` on a thread of its own.
+fn stub_worker(session: fn(BufReader<TcpStream>, TcpStream)) -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::spawn(move || {
+        for conn in listener.incoming() {
+            let Ok(conn) = conn else { break };
+            let reader = BufReader::new(conn.try_clone().unwrap());
+            std::thread::spawn(move || session(reader, conn));
+        }
+    });
+    addr.to_string()
+}
+
+/// A worker that dies during the handshake — it reads the driver's first
+/// line and hangs up — is a failed connect, not a death: its share of the
+/// plan goes to the healthy worker and the report is byte-identical to
+/// serial.
+#[test]
+fn worker_death_during_the_handshake_is_a_failed_connect() {
+    let request = fleet_request("fleet-handshake-death");
+    let (reference_pipeline, workloads) =
+        fleet_pipeline(&request, Arc::new(MemoryStore::new()), SerialExecutor);
+    let reference = reference_pipeline
+        .run_sweep(&request.network, &workloads)
+        .unwrap()
+        .to_json();
+
+    let hangs_up = stub_worker(|mut reader, _conn| {
+        let _ = reader.read_line(&mut String::new());
+    });
+    let healthy = WorkerServer::spawn("127.0.0.1:0", WorkerConfig::default()).unwrap();
+    let executor = SocketExecutor::new(request.encode(), [hangs_up, healthy.addr().to_string()])
+        .liveness_timeout(Duration::from_secs(30));
+    let stats = executor.stats();
+    let (fleet_pipe, workloads) = fleet_pipeline(&request, Arc::new(MemoryStore::new()), executor);
+    let distributed = fleet_pipe.run_sweep(&request.network, &workloads).unwrap();
+
+    assert_eq!(distributed.to_json(), reference);
+    assert_eq!(
+        stats.failed_connects(),
+        1,
+        "the hang-up is a failed connect"
+    );
+    assert_eq!(stats.worker_deaths(), 0, "no session was under way");
+
+    WorkerServer::shutdown_at(&healthy.addr().to_string()).unwrap();
+    healthy.join().unwrap();
+}
+
+/// A deadline ends the run on time even while a worker that completed the
+/// handshake stays silent, far inside the liveness timeout — and the
+/// expiry is not a worker death: nothing is requeued.
+#[test]
+fn deadline_interrupts_a_silent_worker_before_its_liveness_timeout() {
+    let request = fleet_request("fleet-deadline");
+    let (pipeline, workloads) =
+        fleet_pipeline(&request, Arc::new(MemoryStore::new()), SerialExecutor);
+    let plan = pipeline.plan_sweep(&request.network, &workloads).unwrap();
+
+    // Grants the window, accepts the spec, then reads units forever
+    // without answering one.
+    let silent = stub_worker(|mut reader, mut conn| {
+        for _ in 0..2 {
+            let mut line = String::new();
+            if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                return;
+            }
+            let reply = match line.trim().strip_prefix("window=") {
+                Some(window) => format!("ok window={window}"),
+                None => "ok units=0".to_string(),
+            };
+            let _ = writeln!(conn, "{reply}");
+        }
+        let _ = std::io::copy(&mut reader, &mut std::io::sink());
+    });
+    let executor =
+        SocketExecutor::new(request.encode(), [silent]).liveness_timeout(Duration::from_secs(30));
+    let stats = executor.stats();
+    let started = Instant::now();
+    let err = executor
+        .execute_with_deadline(
+            &plan,
+            0..plan.len(),
+            Some(started + Duration::from_millis(300)),
+        )
+        .unwrap_err();
+    let elapsed = started.elapsed();
+
+    assert!(err.to_string().contains("timed out"), "{err}");
+    assert!(
+        elapsed < Duration::from_secs(5),
+        "the deadline must not wait out the liveness timeout: {elapsed:?}"
+    );
+    assert_eq!(stats.worker_deaths(), 0, "an expiry is not a death");
+    assert_eq!(stats.retried_units(), 0, "an expiry requeues nothing");
 }
 
 /// The `FleetStats` JSON layout is a pinned contract: keys in declaration

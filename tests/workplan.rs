@@ -9,8 +9,9 @@
 //! re-invoked with `--exact shard_worker_entry` and the
 //! `READ_WORKPLAN_WORKER` environment variable set, the entry test
 //! reconstructs the same pipeline and plan and serves stdin/stdout.  The
-//! driver's wire parser skips the libtest harness banner lines, so the
-//! protocol runs cleanly inside the harness.
+//! driver skips what a worker prints before its handshake reply, such as
+//! the libtest harness banner, so the protocol runs cleanly inside the
+//! harness.
 
 use std::io::{BufReader, Cursor};
 
@@ -50,10 +51,18 @@ fn worker_builder() -> ReadPipelineBuilder {
 
 const WORKER_NETWORK: &str = "workplan-subprocess";
 const WORKER_ENV: &str = "READ_WORKPLAN_WORKER";
+/// A marker path: the first worker to create it crashes mid-stream.
+const WORKER_MARKER_ENV: &str = "READ_WORKPLAN_WORKER_MARKER";
+/// An exit code the worker exits with after serving its whole session.
+const WORKER_EXIT_ENV: &str = "READ_WORKPLAN_WORKER_EXIT";
 
 /// Worker entry point: a no-op under a normal `cargo test` run; the wire
 /// server when the driver re-invokes this binary with `READ_WORKPLAN_WORKER`
-/// set.
+/// set.  Two optional faults: with `READ_WORKPLAN_WORKER_MARKER` set, the
+/// first worker to create the marker file crashes after one unit and the
+/// others start serving 1 s late, so the crashed one had a full window;
+/// with `READ_WORKPLAN_WORKER_EXIT` set, the worker serves every unit and
+/// then exits with that code.
 #[test]
 fn shard_worker_entry() {
     if std::env::var(WORKER_ENV).is_err() {
@@ -69,8 +78,41 @@ fn shard_worker_entry() {
     // newline; emit one so the first protocol line starts a fresh line.
     use std::io::Write as _;
     writeln!(stdout).expect("stdout newline");
+    if let Ok(marker) = std::env::var(WORKER_MARKER_ENV) {
+        let first = std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(marker)
+            .is_ok();
+        if first {
+            serve_one_unit_then_crash(&plan, &mut stdout);
+        }
+        std::thread::sleep(std::time::Duration::from_secs(1));
+    }
     plan.serve(BufReader::new(std::io::stdin()), &mut stdout)
         .expect("serve stdio");
+    if let Ok(code) = std::env::var(WORKER_EXIT_ENV) {
+        std::process::exit(code.parse().expect("exit code"));
+    }
+}
+
+/// Serves the `window=` handshake and one unit from stdin, then writes a
+/// diagnostic to stderr and exits 7 mid-stream, as a crashed worker would.
+fn serve_one_unit_then_crash(plan: &WorkPlan<'_>, stdout: &mut impl std::io::Write) -> ! {
+    use std::io::{BufRead as _, Write as _};
+    // One line at a time: the driver sends units only after the handshake
+    // reply.
+    for line in BufReader::new(std::io::stdin()).lines().take(2) {
+        let line = line.expect("stdin line");
+        plan.serve(Cursor::new(line), &mut *stdout)
+            .expect("serve stdio");
+    }
+    // Write stderr directly (as `plan.serve` does for stdout): `eprintln!`
+    // would be captured by the libtest harness and never reach the driver.
+    let mut stderr = std::io::stderr().lock();
+    writeln!(stderr, "injected fault: worker abandoning its stream").expect("stderr line");
+    stderr.flush().expect("flush stderr");
+    std::process::exit(7);
 }
 
 // ---- the acceptance criterion -------------------------------------------
@@ -390,29 +432,36 @@ fn serve_answers_the_wire_protocol_in_memory() {
     let pipeline = worker_builder().build().unwrap();
     let plan = pipeline.plan_sweep("serve", &workloads).unwrap();
 
-    // Request every unit, plus junk the server must answer with '!'.
-    let mut request = String::new();
+    // The window handshake (the grant is capped at 1024), every unit, plus
+    // junk the server must answer with '!'.
+    let mut request = String::from("window=4096\n");
     for unit in plan.units() {
         request.push_str(&unit.encode());
         request.push('\n');
     }
     request.push_str("hist cell=0 pair=999\n"); // not part of the plan
+    request.push_str("window=0\n"); // not a window
     request.push('\n'); // blank lines are skipped
 
     let mut response = Vec::new();
     plan.serve(Cursor::new(request), &mut response).unwrap();
     let response = String::from_utf8(response).unwrap();
 
+    let mut lines = response.lines();
+    assert_eq!(lines.next(), Some("ok window=1024"));
     let mut results = Vec::new();
     let mut failures = 0;
-    for line in response.lines() {
+    for line in lines {
         if line.starts_with('!') {
             failures += 1;
             continue;
         }
         results.push(UnitResult::decode(line).unwrap());
     }
-    assert_eq!(failures, 1, "the out-of-plan unit is refused in-band");
+    assert_eq!(
+        failures, 2,
+        "the out-of-plan unit and the bad window line are refused in-band"
+    );
     assert_eq!(results.len(), plan.units().len());
     let report = plan.aggregate(results).unwrap().into_sweep().unwrap();
     let reference = pipeline.run_sweep("serve", &workloads).unwrap();
@@ -491,25 +540,10 @@ fn dying_worker_entry() {
     let plan = pipeline
         .plan_sweep(WORKER_NETWORK, &workloads)
         .expect("worker plan");
-    use std::io::{BufRead as _, Write as _};
+    use std::io::Write as _;
     let mut stdout = std::io::stdout().lock();
     writeln!(stdout).expect("stdout newline");
-    for line in BufReader::new(std::io::stdin()).lines() {
-        let line = line.expect("stdin line");
-        let Ok(unit) = WorkUnit::decode(line.trim()) else {
-            continue;
-        };
-        let result = plan.run_unit_spec(&unit).expect("unit result");
-        writeln!(stdout, "{}", result.encode()).expect("result line");
-        stdout.flush().expect("flush stdout");
-        break;
-    }
-    // Write stderr directly (as `plan.serve` does for stdout): `eprintln!`
-    // would be captured by the libtest harness and never reach the driver.
-    let mut stderr = std::io::stderr().lock();
-    writeln!(stderr, "injected fault: worker abandoning its stream").expect("stderr line");
-    stderr.flush().expect("flush stderr");
-    std::process::exit(7);
+    serve_one_unit_then_crash(&plan, &mut stdout);
 }
 
 /// Regression (failure-path sweep): a worker process that exits mid-stream
@@ -537,6 +571,77 @@ fn worker_death_mid_stream_surfaces_status_and_stderr() {
     assert!(
         msg.contains("injected fault: worker abandoning its stream"),
         "error must carry the worker's stderr: {msg}"
+    );
+}
+
+/// A worker process that crashes mid-stream with a full window in flight
+/// loses its units to the surviving worker, not the run: the report is
+/// byte-identical to serial, and the death and the retries are counted.
+#[test]
+fn subprocess_worker_death_requeues_onto_the_survivor() {
+    let workloads = tiny_workloads(2);
+    let serial = worker_builder()
+        .executor(SerialExecutor)
+        .build()
+        .unwrap()
+        .run_sweep(WORKER_NETWORK, &workloads)
+        .unwrap();
+
+    let marker =
+        std::env::temp_dir().join(format!("read-workplan-crash-marker-{}", std::process::id()));
+    let _ = std::fs::remove_file(&marker);
+    let exe = std::env::current_exe().expect("test binary path");
+    let subprocess = SubprocessExecutor::new(exe)
+        .args(["shard_worker_entry", "--exact", "--quiet"])
+        .env(WORKER_ENV, "1")
+        .env(WORKER_MARKER_ENV, marker.display().to_string())
+        .workers(2);
+    let stats = subprocess.stats();
+    let distributed = worker_builder()
+        .executor(subprocess)
+        .build()
+        .unwrap()
+        .run_sweep(WORKER_NETWORK, &workloads);
+    let _ = std::fs::remove_file(&marker);
+    let distributed = distributed.unwrap();
+
+    assert_eq!(
+        serial.to_json().into_bytes(),
+        distributed.to_json().into_bytes(),
+        "a crashed worker's units must re-aggregate to the serial bytes"
+    );
+    assert!(
+        stats.worker_deaths() >= 1,
+        "the crashed worker must be counted"
+    );
+    assert!(
+        stats.retried_units() >= 1,
+        "its in-flight units must have been retried on the survivor"
+    );
+}
+
+/// A worker that answers every unit it took and then exits non-zero fails
+/// the run with that status: the exit status is how in-worker asserts
+/// report.
+#[test]
+fn subprocess_worker_exiting_nonzero_after_its_session_fails_the_run() {
+    let workloads = tiny_workloads(2);
+    let exe = std::env::current_exe().expect("test binary path");
+    let subprocess = SubprocessExecutor::new(exe)
+        .args(["shard_worker_entry", "--exact", "--quiet"])
+        .env(WORKER_ENV, "1")
+        .env(WORKER_EXIT_ENV, "3")
+        .workers(2);
+    let err = worker_builder()
+        .executor(subprocess)
+        .build()
+        .unwrap()
+        .run_sweep(WORKER_NETWORK, &workloads)
+        .unwrap_err();
+    let msg = err.to_string();
+    assert!(
+        msg.contains("worker exited with exit status: 3"),
+        "error must carry the worker's exit status: {msg}"
     );
 }
 
