@@ -119,6 +119,10 @@ const DEFAULT_WINDOW: usize = 8;
 /// run.
 const DEFAULT_ATTEMPTS: u32 = 3;
 
+/// How long a socket driver waits for a TCP connection to one worker
+/// address.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// The error of a run whose deadline passed.
 const TIMED_OUT: &str = "request timed out while units were outstanding";
 
@@ -241,7 +245,6 @@ impl Executor for SubprocessExecutor {
         let config = DriverConfig {
             stats: &self.stats,
             window: DEFAULT_WINDOW,
-            max_attempts: DEFAULT_ATTEMPTS,
             spec: None,
             deadline: None,
         };
@@ -432,17 +435,13 @@ struct TcpLink {
 }
 
 impl TcpLink {
-    fn connect(
-        addr: &str,
-        connect_timeout: Duration,
-        liveness: Duration,
-    ) -> Result<TcpLink, String> {
+    fn connect(addr: &str, liveness: Duration) -> Result<TcpLink, String> {
         let addrs = addr
             .to_socket_addrs()
             .map_err(|e| format!("address did not resolve: {e}"))?;
         let mut last_error = "address resolved to nothing".to_string();
         for sock_addr in addrs {
-            match TcpStream::connect_timeout(&sock_addr, connect_timeout) {
+            match TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT) {
                 Ok(stream) => {
                     stream
                         .set_read_timeout(Some(liveness))
@@ -579,7 +578,6 @@ struct DriverConfig<'a> {
     stats: &'a FleetStats,
     /// Unit lines streamed ahead of results; a worker may grant fewer.
     window: usize,
-    max_attempts: u32,
     /// The pipeline spec a TCP worker rebuilds its plan from; a child
     /// process starts with its plan.
     spec: Option<&'a str>,
@@ -635,7 +633,7 @@ struct FleetShared<'a> {
 
 impl<'a> FleetShared<'a> {
     fn new(config: DriverConfig<'a>, units: &'a [WorkUnit], workers: usize) -> Self {
-        let mut ledger = UnitLedger::new(units.len(), config.max_attempts);
+        let mut ledger = UnitLedger::new(units.len(), DEFAULT_ATTEMPTS);
         for _ in 0..workers {
             // Worker id i belongs to the session of worker i.
             ledger.add_worker();
@@ -960,12 +958,12 @@ impl<'a> FleetShared<'a> {
 ///
 /// Remote workers can die mid-stream — the driver detects EOF, io errors,
 /// liveness timeouts, and malformed or mismatched responses, and re-queues
-/// the lost units for a surviving worker (up to
-/// [`SocketExecutor::max_attempts`] attempts per unit).  Because results
-/// self-identify and the [`crate::Aggregator`] accepts any
+/// the lost units for a surviving worker (up to 3 attempts per unit).
+/// Because results self-identify and the [`crate::Aggregator`] accepts any
 /// partition/permutation, a run that survives worker deaths aggregates
 /// byte-identically to [`SerialExecutor`].  [`SubprocessExecutor`] runs the
-/// same driver over child processes' stdio.
+/// same driver over child processes' stdio.  Connecting to one address
+/// waits at most 5 s.
 ///
 /// Wire session, per worker (line-delimited, same unit grammar as
 /// [`WorkPlan::serve`]):
@@ -990,9 +988,7 @@ impl<'a> FleetShared<'a> {
 pub struct SocketExecutor {
     spec: String,
     workers: Vec<String>,
-    connect_timeout: Duration,
     liveness_timeout: Duration,
-    max_attempts: u32,
     window: usize,
     stats: Arc<FleetStats>,
 }
@@ -1007,19 +1003,10 @@ impl SocketExecutor {
         SocketExecutor {
             spec: spec.into(),
             workers: workers.into_iter().map(Into::into).collect(),
-            connect_timeout: Duration::from_secs(5),
             liveness_timeout: Duration::from_secs(120),
-            max_attempts: DEFAULT_ATTEMPTS,
             window: DEFAULT_WINDOW,
             stats: Arc::new(FleetStats::default()),
         }
-    }
-
-    /// Sets the per-address TCP connect timeout (default 5s).
-    #[must_use]
-    pub fn connect_timeout(mut self, timeout: Duration) -> Self {
-        self.connect_timeout = timeout;
-        self
     }
 
     /// Sets the per-response liveness timeout (default 120s): a worker that
@@ -1028,14 +1015,6 @@ impl SocketExecutor {
     #[must_use]
     pub fn liveness_timeout(mut self, timeout: Duration) -> Self {
         self.liveness_timeout = timeout;
-        self
-    }
-
-    /// Sets the per-unit attempt budget (default 3, clamped to ≥ 1): a unit
-    /// lost this many times fails the run instead of being re-queued.
-    #[must_use]
-    pub fn max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
         self
     }
 
@@ -1087,12 +1066,11 @@ impl SocketExecutor {
         let config = DriverConfig {
             stats: &self.stats,
             window: self.window,
-            max_attempts: self.max_attempts,
             spec: Some(&self.spec),
             deadline,
         };
         drive(config, &units, &self.workers, |addr| {
-            TcpLink::connect(addr, self.connect_timeout, self.liveness_timeout)
+            TcpLink::connect(addr, self.liveness_timeout)
         })
     }
 }
@@ -1262,13 +1240,12 @@ mod tests {
     #[test]
     fn socket_executor_builder_composes() {
         let exec = SocketExecutor::new("req v1 ...", ["127.0.0.1:7070", "127.0.0.1:7071"])
-            .connect_timeout(Duration::from_millis(10))
             .liveness_timeout(Duration::from_secs(2))
-            .max_attempts(0);
+            .window(0);
         assert_eq!(exec.name(), "socket[2x remote]");
         assert_eq!(exec.worker_addrs().len(), 2);
-        // Attempt budget clamps to at least one try.
-        assert_eq!(exec.max_attempts, 1);
+        // The window clamps to at least one unit in flight.
+        assert_eq!(exec.window, 1);
         assert_eq!(exec.stats().worker_deaths(), 0);
     }
 

@@ -106,8 +106,8 @@ pub use serve::{
     WorkerServer, NO_TIMEOUT,
 };
 pub use stage::{
-    Algorithm, Baseline, DataflowProber, DelayErrorModel, ErrorModel, Evaluator, EventProber,
-    MonteCarloErrorModel, ScheduleSource, TopKEvaluator, VariationErrorModel,
+    Algorithm, Baseline, DelayErrorModel, ErrorModel, Evaluator, MonteCarloErrorModel,
+    ScheduleSource, TopKEvaluator, VariationErrorModel,
 };
 pub use store::{
     ArtifactStore, DiskStore, MemoryStore, RemoteStore, StoreHandle, StoreRequest, StoreServer,

@@ -20,8 +20,8 @@ use crate::executor::{Executor, SerialExecutor, ThreadExecutor};
 use crate::plan::{PlanOutput, WorkPlan};
 use crate::report::{AccuracyReport, DataflowNetworkReport, NetworkReport};
 use crate::stage::{
-    fnv1a, DataflowProber, DelayErrorModel, ErrorModel, Evaluator, EventProber,
-    MonteCarloErrorModel, ScheduleSource, TopKEvaluator, VariationErrorModel,
+    fnv1a, DelayErrorModel, ErrorModel, Evaluator, MonteCarloErrorModel, ScheduleSource,
+    TopKEvaluator, VariationErrorModel,
 };
 use crate::store::ArtifactStore;
 use crate::sweep::{SweepPlan, SweepReport};
@@ -33,7 +33,6 @@ use crate::workload::LayerWorkload;
 pub struct ReadPipelineBuilder {
     array: Option<ArrayConfig>,
     dataflow: Option<Dataflow>,
-    sim_options: Option<SimOptions>,
     sources: Vec<Arc<dyn ScheduleSource>>,
     error_model: Option<Arc<dyn ErrorModel>>,
     pe_variation_seed: Option<u64>,
@@ -44,7 +43,6 @@ pub struct ReadPipelineBuilder {
     executor: Option<Arc<dyn Executor>>,
     sweep_plan: Option<SweepPlan>,
     store: Option<Arc<dyn ArtifactStore>>,
-    prober: Option<Arc<dyn DataflowProber>>,
 }
 
 impl ReadPipelineBuilder {
@@ -58,12 +56,6 @@ impl ReadPipelineBuilder {
     /// Sets the dataflow (default: [`Dataflow::OutputStationary`]).
     pub fn dataflow(mut self, dataflow: Dataflow) -> Self {
         self.dataflow = Some(dataflow);
-        self
-    }
-
-    /// Sets the simulation options (default: [`SimOptions::exhaustive`]).
-    pub fn sim_options(mut self, options: SimOptions) -> Self {
-        self.sim_options = Some(options);
         self
     }
 
@@ -193,14 +185,6 @@ impl ReadPipelineBuilder {
         self
     }
 
-    /// Sets the dataflow-probe stage [`ReadPipeline::run_dataflow`] uses
-    /// (default: an [`EventProber`] with the default
-    /// [`dataflow_sim::EngineConfig`]).
-    pub fn dataflow_prober(mut self, prober: impl DataflowProber + 'static) -> Self {
-        self.prober = Some(Arc::new(prober));
-        self
-    }
-
     /// Validates the configuration and builds the pipeline.
     ///
     /// # Errors
@@ -262,7 +246,6 @@ impl ReadPipelineBuilder {
         Ok(ReadPipeline {
             array,
             dataflow: self.dataflow.unwrap_or(Dataflow::OutputStationary),
-            sim_options: self.sim_options.unwrap_or_else(SimOptions::exhaustive),
             sources: self.sources,
             error_model,
             conditions: self.conditions,
@@ -274,9 +257,6 @@ impl ReadPipelineBuilder {
             hist_cache: HistogramCache::with_store(self.store.clone()),
             unit_cache: UnitCache::with_store(self.store.clone()),
             store: self.store,
-            prober: self
-                .prober
-                .unwrap_or_else(|| Arc::new(EventProber::default())),
         })
     }
 }
@@ -315,7 +295,6 @@ impl ReadPipelineBuilder {
 pub struct ReadPipeline {
     array: ArrayConfig,
     dataflow: Dataflow,
-    sim_options: SimOptions,
     sources: Vec<Arc<dyn ScheduleSource>>,
     error_model: Arc<dyn ErrorModel>,
     conditions: Vec<OperatingCondition>,
@@ -327,7 +306,6 @@ pub struct ReadPipeline {
     hist_cache: HistogramCache,
     unit_cache: UnitCache,
     store: Option<Arc<dyn ArtifactStore>>,
-    prober: Arc<dyn DataflowProber>,
 }
 
 impl std::fmt::Debug for ReadPipeline {
@@ -367,16 +345,6 @@ impl ReadPipeline {
     /// The configured dataflow.
     pub fn dataflow(&self) -> Dataflow {
         self.dataflow
-    }
-
-    /// The configured simulation options.
-    pub fn sim_options(&self) -> &SimOptions {
-        &self.sim_options
-    }
-
-    /// The configured dataflow-probe stage.
-    pub fn dataflow_prober(&self) -> &dyn DataflowProber {
-        self.prober.as_ref()
     }
 
     /// The configured schedule sources, in report order.
@@ -479,7 +447,7 @@ impl ReadPipeline {
             self.array.rows(),
             self.array.cols(),
             self.dataflow,
-            self.sim_options
+            SimOptions::exhaustive()
         );
         for (i, source) in self.sources.iter().enumerate() {
             if i > 0 {
@@ -549,7 +517,7 @@ impl ReadPipeline {
             &self.array,
             self.dataflow,
             &schedule,
-            &self.sim_options,
+            &SimOptions::exhaustive(),
             observer,
         )?)
     }
@@ -564,7 +532,7 @@ impl ReadPipeline {
                 self.array.rows(),
                 self.array.cols(),
                 self.dataflow,
-                self.sim_options
+                SimOptions::exhaustive()
             )
             .bytes(),
         )
@@ -832,9 +800,9 @@ impl ReadPipeline {
     }
 
     /// Runs the dataflow-probe experiment: the event-driven engine
-    /// ([`dataflow_sim::run_dataflow`], or whatever
-    /// [`ReadPipelineBuilder::dataflow_prober`] configured) over every
-    /// registered [`Dataflow`] for every (workload, source) pair, returning
+    /// ([`dataflow_sim::run_dataflow`] with the default
+    /// [`dataflow_sim::EngineConfig`]) over every registered [`Dataflow`]
+    /// for every (workload, source) pair, returning
     /// the dynamic-timing reports — cycles, utilization, per-context stall
     /// breakdown, peak psum-buffer occupancy — the analytic simulator
     /// cannot see.

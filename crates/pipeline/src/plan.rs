@@ -40,8 +40,8 @@ use std::io::{BufRead, Write};
 use std::ops::Range;
 use std::sync::Arc;
 
-use accel_sim::Dataflow;
-use dataflow_sim::DataflowReport;
+use accel_sim::{Dataflow, NullObserver, SimOptions};
+use dataflow_sim::{run_dataflow, DataflowReport, EngineConfig};
 use qnn::{Dataset, Model};
 use timing::{DepthHistogram, OperatingCorner, TerEstimate};
 
@@ -436,16 +436,16 @@ fn plan_signature(
             }
         }
         PlanKind::Dataflow { dataflows } => {
-            // The prober's fingerprint covers the engine configuration
-            // (channel capacities, hop latency), which changes every probe
-            // result — the stage signature deliberately excludes it so TER
-            // / sweep / accuracy memoization stays undisturbed.
-            let prober = pipeline.dataflow_prober();
+            // The engine fingerprint covers the configuration (channel
+            // capacities, hop latency), which changes every probe result —
+            // the stage signature deliberately excludes it so TER / sweep /
+            // accuracy memoization stays undisturbed.  This rendering keys
+            // stored probe results: keep its bytes.
+            let engine = format!("EventProber {{ config: {:?} }}", EngineConfig::default());
             let _ = write!(
                 sig,
-                " kind=dflow prober={}:{:016x} dataflows=",
-                escape_wire(&prober.name()),
-                prober.fingerprint()
+                " kind=dflow prober=event-engine:{:016x} dataflows=",
+                fnv1a(engine.bytes())
             );
             for (i, dataflow) in dataflows.iter().enumerate() {
                 if i > 0 {
@@ -946,16 +946,19 @@ impl<'a> WorkPlan<'a> {
                 let workload = self.workload_of(pair);
                 let source = self.source_of(pair);
                 let schedule = self.pipeline.schedule_for(&workload.weights, source)?;
-                let report = self.pipeline.dataflow_prober().probe(
+                let run = run_dataflow(
                     &workload.problem(),
                     self.pipeline.array(),
                     dataflow,
                     &schedule,
-                    self.pipeline.sim_options(),
+                    &SimOptions::exhaustive(),
+                    &EngineConfig::default(),
+                    &mut NullObserver,
+                    None,
                 )?;
                 Ok(UnitResult::DataflowProbe {
                     cell: *cell,
-                    report,
+                    report: run.report,
                 })
             }
         }
@@ -1853,6 +1856,58 @@ mod tests {
         assert_eq!(UnitResult::decode(&encoded).unwrap(), result);
         // A truncated report body is rejected, not silently accepted.
         assert!(UnitResult::decode("dflow cell=3 df=weight-stationary cycles=240").is_err());
+    }
+
+    #[test]
+    fn dataflow_probe_units_report_dynamics_and_reject_under_covering_schedules() {
+        use crate::stage::ScheduleSource;
+        use accel_sim::{ArrayConfig, ComputeSchedule, Matrix};
+
+        /// Schedules only half of the weight channels.
+        struct HalfChannels;
+        impl ScheduleSource for HalfChannels {
+            fn name(&self) -> String {
+                "half-channels".to_string()
+            }
+            fn schedule(
+                &self,
+                weights: &Matrix<i8>,
+                array_cols: usize,
+            ) -> Result<ComputeSchedule, PipelineError> {
+                Ok(ComputeSchedule::baseline(
+                    weights.rows(),
+                    weights.cols() / 2,
+                    array_cols,
+                ))
+            }
+        }
+
+        let w = Matrix::from_fn(16, 4, |r, c| (((r * 5 + c * 3) % 11) as i8) - 5);
+        let a = Matrix::from_fn(16, 6, |r, c| ((r + 2 * c) % 5) as i8);
+        let workloads = [LayerWorkload::from_matrices("probe", w, a).unwrap()];
+        let pipeline = ReadPipeline::builder()
+            .array(ArrayConfig::new(4, 2))
+            .baseline()
+            .source(HalfChannels)
+            .condition(timing::OperatingCondition::ideal())
+            .build()
+            .unwrap();
+        let dataflows = vec![Dataflow::WeightStationary, Dataflow::OutputStationary];
+        let plan = pipeline
+            .plan_dataflow_with("probe", &workloads, dataflows)
+            .unwrap();
+        // Cells are dataflow-major, then (workload, source): cell 0 is the
+        // baseline under weight-stationary.
+        let UnitResult::DataflowProbe { report, .. } = plan.run_unit(0).unwrap() else {
+            panic!("expected a dataflow probe result");
+        };
+        assert_eq!(report.macs, 16 * 4 * 6);
+        assert!(report.peak_psum_buffer > 0);
+
+        // An under-covering schedule (cell 3: output-stationary) is a
+        // simulation-input error.
+        let err = plan.run_unit(3).unwrap_err();
+        assert!(matches!(err, PipelineError::Sim(_)), "{err}");
     }
 
     // ---- UnitLedger -------------------------------------------------------

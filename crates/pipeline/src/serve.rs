@@ -9,7 +9,10 @@
 //! request into a [`WorkPlan`], and schedules its units through a
 //! daemon-wide `UnitScheduler` where identical in-flight units are
 //! computed once and fanned out to every waiting request — *single-flight*
-//! layered on top of the existing [`ArtifactStore`] write-through:
+//! layered on top of the existing [`ArtifactStore`] write-through.  The
+//! scheduler keeps one slot per running unit: joiners wait on that slot
+//! alone, and its leader retires the key before publishing the outcome, so
+//! a later request for the same unit is served by the store:
 //!
 //! ```text
 //! client ──req──▶ daemon ──▶ single-flight scheduler ──▶ executor pool
@@ -36,11 +39,12 @@
 //! repo README for the wire grammar).  [`ServeServer::spawn`] +
 //! [`ServeClient::shutdown`] give an in-process daemon for tests.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use qnn::fit::fit_classifier_head;
@@ -695,7 +699,7 @@ impl ServeRequest {
 
 /// Payload fanned out from a completed flight.  Histogram flights carry the
 /// bare histogram (the flight key is content-addressed across plans, so the
-/// waiter re-wraps it with *its own* cell/pair indices); every other unit is
+/// joiner re-wraps it with *its own* cell/pair indices); every other unit is
 /// plan-specific and fans out verbatim.
 #[derive(Clone)]
 enum FlightValue {
@@ -703,22 +707,42 @@ enum FlightValue {
     Hist(DepthHistogram),
 }
 
-enum FlightState {
-    /// A leader is computing; `waiters` requests are parked on the condvar.
-    ///
-    /// `epoch` identifies the flight *generation*: when a leader aborts and
-    /// a new leader re-takes the same key, parked waiters of the old
-    /// generation observe a different epoch and retry instead of touching
-    /// counters they never registered on.
-    Running { epoch: u64, waiters: usize },
-    /// The leader finished; `remaining` registered waiters have yet to
-    /// collect.  Errors fan out as strings ([`PipelineError`] is not
-    /// `Clone`).
-    Done {
-        epoch: u64,
-        value: Result<FlightValue, String>,
-        remaining: usize,
-    },
+/// How a flight ended, as its joiners see it.
+#[derive(Clone)]
+enum Outcome {
+    Value(FlightValue),
+    /// The leader's computation failed.  Errors fan out as strings
+    /// ([`PipelineError`] is not `Clone`).
+    Failed(String),
+    /// The leader's gate wait timed out before it computed: its joiners go
+    /// back to the flight map, and one of them leads.
+    Abandoned,
+}
+
+/// One running computation of a flight key.  Its leader publishes the
+/// outcome once; every joiner holds the flight's `Arc` and waits on it
+/// alone.
+#[derive(Default)]
+struct Flight {
+    outcome: Mutex<Option<Outcome>>,
+    published: Condvar,
+}
+
+impl Flight {
+    fn publish(&self, outcome: Outcome) {
+        *lock_ok(&self.outcome) = Some(outcome);
+        self.published.notify_all();
+    }
+
+    /// Waits for the leader's outcome until `deadline`.
+    fn wait(&self, deadline: Option<Instant>) -> Result<Outcome, PipelineError> {
+        let outcome = lock_ok(&self.outcome);
+        wait_until(&self.published, outcome, deadline, |outcome| {
+            outcome.is_none()
+        })
+        .clone()
+        .ok_or_else(|| timed_out("waiting on an in-flight unit"))
+    }
 }
 
 struct GateState {
@@ -743,18 +767,30 @@ impl Drop for GatePermit<'_> {
 /// protected state consistent before any operation that could panic, so the
 /// inner data is still valid.
 fn lock_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn timed_out(what: &str) -> PipelineError {
     PipelineError::exec(format!("request timed out {what}"))
 }
 
-fn deadline_wait(deadline: Option<Instant>) -> Option<Duration> {
-    const POLL: Duration = Duration::from_millis(50);
-    deadline.map(|d| d.saturating_duration_since(Instant::now()).min(POLL))
+/// Waits on `cv` while `blocked` holds, until `deadline` at most.
+fn wait_until<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+    blocked: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    match deadline {
+        None => cv
+            .wait_while(guard, blocked)
+            .unwrap_or_else(PoisonError::into_inner),
+        Some(d) => {
+            cv.wait_timeout_while(guard, d.saturating_duration_since(Instant::now()), blocked)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        }
+    }
 }
 
 /// Daemon-wide unit scheduler: a bounded executor pool (`slots` concurrent
@@ -764,9 +800,9 @@ pub(crate) struct UnitScheduler {
     slots: usize,
     gate: Mutex<GateState>,
     gate_cv: Condvar,
-    flights: Mutex<HashMap<String, FlightState>>,
-    flights_cv: Condvar,
-    flight_epoch: AtomicU64,
+    /// One slot per running flight key; its leader removes the key before
+    /// publishing.
+    flights: Mutex<HashMap<String, Arc<Flight>>>,
 }
 
 impl UnitScheduler {
@@ -779,8 +815,6 @@ impl UnitScheduler {
             }),
             gate_cv: Condvar::new(),
             flights: Mutex::new(HashMap::new()),
-            flights_cv: Condvar::new(),
-            flight_epoch: AtomicU64::new(0),
         }
     }
 
@@ -788,52 +822,29 @@ impl UnitScheduler {
         self.slots
     }
 
-    /// Claims one executor slot, blocking until admitted.  Bulk acquisition
-    /// additionally blocks while any interactive unit is waiting — that is
-    /// the whole preemption mechanism: at unit granularity, freed slots go
-    /// to interactive work first.
+    /// Claims one executor slot, blocking until admitted or `deadline`.
+    /// Bulk acquisition additionally blocks while any interactive unit is
+    /// waiting — that is the whole preemption mechanism: at unit
+    /// granularity, freed slots go to interactive work first.
     fn acquire(
         &self,
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<GatePermit<'_>, PipelineError> {
+        let interactive = priority == Priority::Interactive;
+        let blocked = |gate: &mut GateState| {
+            gate.active >= self.slots || (!interactive && gate.interactive_waiting > 0)
+        };
         let mut gate = lock_ok(&self.gate);
-        if priority == Priority::Interactive {
-            gate.interactive_waiting += 1;
-        }
-        loop {
-            // Deadline first, even when a slot is free: an already-expired
-            // request must not claim a slot and begin a computation its
-            // client has given up on.
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    if priority == Priority::Interactive {
-                        gate.interactive_waiting -= 1;
-                    }
-                    self.gate_cv.notify_all();
-                    return Err(timed_out("waiting for an executor slot"));
-                }
-            }
-            let blocked = gate.active >= self.slots
-                || (priority == Priority::Bulk && gate.interactive_waiting > 0);
-            if !blocked {
-                break;
-            }
-            gate = match deadline_wait(deadline) {
-                Some(wait) => {
-                    self.gate_cv
-                        .wait_timeout(gate, wait)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .0
-                }
-                None => self
-                    .gate_cv
-                    .wait(gate)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
-            };
-        }
-        if priority == Priority::Interactive {
-            gate.interactive_waiting -= 1;
+        gate.interactive_waiting += usize::from(interactive);
+        gate = wait_until(&self.gate_cv, gate, deadline, blocked);
+        gate.interactive_waiting -= usize::from(interactive);
+        // Deadline first, even when a slot is free: an already-expired
+        // request must not claim a slot and begin a computation its client
+        // has given up on.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            self.gate_cv.notify_all();
+            return Err(timed_out("waiting for an executor slot"));
         }
         gate.active += 1;
         Ok(GatePermit { sched: self })
@@ -841,8 +852,8 @@ impl UnitScheduler {
 
     /// Runs one work unit with single-flight dedup: the first request to
     /// need a given flight key computes it (leader); concurrent requests
-    /// park and receive a clone of the value, counting an in-flight hit in
-    /// their own `inflight_hits`.
+    /// join its flight and receive a clone of the value, counting an
+    /// in-flight hit in their own `inflight_hits`.
     pub(crate) fn run_unit(
         &self,
         plan: &WorkPlan<'_>,
@@ -853,139 +864,55 @@ impl UnitScheduler {
     ) -> Result<UnitResult, PipelineError> {
         let key = plan.flight_key(unit);
         loop {
-            match self.join_or_lead(&key, deadline)? {
-                Role::Leader => return self.lead(&key, plan, unit, priority, deadline),
-                Role::Joined(Ok(value)) => {
+            let (flight, leads) = match lock_ok(&self.flights).entry(key.clone()) {
+                Entry::Occupied(running) => (Arc::clone(running.get()), false),
+                Entry::Vacant(free) => (Arc::clone(free.insert(Arc::default())), true),
+            };
+            if leads {
+                return self.lead(&key, &flight, plan, unit, priority, deadline);
+            }
+            match flight.wait(deadline)? {
+                Outcome::Value(value) => {
                     inflight_hits.fetch_add(1, Ordering::Relaxed);
                     return adapt_flight_value(value, unit);
                 }
-                Role::Joined(Err(msg)) => {
+                Outcome::Failed(msg) => {
                     return Err(PipelineError::exec(format!(
                         "in-flight leader failed: {msg}"
                     )))
                 }
-                Role::Retry => continue,
+                Outcome::Abandoned => continue,
             }
         }
     }
 
-    /// Registers interest in `key`: becomes the leader if nobody holds it,
-    /// otherwise parks until the leader publishes (or aborts → `Retry`).
-    fn join_or_lead(&self, key: &str, deadline: Option<Instant>) -> Result<Role, PipelineError> {
-        let mut flights = lock_ok(&self.flights);
-        let joined_epoch = match flights.get_mut(key) {
-            None => {
-                let epoch = self.flight_epoch.fetch_add(1, Ordering::Relaxed);
-                flights.insert(key.to_string(), FlightState::Running { epoch, waiters: 0 });
-                return Ok(Role::Leader);
-            }
-            Some(FlightState::Running { epoch, waiters }) => {
-                *waiters += 1;
-                *epoch
-            }
-            Some(FlightState::Done { value, .. }) => {
-                // Late arrival after publish but before the last registered
-                // waiter collected: clone without touching `remaining`.
-                return Ok(Role::Joined(value.clone()));
-            }
-        };
-        loop {
-            flights = match deadline_wait(deadline) {
-                Some(wait) => {
-                    self.flights_cv
-                        .wait_timeout(flights, wait)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner())
-                        .0
-                }
-                None => self
-                    .flights_cv
-                    .wait(flights)
-                    .unwrap_or_else(|poisoned| poisoned.into_inner()),
-            };
-            match flights.get_mut(key) {
-                // Leader aborted (its gate wait timed out): race again.
-                None => return Ok(Role::Retry),
-                Some(FlightState::Running { epoch, waiters }) => {
-                    if *epoch != joined_epoch {
-                        // Our leader aborted and a *new* flight re-took the
-                        // key before we woke; we are not registered on this
-                        // generation, so leave its counter alone and race
-                        // again.
-                        return Ok(Role::Retry);
-                    }
-                    if let Some(d) = deadline {
-                        if Instant::now() >= d {
-                            *waiters = waiters.saturating_sub(1);
-                            return Err(timed_out("waiting on an in-flight unit"));
-                        }
-                    }
-                }
-                Some(FlightState::Done {
-                    epoch,
-                    value,
-                    remaining,
-                }) => {
-                    if *epoch != joined_epoch {
-                        // A successor generation published; its `remaining`
-                        // counts *its* waiters, not us — clone without
-                        // decrementing (same as a late arrival).
-                        return Ok(Role::Joined(value.clone()));
-                    }
-                    let value = value.clone();
-                    *remaining = remaining.saturating_sub(1);
-                    if *remaining == 0 {
-                        flights.remove(key);
-                    }
-                    return Ok(Role::Joined(value));
-                }
-            }
-        }
-    }
-
-    /// Leader path: claim a slot, compute, publish to waiters.
+    /// Leader path: claim a slot, compute, retire the key, publish.
     fn lead(
         &self,
         key: &str,
+        flight: &Flight,
         plan: &WorkPlan<'_>,
         unit: &WorkUnit,
         priority: Priority,
         deadline: Option<Instant>,
     ) -> Result<UnitResult, PipelineError> {
-        let permit = match self.acquire(priority, deadline) {
-            Ok(permit) => permit,
-            Err(e) => {
-                // Abort the flight so parked waiters retry instead of
-                // hanging on a leader that never computed.
-                let mut flights = lock_ok(&self.flights);
-                flights.remove(key);
-                self.flights_cv.notify_all();
-                return Err(e);
+        let (result, outcome) = match self.acquire(priority, deadline) {
+            Err(e) => (Err(e), Outcome::Abandoned),
+            Ok(_permit) => {
+                let result = plan.run_unit_spec(unit);
+                let outcome = match &result {
+                    Ok(unit_result) => Outcome::Value(flight_value_of(unit_result, unit)),
+                    Err(e) => Outcome::Failed(e.to_string()),
+                };
+                (result, outcome)
             }
         };
-        let result = plan.run_unit_spec(unit);
-        drop(permit);
-        let value = match &result {
-            Ok(unit_result) => Ok(flight_value_of(unit_result, unit)),
-            Err(e) => Err(e.to_string()),
-        };
-        let mut flights = lock_ok(&self.flights);
-        match flights.get_mut(key) {
-            Some(FlightState::Running { epoch, waiters }) if *waiters > 0 => {
-                let (epoch, remaining) = (*epoch, *waiters);
-                flights.insert(
-                    key.to_string(),
-                    FlightState::Done {
-                        epoch,
-                        value,
-                        remaining,
-                    },
-                );
-            }
-            _ => {
-                flights.remove(key);
-            }
-        }
-        self.flights_cv.notify_all();
+        // Retire the key before publishing, so a joiner that retries after
+        // `Abandoned` never re-finds this spent flight.  `run_unit_spec`
+        // has already written the artifact through to the store, so a
+        // request arriving from now on leads and is served from there.
+        lock_ok(&self.flights).remove(key);
+        flight.publish(outcome);
         result
     }
 
@@ -1034,12 +961,6 @@ impl UnitScheduler {
         }
         Ok(results.into_iter().flatten().collect())
     }
-}
-
-enum Role {
-    Leader,
-    Joined(Result<FlightValue, String>),
-    Retry,
 }
 
 fn flight_value_of(result: &UnitResult, unit: &WorkUnit) -> FlightValue {
@@ -1200,7 +1121,7 @@ impl RequestJob {
         let units = plan.len();
         let priority = request
             .priority
-            .unwrap_or(if units <= daemon.interactive_max_units {
+            .unwrap_or(if units <= INTERACTIVE_MAX_UNITS {
                 Priority::Interactive
             } else {
                 Priority::Bulk
@@ -1261,16 +1182,18 @@ impl RequestJob {
 // Server
 // ---------------------------------------------------------------------------
 
+/// `priority=auto` requests with at most this many units run as
+/// interactive.
+const INTERACTIVE_MAX_UNITS: usize = 8;
+
 /// Daemon configuration for [`ServeServer::bind`].
+#[derive(Default)]
 pub struct ServerConfig {
     /// Executor-pool width (concurrent unit computations daemon-wide);
     /// 0 = available parallelism.
     pub slots: usize,
     /// Shared artifact store; `None` = a fresh in-memory store.
     pub store: Option<Arc<dyn ArtifactStore>>,
-    /// `priority=auto` requests with at most this many units run as
-    /// interactive.
-    pub interactive_max_units: usize,
     /// Default per-request timeout in milliseconds (0 = none; a request can
     /// opt out of a non-zero default with [`NO_TIMEOUT`]).
     pub default_timeout_ms: u64,
@@ -1281,23 +1204,10 @@ pub struct ServerConfig {
     pub fleet: Vec<String>,
 }
 
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            slots: 0,
-            store: None,
-            interactive_max_units: 8,
-            default_timeout_ms: 0,
-            fleet: Vec::new(),
-        }
-    }
-}
-
 /// The serve protocol's state: the daemon-wide scheduler and store.
 struct ServeDaemon {
     sched: UnitScheduler,
     store: Arc<dyn ArtifactStore>,
-    interactive_max_units: usize,
     default_timeout_ms: u64,
     fleet: Vec<String>,
     next_id: AtomicU64,
@@ -1328,7 +1238,6 @@ impl ServeServer {
         let daemon = ServeDaemon {
             sched: UnitScheduler::new(slots),
             store,
-            interactive_max_units: config.interactive_max_units,
             default_timeout_ms: config.default_timeout_ms,
             fleet: config.fleet,
             next_id: AtomicU64::new(1),
@@ -2023,6 +1932,19 @@ mod tests {
         (pipeline, workloads)
     }
 
+    /// Waits until `key`'s flight in `sched` is held by `holders` `Arc`s
+    /// (the map's own included).
+    fn wait_for_holders(sched: &UnitScheduler, key: &str, holders: usize) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while lock_ok(&sched.flights).get(key).map(Arc::strong_count) != Some(holders) {
+            assert!(
+                Instant::now() < give_up,
+                "flight never reached {holders} holders"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn joining_a_published_flight_counts_an_inflight_hit() {
         let (pipeline, workloads) = tiny_plan_fixture();
@@ -2031,17 +1953,12 @@ mod tests {
         let sched = UnitScheduler::new(1);
         let key = plan.flight_key(&unit);
 
-        // Act as the leader by hand: mark the flight running, park a real
-        // waiter on it, then publish a sentinel histogram and check the
-        // waiter re-wraps it with its own indices and counts an in-flight
-        // hit instead of computing.
-        lock_ok(&sched.flights).insert(
-            key.clone(),
-            FlightState::Running {
-                epoch: 0,
-                waiters: 0,
-            },
-        );
+        // Act as the leader by hand: open the flight, wait until a real
+        // request has joined it, then retire the key and publish a sentinel
+        // histogram.  The joiner must re-wrap it with its own indices and
+        // count an in-flight hit instead of computing.
+        let flight = Arc::new(Flight::default());
+        lock_ok(&sched.flights).insert(key.clone(), Arc::clone(&flight));
         let sentinel = DepthHistogram::new();
         let (result, joined_hits) = std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
@@ -2049,30 +1966,10 @@ mod tests {
                 let result = sched.run_unit(&plan, &unit, Priority::Interactive, None, &inflight);
                 (result, inflight.load(Ordering::Relaxed))
             });
-            loop {
-                {
-                    let flights = lock_ok(&sched.flights);
-                    if matches!(
-                        flights.get(&key),
-                        Some(FlightState::Running { waiters: 1, .. })
-                    ) {
-                        break;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            {
-                let mut flights = lock_ok(&sched.flights);
-                flights.insert(
-                    key.clone(),
-                    FlightState::Done {
-                        epoch: 0,
-                        value: Ok(FlightValue::Hist(sentinel.clone())),
-                        remaining: 1,
-                    },
-                );
-            }
-            sched.flights_cv.notify_all();
+            // The map, this thread and the joiner.
+            wait_for_holders(&sched, &key, 3);
+            lock_ok(&sched.flights).remove(&key);
+            flight.publish(Outcome::Value(FlightValue::Hist(sentinel.clone())));
             handle.join().unwrap()
         });
         let WorkUnit::Histogram { cell, pair } = unit else {
@@ -2087,7 +1984,50 @@ mod tests {
             }
         );
         assert_eq!(joined_hits, 1);
-        // The last collector removes the Done entry.
+        assert!(lock_ok(&sched.flights).is_empty());
+    }
+
+    #[test]
+    fn a_joiner_of_an_abandoned_flight_leads_it_again() {
+        let (pipeline, workloads) = tiny_plan_fixture();
+        let plan = pipeline.plan_ter("vgg16", &workloads).unwrap();
+        let unit = plan.units()[0].clone();
+        let expected = plan.run_unit_spec(&unit).unwrap();
+        let sched = UnitScheduler::new(1);
+        let key = plan.flight_key(&unit);
+
+        // The only slot is held, so the leader's gate wait can only end at
+        // its deadline.  Holding the gate's lock keeps the leader from
+        // reaching that wait, and so from abandoning, until the joiner has
+        // joined its flight.
+        let holder = sched.acquire(Priority::Bulk, None).unwrap();
+        let gate = lock_ok(&sched.gate);
+        let deadline = Some(Instant::now() + Duration::from_millis(20));
+        let (led, joined, joined_hits) = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                let inflight = AtomicU64::new(0);
+                sched.run_unit(&plan, &unit, Priority::Interactive, deadline, &inflight)
+            });
+            // The map and the leader.
+            wait_for_holders(&sched, &key, 2);
+            let joiner = scope.spawn(|| {
+                let inflight = AtomicU64::new(0);
+                let result = sched.run_unit(&plan, &unit, Priority::Interactive, None, &inflight);
+                (result, inflight.load(Ordering::Relaxed))
+            });
+            // The map, the leader and the joiner.
+            wait_for_holders(&sched, &key, 3);
+            drop(gate);
+            let led = leader.join().unwrap();
+            // The joiner retried and now leads, waiting for the slot.
+            drop(holder);
+            let (joined, joined_hits) = joiner.join().unwrap();
+            (led, joined, joined_hits)
+        });
+        let err = led.unwrap_err();
+        assert!(err.to_string().contains("timed out"), "{err}");
+        assert_eq!(joined.unwrap(), expected);
+        assert_eq!(joined_hits, 0, "the retry computed, it joined nothing");
         assert!(lock_ok(&sched.flights).is_empty());
     }
 
@@ -2152,7 +2092,7 @@ mod tests {
         handle.join().unwrap();
     }
 
-    // ---- deadline + waiter-accounting pins --------------------------------
+    // ---- deadline pins ----------------------------------------------------
 
     #[test]
     fn expired_deadline_never_claims_a_free_slot() {
@@ -2185,108 +2125,6 @@ mod tests {
             .run_plan_units(&plan, Priority::Interactive, expired, &inflight)
             .unwrap_err();
         assert!(err.to_string().contains("timed out"), "{err}");
-    }
-
-    #[test]
-    fn abandoned_waiter_does_not_touch_a_successor_flights_accounting() {
-        // Bug pin: a waiter parked on a flight whose leader aborted used to
-        // decrement whatever state *currently* held the key — if a new
-        // generation had re-taken it, the waiter corrupted (underflowed)
-        // counters it never registered on.
-        let sched = UnitScheduler::new(1);
-        let key = "epoch-test".to_string();
-        std::thread::scope(|scope| {
-            // Generation 1: this thread leads.
-            assert!(matches!(
-                sched.join_or_lead(&key, None).unwrap(),
-                Role::Leader
-            ));
-            let deadline = Some(Instant::now() + Duration::from_millis(200));
-            let (sched_ref, key_ref) = (&sched, &key);
-            let waiter = scope.spawn(move || sched_ref.join_or_lead(key_ref, deadline));
-            // Wait until the waiter registered on generation 1.
-            loop {
-                {
-                    let flights = lock_ok(&sched.flights);
-                    if matches!(
-                        flights.get(&key),
-                        Some(FlightState::Running { waiters: 1, .. })
-                    ) {
-                        break;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Generation 1 aborts and generation 2 re-takes the key before
-            // the waiter wakes.
-            {
-                let mut flights = lock_ok(&sched.flights);
-                flights.remove(&key);
-                let epoch = sched.flight_epoch.fetch_add(1, Ordering::Relaxed);
-                flights.insert(key.clone(), FlightState::Running { epoch, waiters: 0 });
-            }
-            sched.flights_cv.notify_all();
-            // The stale waiter must come back as Retry without panicking or
-            // decrementing generation 2's counter.
-            assert!(matches!(waiter.join().unwrap().unwrap(), Role::Retry));
-            let flights = lock_ok(&sched.flights);
-            assert!(matches!(
-                flights.get(&key),
-                Some(FlightState::Running { waiters: 0, .. })
-            ));
-        });
-    }
-
-    #[test]
-    fn stale_waiter_joins_a_successor_publish_without_decrementing_it() {
-        // Same race, Done flavor: the successor generation published with
-        // `remaining` counting *its* waiters; a stale waiter clones the
-        // value but must not decrement (which used to free the entry early
-        // or underflow).
-        let sched = UnitScheduler::new(1);
-        let key = "epoch-done-test".to_string();
-        std::thread::scope(|scope| {
-            assert!(matches!(
-                sched.join_or_lead(&key, None).unwrap(),
-                Role::Leader
-            ));
-            let waiter = scope.spawn(|| sched.join_or_lead(&key, None));
-            loop {
-                {
-                    let flights = lock_ok(&sched.flights);
-                    if matches!(
-                        flights.get(&key),
-                        Some(FlightState::Running { waiters: 1, .. })
-                    ) {
-                        break;
-                    }
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            // Generation 1 aborts; generation 2 leads and publishes Done
-            // with 2 registered waiters of its own.
-            {
-                let mut flights = lock_ok(&sched.flights);
-                flights.remove(&key);
-                let epoch = sched.flight_epoch.fetch_add(1, Ordering::Relaxed);
-                flights.insert(
-                    key.clone(),
-                    FlightState::Done {
-                        epoch,
-                        value: Ok(FlightValue::Hist(DepthHistogram::new())),
-                        remaining: 2,
-                    },
-                );
-            }
-            sched.flights_cv.notify_all();
-            let joined = waiter.join().unwrap().unwrap();
-            assert!(matches!(joined, Role::Joined(Ok(FlightValue::Hist(_)))));
-            let flights = lock_ok(&sched.flights);
-            assert!(matches!(
-                flights.get(&key),
-                Some(FlightState::Done { remaining: 2, .. })
-            ));
-        });
     }
 
     #[test]

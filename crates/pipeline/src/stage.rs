@@ -9,24 +9,22 @@
 //!   [`DelayErrorModel`] (closed-form analytic, the default),
 //!   [`MonteCarloErrorModel`] (seeded sampling with mean/stddev TER
 //!   aggregation) and [`VariationErrorModel`] (per-PE process variation of
-//!   one die).  All three delegate to the [`timing::TimingAnalysis`]
-//!   engines over one [`timing::DepthHistogram`] per simulation pass.
+//!   one die).  All three delegate to the [`timing::AnalyticAnalysis`]
+//!   and [`timing::MonteCarloAnalysis`] engines over one
+//!   [`timing::DepthHistogram`] per simulation pass.
 //! * [`Evaluator`] — measures model accuracy under per-layer BERs
 //!   (implemented by [`TopKEvaluator`] wrapping
 //!   [`qnn::fault::evaluate_topk`]).
 //!
 //! Custom heuristics plug in by implementing the same traits.
 
-use accel_sim::{
-    ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, NullObserver, SimOptions,
-};
-use dataflow_sim::{run_dataflow, DataflowReport, EngineConfig};
+use accel_sim::{ArrayConfig, ComputeSchedule, Matrix};
 use qnn::fault::{evaluate_topk, Accuracy, FaultConfig, FlipModel};
 use qnn::{Dataset, Model};
 use read_core::{ClusteringMode, ReadConfig, ReadOptimizer, SortCriterion};
 use timing::{
     ber_from_ter, AnalyticAnalysis, DelayModel, DepthHistogram, MonteCarloAnalysis,
-    OperatingCondition, OperatingCorner, PeOffsets, TerEstimate, TimingAnalysis, Variation,
+    OperatingCondition, OperatingCorner, PeOffsets, TerEstimate, Variation,
 };
 
 use crate::error::PipelineError;
@@ -530,91 +528,6 @@ impl Evaluator for TopKEvaluator {
     }
 }
 
-/// Stage 4 (optional): executes a layer's schedule on a timing-aware
-/// engine and reports pipeline dynamics (cycles, stalls, buffer pressure).
-///
-/// This is the event-driven counterpart of the analytic simulation stage:
-/// probers never change functional results or error rates, they measure
-/// *when* the same MACs happen.  The default implementation is
-/// [`EventProber`]; alternative engines (other channel topologies, other
-/// latency models) plug in by implementing the same trait.
-pub trait DataflowProber: Send + Sync {
-    /// Display name of the prober.
-    fn name(&self) -> String;
-
-    /// Stable configuration fingerprint: must change whenever the reports
-    /// this prober produces could change (channel capacities, latencies,
-    /// ...).  Memoized probe-unit results are keyed on it — the default
-    /// hashes [`Self::name`], which is only sufficient when the name
-    /// encodes the full configuration.
-    fn fingerprint(&self) -> u64 {
-        fingerprint_str(&self.name())
-    }
-
-    /// Probes one layer: executes `schedule` on `problem` under `dataflow`
-    /// and returns the timing report.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Sim`] for schedules that do not cover the
-    /// problem and [`PipelineError::Probe`] for engine failures.
-    fn probe(
-        &self,
-        problem: &GemmProblem,
-        array: &ArrayConfig,
-        dataflow: Dataflow,
-        schedule: &ComputeSchedule,
-        options: &SimOptions,
-    ) -> Result<DataflowReport, PipelineError>;
-}
-
-/// The default prober: [`dataflow_sim::run_dataflow`] with a fixed
-/// [`EngineConfig`], no trace recording.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct EventProber {
-    /// Channel capacities and hop latency of the simulated fabric.
-    pub config: EngineConfig,
-}
-
-impl EventProber {
-    /// Prober with the given engine configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        EventProber { config }
-    }
-}
-
-impl DataflowProber for EventProber {
-    fn name(&self) -> String {
-        "event-engine".to_string()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        // Debug output covers every engine knob.
-        fingerprint_str(&format!("{self:?}"))
-    }
-
-    fn probe(
-        &self,
-        problem: &GemmProblem,
-        array: &ArrayConfig,
-        dataflow: Dataflow,
-        schedule: &ComputeSchedule,
-        options: &SimOptions,
-    ) -> Result<DataflowReport, PipelineError> {
-        let run = run_dataflow(
-            problem,
-            array,
-            dataflow,
-            schedule,
-            options,
-            &self.config,
-            &mut NullObserver,
-            None,
-        )?;
-        Ok(run.report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -744,45 +657,5 @@ mod tests {
         assert!(bers.iter().all(|b| (0.0..=1.0).contains(b)));
         assert_eq!(model.corner().unwrap(), "pe-var[16x4,seed=3]");
         assert_eq!(model.name(), "pe-var[16x4,seed=3]");
-    }
-
-    #[test]
-    fn event_prober_reports_dynamics_and_fingerprints_its_config() {
-        let w = Matrix::from_fn(16, 4, |r, c| (((r * 5 + c * 3) % 11) as i8) - 5);
-        let a = Matrix::from_fn(16, 6, |r, c| ((r + 2 * c) % 5) as i8);
-        let problem = GemmProblem::new(w, a).unwrap();
-        let schedule = ComputeSchedule::baseline(16, 4, 2);
-        let prober = EventProber::default();
-        let report = prober
-            .probe(
-                &problem,
-                &ArrayConfig::new(4, 2),
-                Dataflow::WeightStationary,
-                &schedule,
-                &SimOptions::exhaustive(),
-            )
-            .unwrap();
-        assert_eq!(report.macs, 16 * 4 * 6);
-        assert!(report.peak_psum_buffer > 0);
-
-        let tight = EventProber::new(EngineConfig {
-            channel_capacity: 1,
-            hop_latency: 2,
-        });
-        assert_ne!(prober.fingerprint(), tight.fingerprint());
-        assert_eq!(prober.fingerprint(), EventProber::default().fingerprint());
-
-        // An under-covering schedule is a simulation-input error.
-        let bad = ComputeSchedule::baseline(16, 2, 2);
-        let err = prober
-            .probe(
-                &problem,
-                &ArrayConfig::new(4, 2),
-                Dataflow::OutputStationary,
-                &bad,
-                &SimOptions::exhaustive(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, PipelineError::Sim(_)));
     }
 }

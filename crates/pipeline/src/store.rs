@@ -342,9 +342,17 @@ impl DiskStore {
     }
 
     /// The entry path of `(kind, key)` — exposed for tests pinning the
-    /// on-disk layout.
-    pub fn entry_path(&self, kind: &str, key: u64) -> PathBuf {
-        self.root.join(kind).join(format!("{key:016x}.entry"))
+    /// on-disk layout.  `None` unless `kind` is a plain name (non-empty
+    /// ASCII letters, digits, `_` or `-`): kinds arrive over the store
+    /// daemon's wire, and any other spelling could name a path outside the
+    /// root.  A store never touches the filesystem for such a kind: it
+    /// loads as a counted miss and is never written or deleted.
+    pub fn entry_path(&self, kind: &str, key: u64) -> Option<PathBuf> {
+        let plain = !kind.is_empty()
+            && kind
+                .bytes()
+                .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-');
+        plain.then(|| self.root.join(kind).join(format!("{key:016x}.entry")))
     }
 }
 
@@ -354,10 +362,9 @@ impl ArtifactStore for DiskStore {
     }
 
     fn load(&self, kind: &str, key: u64, check: &str) -> Option<String> {
-        let path = self.entry_path(kind, key);
-        let content = match fs::read_to_string(&path) {
-            Ok(content) => content,
-            Err(_) => {
+        let content = match self.entry_path(kind, key).map(fs::read_to_string) {
+            Some(Ok(content)) => content,
+            _ => {
                 self.counters.misses.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
@@ -386,7 +393,9 @@ impl ArtifactStore for DiskStore {
     }
 
     fn put(&self, kind: &str, key: u64, check: &str, payload: &str) {
-        let path = self.entry_path(kind, key);
+        let Some(path) = self.entry_path(kind, key) else {
+            return;
+        };
         let Some(dir) = path.parent() else { return };
         if fs::create_dir_all(dir).is_err() {
             return;
@@ -428,7 +437,10 @@ impl ArtifactStore for DiskStore {
     }
 
     fn note_corrupt(&self, kind: &str, key: u64) {
-        let _ = fs::remove_file(self.entry_path(kind, key));
+        let Some(path) = self.entry_path(kind, key) else {
+            return;
+        };
+        let _ = fs::remove_file(path);
         self.counters.reclassify_hit_as_corrupt();
     }
 
@@ -509,8 +521,8 @@ fn parse_entry(content: &str) -> Option<(&str, &str, &str)> {
 /// contract is best-effort, so a dead daemon slows a fleet down but never
 /// fails it.
 ///
-/// I/O is *batched*: `put` appends to a small write-behind buffer that is
-/// published as one `mput` line when it fills (and on
+/// I/O is *batched*: `put` appends to a write-behind buffer that is
+/// published as one `mput` line when 32 puts have accumulated (and on
 /// [`ArtifactStore::flush`] — called at run boundaries and when a worker
 /// session ends), and [`ArtifactStore::load_many`] answers a whole
 /// batch with one `mget` line.  Reads are read-your-writes: a `load`
@@ -519,10 +531,8 @@ fn parse_entry(content: &str) -> Option<(&str, &str, &str)> {
 #[derive(Debug)]
 pub struct RemoteStore {
     addr: String,
-    timeout: Duration,
     conn: Mutex<Option<BufReader<TcpStream>>>,
     counters: StoreCounters,
-    write_behind: usize,
     buffer: Mutex<Vec<BufferedPut>>,
 }
 
@@ -565,6 +575,12 @@ fn decode_entries(
 /// per-line allocation) without changing observable behavior.
 const BATCH_CHUNK: usize = 64;
 
+/// Buffered puts a [`RemoteStore`] publishes as one `mput` line.
+const WRITE_BEHIND: usize = 32;
+
+/// Read and write timeout of one [`RemoteStore`] round trip.
+const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
 impl RemoteStore {
     /// A client for the store daemon at `addr` (e.g. `127.0.0.1:7431`).
     /// Does not connect until first use; use [`RemoteStore::connect`] to
@@ -572,10 +588,8 @@ impl RemoteStore {
     pub fn new(addr: impl Into<String>) -> RemoteStore {
         RemoteStore {
             addr: addr.into(),
-            timeout: Duration::from_secs(30),
             conn: Mutex::new(None),
             counters: StoreCounters::default(),
-            write_behind: 32,
             buffer: Mutex::new(Vec::new()),
         }
     }
@@ -593,24 +607,6 @@ impl RemoteStore {
         Ok(store)
     }
 
-    /// Sets the per-operation I/O timeout (default 30 s).
-    #[must_use]
-    pub fn timeout(mut self, timeout: Duration) -> RemoteStore {
-        self.timeout = timeout;
-        self
-    }
-
-    /// Sets the write-behind buffer capacity (default 32): `put`s are
-    /// buffered and published as one `mput` line when this many
-    /// accumulate, or on [`ArtifactStore::flush`].  `0` disables
-    /// buffering — every `put` is an immediate round trip, the pre-batched
-    /// behavior.
-    #[must_use]
-    pub fn write_behind(mut self, capacity: usize) -> RemoteStore {
-        self.write_behind = capacity;
-        self
-    }
-
     /// The daemon address this client talks to.
     pub fn addr(&self) -> &str {
         &self.addr
@@ -618,8 +614,8 @@ impl RemoteStore {
 
     fn open_connection(&self) -> std::io::Result<BufReader<TcpStream>> {
         let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(self.timeout))?;
-        stream.set_write_timeout(Some(self.timeout))?;
+        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(IO_TIMEOUT))?;
         Ok(BufReader::new(stream))
     }
 
@@ -846,18 +842,6 @@ impl ArtifactStore for RemoteStore {
     }
 
     fn put(&self, kind: &str, key: u64, check: &str, payload: &str) {
-        if self.write_behind == 0 {
-            let line = format!(
-                "put kind={} key={key:016x} check={} payload={}",
-                escape_wire(kind),
-                escape_wire(check),
-                escape_wire(payload)
-            );
-            if matches!(self.round_trip(&line).as_deref(), Ok("ok")) {
-                self.counters.writes.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        }
         let full = {
             let mut buffer = self.buffer.lock().unwrap_or_else(|p| p.into_inner());
             buffer.push(BufferedPut {
@@ -866,7 +850,7 @@ impl ArtifactStore for RemoteStore {
                 check: check.to_string(),
                 payload: payload.to_string(),
             });
-            (buffer.len() >= self.write_behind).then(|| std::mem::take(&mut *buffer))
+            (buffer.len() >= WRITE_BEHIND).then(|| std::mem::take(&mut *buffer))
         };
         if let Some(pending) = full {
             self.publish(pending);
@@ -1221,7 +1205,7 @@ mod tests {
     fn version_mismatch_and_garbage_read_as_counted_misses() {
         let dir = temp_dir("versions");
         let store = DiskStore::new(&dir).unwrap();
-        let path = store.entry_path("schedule", 5);
+        let path = store.entry_path("schedule", 5).unwrap();
         fs::create_dir_all(path.parent().unwrap()).unwrap();
 
         // A future-versioned entry: miss + corrupt, never an error.
@@ -1431,7 +1415,7 @@ mod tests {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap().to_string()
         };
-        let remote = RemoteStore::new(&dead_addr).timeout(Duration::from_millis(200));
+        let remote = RemoteStore::new(&dead_addr);
         remote.put("unit", 1, "c", "from the buffer");
         let answers = remote.load_many(&[
             StoreRequest {
@@ -1459,29 +1443,26 @@ mod tests {
             Arc::clone(&backing) as Arc<dyn ArtifactStore>,
         )
         .unwrap();
+        let capacity = WRITE_BEHIND as u64;
         {
-            let remote = handle.client().write_behind(2);
-            remote.put("unit", 1, "c", "one");
+            let remote = handle.client();
+            for key in 1..capacity {
+                remote.put("unit", key, "c", "payload");
+            }
             assert_eq!(backing.len(), 0, "below capacity: buffered");
-            remote.put("unit", 2, "c", "two");
+            remote.put("unit", capacity, "c", "payload");
             assert_eq!(
                 backing.len(),
-                2,
-                "capacity reached: one mput publishes both"
+                WRITE_BEHIND,
+                "capacity reached: one mput publishes the whole buffer"
             );
-            remote.put("unit", 3, "c", "three");
-            assert_eq!(backing.len(), 2, "tail write buffered again");
-            assert_eq!(remote.stats().writes, 2);
+            remote.put("unit", capacity + 1, "c", "tail");
+            assert_eq!(backing.len(), WRITE_BEHIND, "tail write buffered again");
+            assert_eq!(remote.stats().writes, capacity);
             // Dropping the client publishes the leftover buffer.
         }
-        assert_eq!(backing.len(), 3);
-
-        // write_behind(0) restores the pre-batched immediate puts.
-        let eager = handle.client().write_behind(0);
-        eager.put("unit", 4, "c", "four");
-        assert_eq!(backing.len(), 4);
-        assert_eq!(eager.stats().writes, 1);
-        eager.shutdown_daemon().unwrap();
+        assert_eq!(backing.len(), WRITE_BEHIND + 1);
+        handle.client().shutdown_daemon().unwrap();
         handle.join().unwrap();
     }
 
@@ -1532,11 +1513,60 @@ mod tests {
             listener.local_addr().unwrap().to_string()
         };
         assert!(RemoteStore::connect(&dead_addr).is_err(), "ping must fail");
-        let remote = RemoteStore::new(&dead_addr).timeout(Duration::from_millis(200));
+        let remote = RemoteStore::new(&dead_addr);
         assert_eq!(remote.load("unit", 1, "c"), None);
         remote.put("unit", 1, "c", "p");
+        remote.flush();
         assert_eq!(remote.stats().misses, 1);
         assert_eq!(remote.stats().writes, 0, "failed put is uncounted");
+    }
+
+    #[test]
+    fn store_daemon_keeps_wire_kinds_inside_the_disk_root() {
+        // Bug pin: a wire kind was joined onto the root as is, so a relative
+        // or absolute path wrote, served and deleted entries outside it.
+        let base = temp_dir("kind-escape");
+        let absolute = base.join("absolute");
+        let store = Arc::new(DiskStore::new(base.join("root")).unwrap());
+        let handle =
+            StoreServer::spawn("127.0.0.1:0", Arc::clone(&store) as Arc<dyn ArtifactStore>)
+                .unwrap();
+        let stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut ask = |line: &str| {
+            writeln!(&stream, "{line}").unwrap();
+            (&stream).flush().unwrap();
+            let mut response = String::new();
+            reader.read_line(&mut response).unwrap();
+            response.trim().to_string()
+        };
+        for kind in ["../escaped".to_string(), absolute.display().to_string()] {
+            let kind = escape_wire(&kind);
+            let put = format!("put kind={kind} key=0000000000000001 check=c payload=p");
+            assert_eq!(ask(&put), "ok");
+            let get = format!("get kind={kind} key=0000000000000001 check=c");
+            assert_eq!(ask(&get), "miss", "{kind}");
+            assert_eq!(
+                ask(&format!("corrupt kind={kind} key=0000000000000001")),
+                "ok"
+            );
+        }
+        assert!(!base.join("escaped").exists());
+        assert!(!absolute.exists());
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.corrupt), (0, 2, 0));
+        assert_eq!(stats.writes, 0, "a rejected kind is never written");
+
+        for kind in ["schedule", "histogram", "unit"] {
+            let put = format!("put kind={kind} key=0000000000000001 check=c payload=p");
+            assert_eq!(ask(&put), "ok");
+            let get = format!("get kind={kind} key=0000000000000001 check=c");
+            assert_eq!(ask(&get), "hit payload=p", "{kind}");
+        }
+        assert_eq!(store.stats().writes, 3);
+        assert_eq!(ask("shutdown"), "ok shutdown");
+        handle.join().unwrap();
+        let _ = fs::remove_dir_all(&base);
     }
 
     #[test]

@@ -143,7 +143,6 @@ pub struct SweepPlan {
     // a budget is inert rather than conjuring a zero-trial budget.
     monte_carlo: Option<(u32, u64)>,
     trials_per_shard: u32,
-    delay: Option<DelayModel>,
 }
 
 impl SweepPlan {
@@ -198,13 +197,6 @@ impl SweepPlan {
         self
     }
 
-    /// Overrides the MAC delay model every cell evaluates with (default:
-    /// [`DelayModel::nangate15_like`]).
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = Some(delay);
-        self
-    }
-
     /// The configured conditions, in cell order.
     pub fn condition_set(&self) -> &[OperatingCondition] {
         &self.conditions
@@ -227,11 +219,6 @@ impl SweepPlan {
             seed,
             trials_per_shard: self.trials_per_shard,
         })
-    }
-
-    /// The delay model cells evaluate with.
-    pub fn delay_model(&self) -> DelayModel {
-        self.delay.unwrap_or_else(DelayModel::nangate15_like)
     }
 
     /// Number of grid cells the plan expands into.
@@ -273,8 +260,9 @@ impl SweepPlan {
 
     /// The error-model stage the cell at `corner` uses — derived from the
     /// corner's variation alone, so the stage always matches the grid.
+    /// Every cell evaluates with [`DelayModel::nangate15_like`].
     pub(crate) fn cell_model(&self, corner: &OperatingCorner) -> DieModel {
-        let delay = self.delay_model();
+        let delay = DelayModel::nangate15_like();
         match (corner.variation, self.monte_carlo_spec()) {
             (Variation::PerPe { rows, cols, seed }, _) => DieModel::PerPe(VariationErrorModel {
                 delay,

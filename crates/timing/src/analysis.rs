@@ -1,15 +1,16 @@
-//! The unified timing-analysis interface: one vocabulary for *where* a
-//! design operates ([`OperatingCorner`]) and one trait for *how* its timing
-//! error rate is derived ([`TimingAnalysis`]).
+//! Timing analysis at an operating corner: one vocabulary for *where* a
+//! design operates ([`OperatingCorner`]) and two engines for *how* its
+//! timing error rate is derived.
 //!
-//! Every engine consumes a triggered-depth histogram ([`DepthHistogram`],
+//! Both engines consume a triggered-depth histogram ([`DepthHistogram`],
 //! one simulation pass, reusable across corners) and an
 //! [`OperatingCorner`] — an [`OperatingCondition`] plus a [`Variation`]
-//! describing the silicon — and produces a [`TerEstimate`] with an optional
-//! spread.  [`AnalyticAnalysis`] folds the histogram in closed form,
-//! per PE of a specific die when the corner asks for one ([`PeOffsets`]);
-//! [`MonteCarloAnalysis`] samples error counts per trial.  The pipeline
-//! crate's `ErrorModel` stage builds directly on these engines.
+//! describing the silicon — and their `estimate` produces a
+//! [`TerEstimate`] with an optional spread.  [`AnalyticAnalysis`] folds
+//! the histogram in closed form, per PE of a specific die when the corner
+//! asks for one ([`PeOffsets`]); [`MonteCarloAnalysis`] samples error
+//! counts per trial.  The pipeline crate's `ErrorModel` stage builds
+//! directly on these engines.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -232,17 +233,6 @@ impl TerEstimate {
     }
 }
 
-/// The common interface of every TER-derivation engine: from a
-/// triggered-depth histogram (one simulation pass) to an estimate at any
-/// operating corner.
-pub trait TimingAnalysis: Send + Sync {
-    /// Stable display name of the engine (configuration included).
-    fn name(&self) -> String;
-
-    /// Estimates the TER of the recorded cycles at `corner`.
-    fn estimate(&self, hist: &DepthHistogram, corner: &OperatingCorner) -> TerEstimate;
-}
-
 /// Closed-form analytic engine: every depth bucket contributes its expected
 /// error count.
 ///
@@ -264,6 +254,22 @@ impl AnalyticAnalysis {
         AnalyticAnalysis { delay }
     }
 
+    /// Stable display name of the engine.
+    pub fn name(&self) -> String {
+        "analytic".to_string()
+    }
+
+    /// Estimates the TER of the recorded cycles at `corner`.
+    pub fn estimate(&self, hist: &DepthHistogram, corner: &OperatingCorner) -> TerEstimate {
+        match PeOffsets::for_variation(&corner.variation, &self.delay) {
+            None => TerEstimate::point(hist.ter(&self.delay, &corner.condition)),
+            Some(offsets) => {
+                let ters = self.per_pe_ters(hist, &corner.condition, &offsets);
+                mean_and_spread(&ters)
+            }
+        }
+    }
+
     /// Per-PE TERs of `hist` at `condition` for explicit `offsets` (one TER
     /// per PE, offset order preserved).
     pub fn per_pe_ters(
@@ -283,22 +289,6 @@ impl AnalyticAnalysis {
 impl Default for AnalyticAnalysis {
     fn default() -> Self {
         AnalyticAnalysis::new(DelayModel::nangate15_like())
-    }
-}
-
-impl TimingAnalysis for AnalyticAnalysis {
-    fn name(&self) -> String {
-        "analytic".to_string()
-    }
-
-    fn estimate(&self, hist: &DepthHistogram, corner: &OperatingCorner) -> TerEstimate {
-        match PeOffsets::for_variation(&corner.variation, &self.delay) {
-            None => TerEstimate::point(hist.ter(&self.delay, &corner.condition)),
-            Some(offsets) => {
-                let ters = self.per_pe_ters(hist, &corner.condition, &offsets);
-                mean_and_spread(&ters)
-            }
-        }
     }
 }
 
@@ -329,6 +319,17 @@ impl MonteCarloAnalysis {
             trials,
             seed,
         }
+    }
+
+    /// Stable display name of the engine (trial count and seed included).
+    pub fn name(&self) -> String {
+        format!("monte-carlo[trials={},seed={}]", self.trials, self.seed)
+    }
+
+    /// Estimates the TER of the recorded cycles at `corner`: the mean and
+    /// sample standard deviation of all `trials` samples.
+    pub fn estimate(&self, hist: &DepthHistogram, corner: &OperatingCorner) -> TerEstimate {
+        TerEstimate::from_trials(&self.trial_ters(hist, corner, 0..self.trials))
     }
 
     /// Per-trial TER samples for the *global* trial indices in `trials` (a
@@ -393,16 +394,6 @@ impl MonteCarloAnalysis {
 impl Default for MonteCarloAnalysis {
     fn default() -> Self {
         MonteCarloAnalysis::new(DelayModel::nangate15_like(), 32, 0)
-    }
-}
-
-impl TimingAnalysis for MonteCarloAnalysis {
-    fn name(&self) -> String {
-        format!("monte-carlo[trials={},seed={}]", self.trials, self.seed)
-    }
-
-    fn estimate(&self, hist: &DepthHistogram, corner: &OperatingCorner) -> TerEstimate {
-        TerEstimate::from_trials(&self.trial_ters(hist, corner, 0..self.trials))
     }
 }
 

@@ -16,11 +16,11 @@
 //!   probability depends only on that depth and the corner — the triggered
 //!   path delay against the clock period chosen by static timing analysis
 //!   — so one histogram yields the timing error rate (TER) at every corner.
-//! * [`analysis`] — the unified [`TimingAnalysis`] interface: analytic,
-//!   Monte-Carlo and per-PE-variation TER derivation from one triggered
-//!   -depth histogram, at an [`OperatingCorner`] (condition + silicon
-//!   [`Variation`]).  This is the seam the pipeline crate's `ErrorModel`
-//!   stage builds on.
+//! * [`analysis`] — the [`AnalyticAnalysis`] and [`MonteCarloAnalysis`]
+//!   engines: analytic, Monte-Carlo and per-PE-variation TER derivation
+//!   from one triggered-depth histogram, at an [`OperatingCorner`]
+//!   (condition + silicon [`Variation`]).  The pipeline crate's
+//!   `ErrorModel` stage builds on them.
 //! * [`ter`] — the paper's Eq. (1) conversion from MAC-level TER to
 //!   activation-level BER, and its inverse.
 //!
@@ -68,8 +68,7 @@ pub mod pvta;
 pub mod ter;
 
 pub use analysis::{
-    AnalyticAnalysis, MonteCarloAnalysis, OperatingCorner, PeOffsets, TerEstimate, TimingAnalysis,
-    Variation,
+    AnalyticAnalysis, MonteCarloAnalysis, OperatingCorner, PeOffsets, TerEstimate, Variation,
 };
 pub use delay::DelayModel;
 pub use dta::DepthHistogram;

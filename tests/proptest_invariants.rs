@@ -22,7 +22,7 @@ use read_core::{
 use read_pipeline::{SweepPlan, SweepReport};
 use timing::{
     ber_from_ter, ter_for_target_ber, DelayModel, DepthHistogram, MonteCarloAnalysis,
-    OperatingCondition, OperatingCorner, TerEstimate, TimingAnalysis,
+    OperatingCondition, OperatingCorner, TerEstimate,
 };
 
 /// Deterministic case generator: convenience draws over the shared shim RNG.

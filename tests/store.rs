@@ -79,7 +79,7 @@ fn disk_entry_format_matches_the_golden_fixture() {
         "source=baseline workload=conv1_1 rows=64 cols=64 pixels=1",
         "total=15 flips=4 counts=0:10,2:3,4:2",
     );
-    let path = store.entry_path("histogram", 0xFF);
+    let path = store.entry_path("histogram", 0xFF).unwrap();
     assert!(
         path.ends_with("histogram/00000000000000ff.entry"),
         "entry path layout is part of the contract: {}",
@@ -102,7 +102,7 @@ fn bumped_entry_version_reads_as_a_miss_not_an_error() {
     let store = DiskStore::new(&dir).unwrap();
     let check = "source=baseline workload=conv1_1 rows=64 cols=64 pixels=1";
     let payload = "total=15 flips=4 counts=0:10,2:3,4:2";
-    let path = store.entry_path("histogram", 0xFF);
+    let path = store.entry_path("histogram", 0xFF).unwrap();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     let bumped = include_str!("fixtures/artifact_entry.txt").replace("v1", "v9");
     std::fs::write(&path, bumped).unwrap();

@@ -247,6 +247,103 @@ fn wire_encoding_matches_the_golden_fixture() {
     }
 }
 
+// ---- plan signatures -----------------------------------------------------
+
+/// Stage part of every pinned signature: the paper array, the default
+/// dataflow and simulation options, the default error model and evaluator.
+const STAGES: &str = "array=16x4 dataflow=OutputStationary \
+    sim=SimOptions { max_pixels: None, seed: 12648430 } sources=baseline:f37ca99ea5888162";
+const STAGE_MODELS: &str = "error=delay-model:87824bee7f4df69b eval=top-3:58d8b3576f3f84c1";
+const VT5: &str = "OperatingCondition { name: \"VT-5%\", vt_fluctuation: 0.05, \
+    aging_years: 0.0, vt_delay_sensitivity: 2.0, aging_model: AgingModel { k: 0.04, n: 0.16 } }";
+
+/// A plan signature keys every memoized unit result in a persisted store,
+/// so a change that moves one turns those stores cold, and a change that
+/// should move one but does not serves stale results.  One small plan of
+/// each kind, byte for byte.
+#[test]
+fn plan_signatures_are_pinned() {
+    let workloads = tiny_workloads(2);
+    let conv1_1 = "workloads=conv1_1:314b8bf56f8934f0";
+
+    let ter = ReadPipeline::builder()
+        .source(Algorithm::Baseline)
+        .source(Algorithm::ClusterThenReorder(SortCriterion::SignFirst))
+        .condition(OperatingCondition::aging_vt(10.0, 0.05))
+        .build()
+        .unwrap();
+    let plan = ter.plan_ter("pin", &workloads[..1]).unwrap();
+    assert_eq!(
+        plan.signature(),
+        format!(
+            "{STAGES};cluster-then-reorder[sign_first]:b7656d64038c3c86 {STAGE_MODELS} \
+             {conv1_1} kind=ter"
+        )
+    );
+
+    let sweep = ReadPipeline::builder()
+        .source(Algorithm::Baseline)
+        .sweep(
+            SweepPlan::new()
+                .condition(OperatingCondition::vt(0.05))
+                .typical()
+                .die(5)
+                .monte_carlo(24, 11)
+                .trials_per_shard(8),
+        )
+        .build()
+        .unwrap();
+    let plan = sweep.plan_sweep("pin", &workloads[..1]).unwrap();
+    assert_eq!(
+        plan.signature(),
+        format!(
+            "{STAGES} {STAGE_MODELS} {conv1_1} kind=sweep \
+             grid=OperatingCorner {{ condition: {VT5}, variation: Typical }}|d3d66c52e527dfb2;\
+             OperatingCorner {{ condition: {VT5}, variation: PerPe {{ rows: 16, cols: 4, seed: 5 }} }}\
+             |55a1a540aeaaec2a"
+        )
+    );
+
+    let model = qnn::models::vgg11_cifar_scaled(8, 4, 3).unwrap();
+    let dataset = SyntheticDatasetBuilder::new(4, [3, 16, 16])
+        .samples_per_class(1)
+        .seed(11)
+        .build()
+        .unwrap();
+    let accuracy = ReadPipeline::builder()
+        .source(Algorithm::Baseline)
+        .condition(OperatingCondition::aging_vt(10.0, 0.05))
+        .build()
+        .unwrap();
+    let plan = accuracy
+        .plan_accuracy_for(&model, "pin", &dataset, &workloads, 2)
+        .unwrap();
+    assert_eq!(
+        plan.signature(),
+        format!(
+            "{STAGES} {STAGE_MODELS} {conv1_1};conv1_2:fc44a28bf4a409bc kind=acc \
+             model=a9ef1b1b71d23cb8 dataset=ab7cd6c9f6f2dc7b seeds=2 \
+             conds=OperatingCondition {{ name: \"Aging&VT-5%\", vt_fluctuation: 0.05, \
+             aging_years: 10.0, vt_delay_sensitivity: 2.0, \
+             aging_model: AgingModel {{ k: 0.04, n: 0.16 }} }}"
+        )
+    );
+
+    let dataflow = ReadPipeline::builder()
+        .source(Algorithm::Baseline)
+        .condition(OperatingCondition::ideal())
+        .build()
+        .unwrap();
+    let plan = dataflow.plan_dataflow("pin", &workloads[..1]).unwrap();
+    assert_eq!(
+        plan.signature(),
+        format!(
+            "{STAGES} {STAGE_MODELS} {conv1_1} kind=dflow prober=event-engine:db9026709df9390e \
+             dataflows=output-stationary;weight-stationary"
+        )
+    );
+}
+
 // ---- partition/permutation invariance (property test) --------------------
 
 /// Deterministic case generator over the workspace's seeded RNG shim.
