@@ -153,9 +153,18 @@ pub fn weights_fingerprint(weights: &Matrix<i8>) -> u64 {
     fnv1a(bytes)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`workload_fingerprint`] made on this thread, so tests can
+    /// count how often a code path hashes workload contents.
+    pub(crate) static WORKLOAD_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Fingerprint of a full workload: FNV-1a over the weight and activation
 /// matrices (dimensions + contents).
 pub fn workload_fingerprint(workload: &LayerWorkload) -> u64 {
+    #[cfg(test)]
+    WORKLOAD_HASHES.with(|calls| calls.set(calls.get() + 1));
     let dims = [
         workload.weights.rows() as u64,
         workload.weights.cols() as u64,
@@ -1024,6 +1033,42 @@ mod tests {
         let fresh = ScheduleCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
         fresh
             .get_or_compute(key(9), check("a"), || panic!("rewritten entry expected"))
+            .unwrap();
+    }
+
+    #[test]
+    fn out_of_range_histogram_payloads_recompute_and_rewrite() {
+        let store = Arc::new(MemoryStore::new());
+        let hkey = HistogramKey {
+            source: 1,
+            workload: 2,
+            context: 3,
+        };
+        let hcheck = HistogramCheck {
+            source: "a".into(),
+            workload: "conv1".into(),
+            rows: 8,
+            cols: 4,
+            pixels: 1,
+        };
+        // A depth that would size an 800 GB vector if decoded naively.
+        store.put(
+            HistogramArtifact::KIND,
+            HistogramArtifact::key_id(&hkey),
+            &HistogramArtifact::check_line(&hkey, &hcheck),
+            "total=1 flips=0 counts=100000000000:1",
+        );
+        let cache = HistogramCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
+        let computed = DepthHistogram::from_parts(&[3, 1], 1, 4).unwrap();
+        let value = cache
+            .get_or_compute(hkey, hcheck.clone(), || Ok(computed.clone()))
+            .unwrap();
+        assert_eq!(*value, computed);
+        assert_eq!(cache.counters().1, 1, "corrupt payload → fresh compute");
+        assert_eq!(store.stats().corrupt, 1);
+        let fresh = HistogramCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
+        fresh
+            .get_or_compute(hkey, hcheck, || panic!("rewritten entry expected"))
             .unwrap();
     }
 

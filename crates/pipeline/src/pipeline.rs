@@ -539,17 +539,20 @@ impl ReadPipeline {
     }
 
     /// The full cache key + verification check of `workload`'s histogram
-    /// under `source` — shared by [`ReadPipeline::layer_histogram`] and the
-    /// serve layer's content-addressed single-flight identity
+    /// under `source`, given the workload's content fingerprint
+    /// (`workload_fp`, its [`workload_fingerprint`]) — shared by the
+    /// histogram lookup ([`ReadPipeline::cached_histogram`]) and the serve
+    /// layer's content-addressed single-flight identity
     /// ([`ReadPipeline::histogram_check_line`]).
     fn histogram_key_check(
         &self,
         workload: &LayerWorkload,
+        workload_fp: u64,
         source: &dyn ScheduleSource,
     ) -> (HistogramKey, HistogramCheck) {
         let key = HistogramKey {
             source: source.fingerprint(),
-            workload: workload_fingerprint(workload),
+            workload: workload_fp,
             context: self.sim_context_fingerprint(),
         };
         let check = HistogramCheck {
@@ -571,10 +574,30 @@ impl ReadPipeline {
     pub(crate) fn histogram_check_line(
         &self,
         workload: &LayerWorkload,
+        workload_fp: u64,
         source: &dyn ScheduleSource,
     ) -> String {
-        let (key, check) = self.histogram_key_check(workload, source);
+        let (key, check) = self.histogram_key_check(workload, workload_fp, source);
         HistogramArtifact::check_line(&key, &check)
+    }
+
+    /// The one histogram lookup behind [`ReadPipeline::layer_histogram`]
+    /// and a [`WorkPlan`]'s units: memory, then store, then simulation.
+    /// `workload_fp` is `workload`'s [`workload_fingerprint`], which the
+    /// caller supplies so that a plan hashes each workload once, at
+    /// assembly, rather than once per unit.
+    pub(crate) fn cached_histogram(
+        &self,
+        workload: &LayerWorkload,
+        workload_fp: u64,
+        source: &dyn ScheduleSource,
+    ) -> Result<Arc<DepthHistogram>, PipelineError> {
+        let (key, check) = self.histogram_key_check(workload, workload_fp, source);
+        self.hist_cache.get_or_compute(key, check, || {
+            let mut hist = DepthHistogram::new();
+            self.observe_layer(workload, source, &mut hist)?;
+            Ok(hist)
+        })
     }
 
     /// Simulates `workload` under `source` and returns the triggered-depth
@@ -585,7 +608,9 @@ impl ReadPipeline {
     /// fingerprint, the workload contents and the simulation context — see
     /// [`HistogramCache`] — so a sweep simulates each (workload, source)
     /// pair once and every further corner, die or repeated run reuses it
-    /// ([`CacheStats::hist_hits`]).
+    /// ([`CacheStats::hist_hits`]).  Each call hashes the workload's
+    /// contents once to form the key; the units of a [`WorkPlan`] reuse the
+    /// fingerprint the plan computed at assembly instead.
     ///
     /// # Errors
     ///
@@ -595,12 +620,7 @@ impl ReadPipeline {
         workload: &LayerWorkload,
         source: &dyn ScheduleSource,
     ) -> Result<DepthHistogram, PipelineError> {
-        let (key, check) = self.histogram_key_check(workload, source);
-        let hist = self.hist_cache.get_or_compute(key, check, || {
-            let mut hist = DepthHistogram::new();
-            self.observe_layer(workload, source, &mut hist)?;
-            Ok(hist)
-        })?;
+        let hist = self.cached_histogram(workload, workload_fingerprint(workload), source)?;
         Ok((*hist).clone())
     }
 

@@ -380,25 +380,22 @@ pub(crate) enum PlanKind<'a> {
 /// results for identical unit ids — which is exactly the contract the
 /// memoized unit-result cache ([`crate::cache::UnitCache`]) keys on.  The
 /// network label is deliberately excluded: it names reports, it never
-/// changes a unit's result.
+/// changes a unit's result.  `workload_fps[i]` is the
+/// [`workload_fingerprint`] of `workloads[i]`.
 fn plan_signature(
     pipeline: &ReadPipeline,
     workloads: &[LayerWorkload],
+    workload_fps: &[u64],
     kind: &PlanKind<'_>,
 ) -> String {
     use std::fmt::Write as _;
     let mut sig = pipeline.stage_signature();
     sig.push_str(" workloads=");
-    for (i, workload) in workloads.iter().enumerate() {
+    for (i, (workload, fp)) in workloads.iter().zip(workload_fps).enumerate() {
         if i > 0 {
             sig.push(';');
         }
-        let _ = write!(
-            sig,
-            "{}:{:016x}",
-            escape_wire(&workload.name),
-            workload_fingerprint(workload)
-        );
+        let _ = write!(sig, "{}:{fp:016x}", escape_wire(&workload.name));
     }
     match kind {
         PlanKind::Ter => sig.push_str(" kind=ter"),
@@ -470,6 +467,11 @@ fn plan_signature(
 pub struct WorkPlan<'a> {
     pub(crate) pipeline: &'a ReadPipeline,
     pub(crate) workloads: &'a [LayerWorkload],
+    /// [`workload_fingerprint`] of each workload, hashed once at assembly:
+    /// the plan borrows the workloads immutably for its whole life, so
+    /// the signature, every unit's histogram lookup and every flight key
+    /// reuse these instead of rehashing megabytes of layer bytes per unit.
+    workload_fps: Vec<u64>,
     network: String,
     kind: PlanKind<'a>,
     units: Vec<WorkUnit>,
@@ -499,11 +501,13 @@ impl<'a> WorkPlan<'a> {
             .enumerate()
             .map(|(index, unit)| (unit.clone(), index))
             .collect();
-        let signature: Arc<str> = plan_signature(pipeline, workloads, &kind).into();
+        let workload_fps: Vec<u64> = workloads.iter().map(workload_fingerprint).collect();
+        let signature: Arc<str> = plan_signature(pipeline, workloads, &workload_fps, &kind).into();
         let signature_hash = fnv1a(signature.bytes());
         WorkPlan {
             pipeline,
             workloads,
+            workload_fps,
             network: network.to_string(),
             kind,
             units,
@@ -706,8 +710,22 @@ impl<'a> WorkPlan<'a> {
         &self.workloads[pair / self.pipeline.sources().len()]
     }
 
+    fn workload_fp_of(&self, pair: usize) -> u64 {
+        self.workload_fps[pair / self.pipeline.sources().len()]
+    }
+
     fn source_of(&self, pair: usize) -> &dyn crate::stage::ScheduleSource {
         self.pipeline.sources()[pair % self.pipeline.sources().len()].as_ref()
+    }
+
+    /// The histogram of `pair`, looked up under the workload fingerprint
+    /// the plan computed at assembly.
+    fn pair_histogram(&self, pair: usize) -> Result<Arc<DepthHistogram>, PipelineError> {
+        self.pipeline.cached_histogram(
+            self.workload_of(pair),
+            self.workload_fp_of(pair),
+            self.source_of(pair),
+        )
     }
 
     /// Executes the unit at `index` and returns its self-identifying result.
@@ -748,8 +766,11 @@ impl<'a> WorkPlan<'a> {
         match unit {
             WorkUnit::Histogram { pair, .. } => format!(
                 "hist {}",
-                self.pipeline
-                    .histogram_check_line(self.workload_of(*pair), self.source_of(*pair))
+                self.pipeline.histogram_check_line(
+                    self.workload_of(*pair),
+                    self.workload_fp_of(*pair),
+                    self.source_of(*pair)
+                )
             ),
             _ => format!("unit {} {}", self.signature(), unit.encode()),
         }
@@ -841,16 +862,11 @@ impl<'a> WorkPlan<'a> {
     /// path).
     fn compute_unit(&self, unit: &WorkUnit) -> Result<UnitResult, PipelineError> {
         match unit {
-            WorkUnit::Histogram { cell, pair } => {
-                let hist = self
-                    .pipeline
-                    .layer_histogram(self.workload_of(*pair), self.source_of(*pair))?;
-                Ok(UnitResult::Histogram {
-                    cell: *cell,
-                    pair: *pair,
-                    hist,
-                })
-            }
+            WorkUnit::Histogram { cell, pair } => Ok(UnitResult::Histogram {
+                cell: *cell,
+                pair: *pair,
+                hist: (*self.pair_histogram(*pair)?).clone(),
+            }),
             WorkUnit::McShard { cell, trial_range } => {
                 let PlanKind::Sweep { corners, models } = &self.kind else {
                     return Err(PipelineError::exec("mc unit outside a sweep plan"));
@@ -861,9 +877,7 @@ impl<'a> WorkPlan<'a> {
                     .ok_or_else(|| PipelineError::exec("mc unit on a non-sampling cell"))?;
                 let ters = (0..self.pairs())
                     .map(|pair| {
-                        let hist = self
-                            .pipeline
-                            .layer_histogram(self.workload_of(pair), self.source_of(pair))?;
+                        let hist = self.pair_histogram(pair)?;
                         Ok(mc_model.trial_ters(&hist, condition, trial_range.clone()))
                     })
                     .collect::<Result<Vec<_>, PipelineError>>()?;
@@ -893,8 +907,8 @@ impl<'a> WorkPlan<'a> {
                 let mut bers = vec![0.0f64; conv_names.len()];
                 let mut ber_sum = 0.0;
                 let mut ber_count = 0usize;
-                for workload in self.workloads.iter() {
-                    let hist = self.pipeline.layer_histogram(workload, source.as_ref())?;
+                for (wi, workload) in self.workloads.iter().enumerate() {
+                    let hist = self.pair_histogram(wi * sources.len() + si)?;
                     let ter = error_model.ter(&hist, condition);
                     let ber = error_model.ber(ter, workload.macs_per_output());
                     ber_sum += ber;
@@ -1732,8 +1746,17 @@ mod tests {
             "hist cell=0 pair=2 total=15 flips=4 counts=0:10,2:3,4:2"
         );
         assert_eq!(UnitResult::decode(&encoded).unwrap(), result);
-        // Inconsistent counts are rejected, not silently accepted.
-        assert!(UnitResult::decode("hist cell=0 pair=2 total=2 flips=0 counts=0:10").is_err());
+        // Inconsistent counts and out-of-range or repeated depths are
+        // rejected, not silently accepted.
+        for body in [
+            "total=2 flips=0 counts=0:10",
+            "total=1 flips=0 counts=18446744073709551615:1",
+            "total=1 flips=0 counts=100000000000:1",
+            "total=1 flips=0 counts=3:5,3:1",
+        ] {
+            let line = format!("hist cell=0 pair=2 {body}");
+            assert!(UnitResult::decode(&line).is_err(), "{line:?}");
+        }
     }
 
     #[test]
@@ -1908,6 +1931,83 @@ mod tests {
         // simulation-input error.
         let err = plan.run_unit(3).unwrap_err();
         assert!(matches!(err, PipelineError::Sim(_)), "{err}");
+    }
+
+    #[test]
+    fn a_plan_hashes_each_workload_once_and_keeps_its_keys() {
+        use crate::cache::WORKLOAD_HASHES;
+        use crate::stage::Algorithm;
+        use crate::workload::{vgg16_workloads_prefix, WorkloadConfig};
+        use timing::OperatingCondition;
+
+        let hashes = || WORKLOAD_HASHES.with(|calls| calls.get());
+        let config = WorkloadConfig {
+            pixels_per_layer: 1,
+            ..WorkloadConfig::default()
+        };
+        let workloads = vgg16_workloads_prefix(&config, 2);
+        let model = qnn::models::vgg11_cifar_scaled(8, 4, 3).unwrap();
+        let dataset = qnn::SyntheticDatasetBuilder::new(4, [3, 16, 16])
+            .samples_per_class(1)
+            .seed(11)
+            .build()
+            .unwrap();
+        let pipeline = ReadPipeline::builder()
+            .baseline()
+            .source(Algorithm::ClusterThenReorder(
+                read_core::SortCriterion::SignFirst,
+            ))
+            .condition(OperatingCondition::aging_vt(10.0, 0.05))
+            .sweep(
+                SweepPlan::new()
+                    .condition(OperatingCondition::vt(0.05))
+                    .typical()
+                    .monte_carlo(16, 3)
+                    .trials_per_shard(8),
+            )
+            .build()
+            .unwrap();
+
+        let before = hashes();
+        let sweep = pipeline.plan_sweep("hash-once", &workloads).unwrap();
+        let accuracy = pipeline
+            .plan_accuracy_for(&model, "hash-once", &dataset, &workloads, 1)
+            .unwrap();
+        let assembled = hashes();
+        assert_eq!(assembled - before, 4, "two plans, two workloads each");
+        let shards = sweep
+            .units()
+            .iter()
+            .filter(|unit| matches!(unit, WorkUnit::McShard { .. }))
+            .count();
+        assert_eq!(shards, 2);
+        for plan in [&sweep, &accuracy] {
+            for index in 0..plan.len() {
+                plan.run_unit(index).unwrap();
+            }
+        }
+        assert_eq!(
+            hashes(),
+            assembled,
+            "units must reuse the plan's workload fingerprints"
+        );
+
+        // Histogram flight keys are the store check lines a direct hash
+        // builds, and the public lookup finds the histograms the plan's
+        // units cached, hashing once per call.
+        let misses = pipeline.cache_stats().hist_misses;
+        for pair in 0..sweep.pairs() {
+            let (workload, source) = (sweep.workload_of(pair), sweep.source_of(pair));
+            let expected =
+                pipeline.histogram_check_line(workload, workload_fingerprint(workload), source);
+            assert_eq!(
+                sweep.flight_key(&WorkUnit::Histogram { cell: 0, pair }),
+                format!("hist {expected}")
+            );
+            pipeline.layer_histogram(workload, source).unwrap();
+        }
+        assert_eq!(pipeline.cache_stats().hist_misses, misses);
+        assert_eq!(hashes(), assembled + 2 * sweep.pairs() as u64);
     }
 
     // ---- UnitLedger -------------------------------------------------------

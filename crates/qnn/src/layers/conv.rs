@@ -237,7 +237,8 @@ impl Conv2d {
 
     /// Runs the convolution with an accumulator hook invoked on every
     /// pre-activation accumulator value (the fault-injection point used by
-    /// the paper's error-injection protocol).
+    /// the paper's error-injection protocol).  The hook sees the
+    /// accumulators in `(k, oy, ox)` order, once each.
     ///
     /// # Errors
     ///
@@ -249,51 +250,14 @@ impl Conv2d {
         relu: bool,
         hook: AccumulatorHook<'_>,
     ) -> Result<Tensor<i8>, QnnError> {
-        if input.channels() != self.in_channels {
-            return Err(QnnError::shape(format!(
-                "layer {} expects {} input channels, got {}",
-                self.name,
-                self.in_channels,
-                input.channels()
-            )));
-        }
-        let (out_h, out_w) = self.output_hw(input.height(), input.width())?;
-        let mut output = Tensor::<i8>::zeros([self.out_channels, out_h, out_w]);
-        let k_area = self.kernel * self.kernel;
-        let per_out_channel = self.in_channels * k_area;
-
-        for k in 0..self.out_channels {
-            let w_base = k * per_out_channel;
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    let mut acc = self.bias[k];
-                    for c in 0..self.in_channels {
-                        for dy in 0..self.kernel {
-                            let iy = (oy * self.stride + dy) as isize - self.padding as isize;
-                            if iy < 0 || iy >= input.height() as isize {
-                                continue;
-                            }
-                            for dx in 0..self.kernel {
-                                let ix = (ox * self.stride + dx) as isize - self.padding as isize;
-                                if ix < 0 || ix >= input.width() as isize {
-                                    continue;
-                                }
-                                let w = self.weights[w_base + c * k_area + dy * self.kernel + dx];
-                                let a = input.get(c, iy as usize, ix as usize);
-                                acc += i32::from(w) * i32::from(a);
-                            }
-                        }
-                    }
-                    let acc = hook(acc);
-                    let mut v = requantize(acc, self.out_scale);
-                    if relu {
-                        v = v.max(0);
-                    }
-                    output.set(k, oy, ox, v);
-                }
+        self.accumulate(input, |acc| {
+            let v = requantize(hook(acc), self.out_scale);
+            if relu {
+                v.max(0)
+            } else {
+                v
             }
-        }
-        Ok(output)
+        })
     }
 
     /// Runs the convolution and returns the raw accumulator tensor (no
@@ -304,6 +268,25 @@ impl Conv2d {
     /// Returns [`QnnError::ShapeMismatch`] if the input channel count does
     /// not match the layer.
     pub fn forward_accumulators(&self, input: &Tensor<i8>) -> Result<Tensor<i32>, QnnError> {
+        self.accumulate(input, |acc| acc)
+    }
+
+    /// The convolution as im2col dot products, mapping every accumulator
+    /// through `map` into the output tensor.
+    ///
+    /// The input is lowered once into `out_h·out_w` rows of `C·F·F` taps in
+    /// `c, dy, dx` order — the KCHW weight-row order — with padding taps
+    /// left 0.  Output `(k, oy, ox)` is then `bias[k]` plus one contiguous
+    /// i8·i8→i32 dot product of weight row `k` with row `oy·out_w + ox`.
+    /// `map` is called once per output in `(k, oy, ox)` order, the tensor's
+    /// own layout, so a fault hook draws its RNG stream in the same order
+    /// as a direct loop.  Accumulators are exact integer sums, so the
+    /// summation order changes no bit.
+    fn accumulate<T: Copy + Default>(
+        &self,
+        input: &Tensor<i8>,
+        mut map: impl FnMut(i32) -> T,
+    ) -> Result<Tensor<T>, QnnError> {
         if input.channels() != self.in_channels {
             return Err(QnnError::shape(format!(
                 "layer {} expects {} input channels, got {}",
@@ -313,42 +296,51 @@ impl Conv2d {
             )));
         }
         let (out_h, out_w) = self.output_hw(input.height(), input.width())?;
-        let mut output = Tensor::<i32>::zeros([self.out_channels, out_h, out_w]);
-        let k_area = self.kernel * self.kernel;
-        let per_out_channel = self.in_channels * k_area;
-        for k in 0..self.out_channels {
-            let w_base = k * per_out_channel;
-            for oy in 0..out_h {
-                for ox in 0..out_w {
-                    let mut acc = self.bias[k];
-                    for c in 0..self.in_channels {
-                        for dy in 0..self.kernel {
-                            let iy = (oy * self.stride + dy) as isize - self.padding as isize;
-                            if iy < 0 || iy >= input.height() as isize {
-                                continue;
-                            }
-                            for dx in 0..self.kernel {
-                                let ix = (ox * self.stride + dx) as isize - self.padding as isize;
-                                if ix < 0 || ix >= input.width() as isize {
-                                    continue;
-                                }
-                                let w = self.weights[w_base + c * k_area + dy * self.kernel + dx];
-                                let a = input.get(c, iy as usize, ix as usize);
-                                acc += i32::from(w) * i32::from(a);
-                            }
+        let (in_h, in_w) = (input.height(), input.width());
+        let f = self.kernel;
+        let taps = self.macs_per_output();
+        let mut rows = vec![0i8; out_h * out_w * taps];
+        for (p, row) in rows.chunks_exact_mut(taps).enumerate() {
+            let (oy, ox) = (p / out_w, p % out_w);
+            for c in 0..self.in_channels {
+                for dy in 0..f {
+                    let Some(iy) = (oy * self.stride + dy)
+                        .checked_sub(self.padding)
+                        .filter(|&iy| iy < in_h)
+                    else {
+                        continue;
+                    };
+                    for dx in 0..f {
+                        if let Some(ix) = (ox * self.stride + dx)
+                            .checked_sub(self.padding)
+                            .filter(|&ix| ix < in_w)
+                        {
+                            row[(c * f + dy) * f + dx] = input.get(c, iy, ix);
                         }
                     }
-                    output.set(k, oy, ox, acc);
                 }
             }
         }
-        Ok(output)
+        let mut out = Vec::with_capacity(self.out_channels * out_h * out_w);
+        for (weights, &bias) in self.weights.chunks_exact(taps).zip(&self.bias) {
+            for row in rows.chunks_exact(taps) {
+                let dot: i32 = weights
+                    .iter()
+                    .zip(row)
+                    .map(|(&w, &a)| i32::from(w) * i32::from(a))
+                    .sum();
+                out.push(map(bias + dot));
+            }
+        }
+        Tensor::from_vec([self.out_channels, out_h, out_w], out)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small_conv() -> Conv2d {
         Conv2d::new("c", 2, 3, 3, 1, 1, |k, c, dy, dx| {
@@ -477,5 +469,136 @@ mod tests {
         assert!(conv.set_out_scale(f32::INFINITY).is_err());
         assert!(conv.set_out_scale(0.25).is_ok());
         assert_eq!(conv.out_scale(), 0.25);
+    }
+
+    /// The direct convolution loop, the reference the im2col path
+    /// ([`Conv2d::accumulate`]) is tested against: `map` sees each
+    /// accumulator in `(k, oy, ox)` order.
+    fn naive_accumulate<T: Copy + Default>(
+        conv: &Conv2d,
+        input: &Tensor<i8>,
+        mut map: impl FnMut(i32) -> T,
+    ) -> Tensor<T> {
+        let (out_h, out_w) = conv.output_hw(input.height(), input.width()).unwrap();
+        let mut output = Tensor::<T>::zeros([conv.out_channels, out_h, out_w]);
+        let k_area = conv.kernel * conv.kernel;
+        let per_out_channel = conv.in_channels * k_area;
+        for k in 0..conv.out_channels {
+            let w_base = k * per_out_channel;
+            for oy in 0..out_h {
+                for ox in 0..out_w {
+                    let mut acc = conv.bias[k];
+                    for c in 0..conv.in_channels {
+                        for dy in 0..conv.kernel {
+                            let iy = (oy * conv.stride + dy) as isize - conv.padding as isize;
+                            if iy < 0 || iy >= input.height() as isize {
+                                continue;
+                            }
+                            for dx in 0..conv.kernel {
+                                let ix = (ox * conv.stride + dx) as isize - conv.padding as isize;
+                                if ix < 0 || ix >= input.width() as isize {
+                                    continue;
+                                }
+                                let w = conv.weights[w_base + c * k_area + dy * conv.kernel + dx];
+                                let a = input.get(c, iy as usize, ix as usize);
+                                acc += i32::from(w) * i32::from(a);
+                            }
+                        }
+                    }
+                    output.set(k, oy, ox, map(acc));
+                }
+            }
+        }
+        output
+    }
+
+    /// Seeded layers and inputs over every combination of stride 1 and 2,
+    /// padding 0 and 1, kernel 1 and 3 and 1 and 3 input channels, on odd
+    /// and non-square spatial sizes.  Weights and activations span the
+    /// full i8 range and biases are large, so accumulators exercise wide
+    /// sums.
+    fn im2col_cases() -> Vec<(Conv2d, Tensor<i8>)> {
+        let mut rng = StdRng::seed_from_u64(0x12c0);
+        let mut cases = Vec::new();
+        for stride in [1, 2] {
+            for padding in [0, 1] {
+                for kernel in [1, 3] {
+                    for channels in [1, 3] {
+                        for (h, w) in [(5, 7), (7, 4)] {
+                            let mut conv = Conv2d::new(
+                                "case",
+                                channels,
+                                4,
+                                kernel,
+                                stride,
+                                padding,
+                                |_, _, _, _| rng.gen_range(-128i32..128) as i8,
+                            )
+                            .unwrap();
+                            conv.set_bias((0..4).map(|_| rng.gen_range(-5000i32..5000)).collect())
+                                .unwrap();
+                            conv.set_out_scale(1.0 / 32.0).unwrap();
+                            let input = Tensor::from_fn([channels, h, w], |_, _, _| {
+                                rng.gen_range(-128i32..128) as i8
+                            });
+                            cases.push((conv, input));
+                        }
+                    }
+                }
+            }
+        }
+        cases
+    }
+
+    /// A fault hook that logs every accumulator it sees and corrupts every
+    /// fifth one, as a fault session would.
+    fn logging_hook(log: &mut Vec<i32>) -> impl FnMut(i32) -> i32 + '_ {
+        move |acc| {
+            log.push(acc);
+            if log.len().is_multiple_of(5) {
+                acc ^ (1 << 12)
+            } else {
+                acc
+            }
+        }
+    }
+
+    #[test]
+    fn im2col_matches_the_naive_loop_hook_call_for_hook_call() {
+        for (conv, input) in im2col_cases() {
+            let case = format!(
+                "stride {} padding {} kernel {} channels {} input {:?}",
+                conv.stride,
+                conv.padding,
+                conv.kernel,
+                conv.in_channels,
+                input.shape()
+            );
+            assert_eq!(
+                conv.forward_accumulators(&input).unwrap(),
+                naive_accumulate(&conv, &input, |acc| acc),
+                "{case}"
+            );
+            for relu in [false, true] {
+                let mut log = Vec::new();
+                let out = conv
+                    .forward_with(&input, relu, &mut logging_hook(&mut log))
+                    .unwrap();
+                let mut reference_log = Vec::new();
+                let reference = {
+                    let mut hook = logging_hook(&mut reference_log);
+                    naive_accumulate(&conv, &input, |acc| {
+                        let mut v = requantize(hook(acc), conv.out_scale);
+                        if relu {
+                            v = v.max(0);
+                        }
+                        v
+                    })
+                };
+                assert_eq!(out, reference, "{case} relu {relu}");
+                assert_eq!(log.len(), out.len(), "{case}: one hook call per output");
+                assert_eq!(log, reference_log, "{case} relu {relu}");
+            }
+        }
     }
 }

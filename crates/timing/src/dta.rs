@@ -114,8 +114,10 @@ impl DepthHistogram {
     }
 
     /// Decodes a [`DepthHistogram::to_wire`] line.  Returns `None` on any
-    /// malformed input, including inconsistent totals and out-of-range
-    /// depths (the same checks as [`DepthHistogram::from_parts`]).
+    /// malformed input, including inconsistent totals (the same checks as
+    /// [`DepthHistogram::from_parts`]), depths beyond
+    /// [`crate::delay::MAX_DEPTH`], and depths that do not strictly ascend
+    /// (`to_wire` writes each depth once, in ascending order).
     pub fn from_wire(line: &str) -> Option<DepthHistogram> {
         let mut tokens = line.split_whitespace();
         let total: u64 = tokens.next()?.strip_prefix("total=")?.parse().ok()?;
@@ -132,9 +134,13 @@ impl DepthHistogram {
                 let (depth, count) = entry.split_once(':')?;
                 let depth: usize = depth.parse().ok()?;
                 let count: u64 = count.parse().ok()?;
-                if depth >= dense.len() {
-                    dense.resize(depth + 1, 0);
+                // Checked before the depth sizes the vector: a corrupt
+                // store entry or worker reply must decode to `None`, never
+                // panic on `depth + 1` or abort on a huge allocation.
+                if depth > crate::delay::MAX_DEPTH as usize || depth < dense.len() {
+                    return None;
                 }
+                dense.resize(depth + 1, 0);
                 dense[depth] = count;
             }
         }
@@ -459,6 +465,10 @@ mod tests {
         let empty = DepthHistogram::new();
         assert_eq!(empty.to_wire(), "total=0 flips=0 counts=");
         assert_eq!(DepthHistogram::from_wire(&empty.to_wire()), Some(empty));
+        // The top bucket is in range.
+        let mut top = DepthHistogram::new();
+        top.record_depth(crate::delay::MAX_DEPTH, false);
+        assert_eq!(DepthHistogram::from_wire(&top.to_wire()), Some(top));
     }
 
     #[test]
@@ -472,6 +482,13 @@ mod tests {
             "total=1 flips=0 counts=0:1 extra=1", // trailing token
             "total=1 flips=0 counts=99999:1",     // depth out of range
             "flips=0 total=1 counts=",            // wrong field order
+            // `depth + 1` would wrap to 0.
+            "total=1 flips=0 counts=18446744073709551615:1",
+            // Sizing the dense counts by this depth would need 800 GB.
+            "total=1 flips=0 counts=100000000000:1",
+            // A repeated or descending depth would overwrite a count.
+            "total=1 flips=0 counts=3:5,3:1",
+            "total=2 flips=0 counts=3:1,2:1",
         ] {
             assert!(
                 DepthHistogram::from_wire(bad).is_none(),
