@@ -1,9 +1,6 @@
 //! The GEMM problem a layer lowers to, and its execution on the PE array
 //! under a chosen dataflow and compute schedule.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-
 use crate::array::ArrayConfig;
 use crate::dataflow::Dataflow;
 use crate::error::SimError;
@@ -12,53 +9,11 @@ use crate::matrix::Matrix;
 use crate::schedule::ComputeSchedule;
 use crate::trace::{CycleContext, CycleObserver};
 
-/// Controls how much of a layer is simulated.
-///
-/// Timing-error rates are *rates*, so for large layers the simulator can
-/// Monte-Carlo sample a subset of output pixels instead of simulating every
-/// MAC in the layer.  Sampling is deterministic for a given seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SimOptions {
-    /// Maximum number of output pixels (columns of the activation matrix) to
-    /// simulate.  `None` simulates all of them.
-    pub max_pixels: Option<usize>,
-    /// Seed for the pixel-sampling RNG.
-    pub seed: u64,
-}
-
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            max_pixels: None,
-            seed: 0xC0FFEE,
-        }
-    }
-}
-
-impl SimOptions {
-    /// Simulate every output pixel.
-    pub fn exhaustive() -> Self {
-        Self::default()
-    }
-
-    /// Simulate at most `max_pixels` output pixels, sampled uniformly with
-    /// the given seed.
-    pub fn sampled(max_pixels: usize, seed: u64) -> Self {
-        SimOptions {
-            max_pixels: Some(max_pixels),
-            seed,
-        }
-    }
-}
-
 /// Result of executing a GEMM on the array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimResult {
-    /// Output matrix (`K x M`).  Only the simulated pixels are filled in;
-    /// un-simulated pixels (when sampling) are zero.
+    /// Output matrix (`K x M`).
     pub outputs: Matrix<i32>,
-    /// Indices of the output pixels that were simulated.
-    pub simulated_pixels: Vec<usize>,
     /// Total number of MAC cycles issued.
     pub total_cycles: u64,
 }
@@ -71,19 +26,15 @@ pub struct SimResult {
 /// # Example
 ///
 /// ```
-/// use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, SignFlipStats, SimOptions};
+/// use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, SignFlipStats};
 ///
 /// # fn main() -> Result<(), accel_sim::SimError> {
 /// let w = Matrix::from_fn(6, 2, |r, c| (r as i8) - 3 + c as i8);
 /// let a = Matrix::from_fn(6, 5, |r, c| ((r + c) % 3) as i8);
 /// let problem = GemmProblem::new(w, a)?;
 /// let mut stats = SignFlipStats::new();
-/// let result = problem.simulate(
-///     &ArrayConfig::new(4, 2),
-///     Dataflow::OutputStationary,
-///     &SimOptions::exhaustive(),
-///     &mut stats,
-/// )?;
+/// let array = ArrayConfig::new(4, 2);
+/// let result = problem.simulate(&array, Dataflow::OutputStationary, &mut stats)?;
 /// assert_eq!(result.outputs, problem.reference_output()?);
 /// # Ok(())
 /// # }
@@ -175,17 +126,16 @@ impl GemmProblem {
         &self,
         array: &ArrayConfig,
         dataflow: Dataflow,
-        options: &SimOptions,
         observer: &mut O,
     ) -> Result<SimResult, SimError> {
         let schedule =
             ComputeSchedule::baseline(self.reduction_len(), self.num_channels(), array.cols());
-        self.simulate_with_schedule(array, dataflow, &schedule, options, observer)
+        self.simulate_with_schedule(array, dataflow, &schedule, observer)
     }
 
     /// Executes the GEMM under an explicit compute schedule (e.g. one
-    /// produced by the READ optimizer), streaming every MAC cycle to the
-    /// observer.
+    /// produced by the READ optimizer) over every output pixel, streaming
+    /// every MAC cycle to the observer.
     ///
     /// The functional result is independent of the schedule; only the cycle
     /// statistics change.
@@ -199,11 +149,9 @@ impl GemmProblem {
         array: &ArrayConfig,
         dataflow: Dataflow,
         schedule: &ComputeSchedule,
-        options: &SimOptions,
         observer: &mut O,
     ) -> Result<SimResult, SimError> {
         schedule.validate(self.reduction_len(), self.num_channels())?;
-        let pixels = self.select_pixels(options);
         let mut outputs = Matrix::zeros(self.num_channels(), self.num_pixels());
         let mut total_cycles = 0u64;
 
@@ -221,7 +169,6 @@ impl GemmProblem {
                     &self.weights,
                     &self.activations,
                     schedule,
-                    &pixels,
                     sink,
                     &mut outputs,
                     &mut total_cycles,
@@ -233,26 +180,18 @@ impl GemmProblem {
         if packed {
             return Ok(SimResult {
                 outputs,
-                simulated_pixels: pixels,
                 total_cycles,
             });
         }
 
         match dataflow {
             Dataflow::OutputStationary => {
-                self.run_output_stationary(
-                    schedule,
-                    &pixels,
-                    observer,
-                    &mut outputs,
-                    &mut total_cycles,
-                );
+                self.run_output_stationary(schedule, observer, &mut outputs, &mut total_cycles);
             }
             Dataflow::WeightStationary => {
                 self.run_weight_stationary(
                     array,
                     schedule,
-                    &pixels,
                     observer,
                     &mut outputs,
                     &mut total_cycles,
@@ -262,41 +201,19 @@ impl GemmProblem {
 
         Ok(SimResult {
             outputs,
-            simulated_pixels: pixels,
             total_cycles,
         })
-    }
-
-    /// The output pixels a simulation under `options` covers, in ascending
-    /// order — all of them, or a deterministic seeded sample.  Exposed so
-    /// alternative execution engines (e.g. the event-driven dataflow
-    /// simulator) cover exactly the pixel set
-    /// [`GemmProblem::simulate_with_schedule`] would.
-    pub fn select_pixels(&self, options: &SimOptions) -> Vec<usize> {
-        let m = self.num_pixels();
-        match options.max_pixels {
-            Some(max) if max < m => {
-                let mut rng = rand::rngs::StdRng::seed_from_u64(options.seed);
-                let mut all: Vec<usize> = (0..m).collect();
-                all.shuffle(&mut rng);
-                let mut chosen: Vec<usize> = all.into_iter().take(max).collect();
-                chosen.sort_unstable();
-                chosen
-            }
-            _ => (0..m).collect(),
-        }
     }
 
     fn run_output_stationary<O: CycleObserver + ?Sized>(
         &self,
         schedule: &ComputeSchedule,
-        pixels: &[usize],
         observer: &mut O,
         outputs: &mut Matrix<i32>,
         total_cycles: &mut u64,
     ) {
         for (gi, group) in schedule.groups().iter().enumerate() {
-            for &pixel in pixels {
+            for pixel in 0..self.num_pixels() {
                 for &channel in &group.columns {
                     let mut mac = MacUnit::new();
                     let mut ctx = CycleContext {
@@ -325,7 +242,6 @@ impl GemmProblem {
         &self,
         array: &ArrayConfig,
         schedule: &ComputeSchedule,
-        pixels: &[usize],
         observer: &mut O,
         outputs: &mut Matrix<i32>,
         total_cycles: &mut u64,
@@ -338,7 +254,7 @@ impl GemmProblem {
         for (gi, group) in schedule.groups().iter().enumerate() {
             let mut psums: Vec<Vec<i32>> = vec![vec![0i32; self.num_pixels()]; group.columns.len()];
             for (tile_no, tile) in group.row_order.chunks(array.rows()).enumerate() {
-                for &pixel in pixels {
+                for pixel in 0..self.num_pixels() {
                     for (ci, &channel) in group.columns.iter().enumerate() {
                         let mut mac = MacUnit::new();
                         mac.load(psums[ci][pixel]);
@@ -400,7 +316,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::new(4, 2),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut obs,
             )
             .unwrap();
@@ -416,7 +331,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::new(4, 2),
                 Dataflow::WeightStationary,
-                &SimOptions::exhaustive(),
                 &mut obs,
             )
             .unwrap();
@@ -444,7 +358,6 @@ mod tests {
                 &ArrayConfig::new(4, 2),
                 Dataflow::OutputStationary,
                 &schedule,
-                &SimOptions::exhaustive(),
                 &mut obs,
             )
             .unwrap();
@@ -461,58 +374,9 @@ mod tests {
                 &ArrayConfig::new(4, 2),
                 Dataflow::OutputStationary,
                 &schedule,
-                &SimOptions::exhaustive(),
                 &mut obs,
             )
             .is_err());
-    }
-
-    #[test]
-    fn sampling_reduces_simulated_pixels() {
-        let p = test_problem(8, 2, 50);
-        let mut obs = SignFlipStats::new();
-        let res = p
-            .simulate(
-                &ArrayConfig::new(4, 2),
-                Dataflow::OutputStationary,
-                &SimOptions::sampled(10, 7),
-                &mut obs,
-            )
-            .unwrap();
-        assert_eq!(res.simulated_pixels.len(), 10);
-        assert_eq!(obs.total_macs, 8 * 2 * 10);
-        // Sampled pixels must match the reference at the simulated positions.
-        let reference = p.reference_output().unwrap();
-        for &m in &res.simulated_pixels {
-            for k in 0..p.num_channels() {
-                assert_eq!(res.outputs[(k, m)], reference[(k, m)]);
-            }
-        }
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let p = test_problem(8, 2, 40);
-        let opts = SimOptions::sampled(5, 99);
-        let mut o1 = NullObserver;
-        let mut o2 = NullObserver;
-        let r1 = p
-            .simulate(
-                &ArrayConfig::new(4, 2),
-                Dataflow::OutputStationary,
-                &opts,
-                &mut o1,
-            )
-            .unwrap();
-        let r2 = p
-            .simulate(
-                &ArrayConfig::new(4, 2),
-                Dataflow::OutputStationary,
-                &opts,
-                &mut o2,
-            )
-            .unwrap();
-        assert_eq!(r1.simulated_pixels, r2.simulated_pixels);
     }
 
     #[test]
@@ -522,7 +386,6 @@ mod tests {
         p.simulate(
             &ArrayConfig::new(2, 2),
             Dataflow::OutputStationary,
-            &SimOptions::exhaustive(),
             &mut stats,
         )
         .unwrap();
@@ -536,20 +399,10 @@ mod tests {
         let mut ws_stats = SignFlipStats::new();
         let array = ArrayConfig::new(8, 2);
         let os = p
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut os_stats,
-            )
+            .simulate(&array, Dataflow::OutputStationary, &mut os_stats)
             .unwrap();
         let ws = p
-            .simulate(
-                &array,
-                Dataflow::WeightStationary,
-                &SimOptions::exhaustive(),
-                &mut ws_stats,
-            )
+            .simulate(&array, Dataflow::WeightStationary, &mut ws_stats)
             .unwrap();
         assert_eq!(os.outputs, ws.outputs);
         assert_eq!(os_stats.total_macs, ws_stats.total_macs);

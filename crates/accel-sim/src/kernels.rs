@@ -59,14 +59,13 @@ struct Lane<'a> {
 
 /// Runs the full GEMM through the packed depth kernel, filling `outputs`
 /// and streaming one [`DepthWord`] per (reduction step, 64-output word) to
-/// the sink.  `pixels` is the sorted list of simulated output pixels; a
-/// partial trailing word runs with a narrowed lane mask.  The schedule must
-/// have passed [`ComputeSchedule::validate`] for this problem.
+/// the sink.  Every output pixel is simulated; a partial trailing word runs
+/// with a narrowed lane mask.  The schedule must have passed
+/// [`ComputeSchedule::validate`] for this problem.
 pub(crate) fn run_depth_words(
     weights: &Matrix<i8>,
     activations: &Matrix<i8>,
     schedule: &ComputeSchedule,
-    pixels: &[usize],
     sink: &mut dyn DepthWordSink,
     outputs: &mut Matrix<i32>,
     total_cycles: &mut u64,
@@ -76,7 +75,7 @@ pub(crate) fn run_depth_words(
     let (a, a_stride) = (activations.as_slice(), activations.cols());
     let mut lanes = schedule.groups().iter().flat_map(|group| {
         group.columns.iter().flat_map(move |&channel| {
-            pixels.iter().map(move |&pixel| Lane {
+            (0..activations.cols()).map(move |pixel| Lane {
                 order: &group.row_order,
                 channel,
                 pixel,
@@ -193,7 +192,7 @@ mod tests {
     use super::*;
     use crate::array::ArrayConfig;
     use crate::dataflow::Dataflow;
-    use crate::gemm::{GemmProblem, SimOptions};
+    use crate::gemm::GemmProblem;
     use crate::mac::{MacCycle, MacUnit};
     use crate::schedule::ColumnGroup;
     use crate::trace::{CycleContext, CycleObserver, ScalarPath};
@@ -313,41 +312,36 @@ mod tests {
 
     /// Full simulations through the public API: the packed path produces the
     /// same outputs, cycle counts and depth/flip tallies as the scalar path,
-    /// for both dataflows, pixel sampling, and schedules of several groups
-    /// with distinct row orders and uneven widths, so that words straddle
-    /// groups and end mid-group at every pixel count.
+    /// for both dataflows and schedules of several groups with distinct row
+    /// orders and uneven widths, so that words straddle groups and end
+    /// mid-group at every pixel count.  Two random problems per pixel count.
     #[test]
     fn packed_simulation_matches_scalar_path() {
         let mut rng = StdRng::seed_from_u64(0x90A7);
         let array = ArrayConfig::new(4, 2);
         for m in [1usize, 3, 4, 5, 17, 64, 65, 70] {
-            for sampled in [false, true] {
+            for draw in 0..2 {
                 let r = rng.gen_range(1..40);
                 let k = rng.gen_range(1..12);
                 let weights = Matrix::from_fn(r, k, |_, _| rng.gen::<u64>() as i8);
                 let activations = Matrix::from_fn(r, m, |_, _| rng.gen::<u64>() as i8);
                 let problem = GemmProblem::new(weights, activations).unwrap();
-                let options = if sampled {
-                    SimOptions::sampled(m.div_ceil(2), m as u64)
-                } else {
-                    SimOptions::exhaustive()
-                };
                 let schedule = random_schedule(&mut rng, r, k);
                 for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
                     let mut packed = DepthCounts::default();
                     let mut scalar = ScalarPath(DepthCounts::default());
                     let fast = problem
-                        .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut packed)
+                        .simulate_with_schedule(&array, dataflow, &schedule, &mut packed)
                         .unwrap();
                     let slow = problem
-                        .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut scalar)
+                        .simulate_with_schedule(&array, dataflow, &schedule, &mut scalar)
                         .unwrap();
-                    let case = format!("m={m} sampled={sampled} r={r} k={k} {dataflow:?}");
+                    let case = format!("m={m} draw={draw} r={r} k={k} {dataflow:?}");
                     assert_eq!(fast.outputs, slow.outputs, "{case}");
                     assert_eq!(fast.total_cycles, slow.total_cycles, "{case}");
-                    assert_eq!(fast.simulated_pixels, slow.simulated_pixels, "{case}");
+                    assert_eq!(fast.total_cycles, (r * k * m) as u64, "{case}");
                     assert_eq!(packed, scalar.0, "tallies {case}");
-                    assert_eq!(packed.total, (r * k * fast.simulated_pixels.len()) as u64);
+                    assert_eq!(packed.total, (r * k * m) as u64);
                 }
             }
         }
@@ -366,7 +360,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::new(4, 2),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut counts,
             )
             .unwrap();

@@ -31,7 +31,7 @@
 //! let problem = GemmProblem::new(weights, acts)?;
 //! let array = ArrayConfig::new(4, 2);
 //! let mut stats = SignFlipStats::default();
-//! problem.simulate(&array, Dataflow::OutputStationary, &Default::default(), &mut stats)?;
+//! problem.simulate(&array, Dataflow::OutputStationary, &mut stats)?;
 //! assert_eq!(stats.total_macs, 8 * 16 * 4);
 //! # let _ = shape;
 //! # Ok(())
@@ -57,7 +57,7 @@ pub use array::ArrayConfig;
 pub use conv::{im2col, weights_to_matrix, ConvShape};
 pub use dataflow::Dataflow;
 pub use error::SimError;
-pub use gemm::{GemmProblem, SimOptions, SimResult};
+pub use gemm::{GemmProblem, SimResult};
 pub use mac::{carry_chain_length, MacCycle, MacUnit, ACC_BITS};
 pub use matrix::Matrix;
 pub use schedule::{ColumnGroup, ComputeSchedule};

@@ -19,7 +19,7 @@
 
 use std::hint::black_box;
 
-use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, SimOptions};
+use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix};
 use dataflow_sim::{run_dataflow, EngineConfig, TraceRecorder};
 use qnn::init::{synthetic_activations, WeightInit};
 use read_bench::ab::{emit, time_ab, AbRecord};
@@ -47,7 +47,6 @@ fn main() {
     let problem = GemmProblem::new(weights, activations).expect("consistent");
     let array = ArrayConfig::paper_default();
     let schedule = ComputeSchedule::baseline(rows, cols, array.cols());
-    let options = SimOptions::exhaustive();
     let config = EngineConfig::default();
     let elems = (rows * cols * pixels) as u64;
 
@@ -57,11 +56,11 @@ fn main() {
         // numbers only while producing the analytic path's exact bytes.
         let mut analytic = DepthHistogram::new();
         let reference = problem
-            .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut analytic)
+            .simulate_with_schedule(&array, dataflow, &schedule, &mut analytic)
             .expect("analytic run");
         let mut event = DepthHistogram::new();
         let run = run_dataflow(
-            &problem, &array, dataflow, &schedule, &options, &config, &mut event, None,
+            &problem, &array, dataflow, &schedule, &config, &mut event, None,
         )
         .expect("event run");
         assert_eq!(event.to_wire(), analytic.to_wire(), "histogram diverged");
@@ -77,7 +76,6 @@ fn main() {
                             black_box(&array),
                             dataflow,
                             black_box(&schedule),
-                            &options,
                             &mut obs,
                         )
                         .expect("analytic run"),
@@ -91,7 +89,6 @@ fn main() {
                         &array,
                         dataflow,
                         black_box(&schedule),
-                        &options,
                         &config,
                         &mut obs,
                         None,
@@ -117,7 +114,6 @@ fn main() {
                         &array,
                         dataflow,
                         &schedule,
-                        &options,
                         &config,
                         &mut obs,
                         None,
@@ -134,7 +130,6 @@ fn main() {
                         &array,
                         dataflow,
                         &schedule,
-                        &options,
                         &config,
                         &mut obs,
                         Some(&mut trace),
@@ -163,7 +158,6 @@ fn main() {
                     &array,
                     dataflow,
                     &schedule,
-                    &options,
                     &config,
                     &mut obs,
                     Some(&mut trace),
@@ -179,7 +173,6 @@ fn main() {
                     &array,
                     dataflow,
                     &schedule,
-                    &options,
                     &config,
                     &mut obs,
                     Some(&mut trace),

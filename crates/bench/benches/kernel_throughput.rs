@@ -20,7 +20,6 @@ use std::time::Instant;
 
 use accel_sim::{
     bitplane, ArrayConfig, Dataflow, DepthWord, GemmProblem, Matrix, NullObserver, ScalarPath,
-    SimOptions,
 };
 use qnn::init::{synthetic_activations, WeightInit};
 use read_bench::ab::{emit, time_ab, AbRecord};
@@ -123,24 +122,13 @@ fn run_kernel_benches() -> Vec<AbRecord> {
         let activations = Matrix::from_fn(rows, pixels, |r, p| acts[r * pixels + p]);
         let problem = GemmProblem::new(sim_weights, activations).expect("consistent");
         let array = ArrayConfig::paper_default();
-        let options = SimOptions::exhaustive();
         let mut scalar_hist = ScalarPath(DepthHistogram::new());
         problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &options,
-                &mut scalar_hist,
-            )
+            .simulate(&array, Dataflow::OutputStationary, &mut scalar_hist)
             .expect("simulates");
         let mut packed_hist = DepthHistogram::new();
         problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &options,
-                &mut packed_hist,
-            )
+            .simulate(&array, Dataflow::OutputStationary, &mut packed_hist)
             .expect("simulates");
         assert_eq!(
             packed_hist, scalar_hist.0,
@@ -151,14 +139,14 @@ fn run_kernel_benches() -> Vec<AbRecord> {
             || {
                 let mut obs = ScalarPath(DepthHistogram::new());
                 problem
-                    .simulate(&array, Dataflow::OutputStationary, &options, &mut obs)
+                    .simulate(&array, Dataflow::OutputStationary, &mut obs)
                     .expect("simulates");
                 black_box(&obs);
             },
             || {
                 let mut obs = DepthHistogram::new();
                 problem
-                    .simulate(&array, Dataflow::OutputStationary, &options, &mut obs)
+                    .simulate(&array, Dataflow::OutputStationary, &mut obs)
                     .expect("simulates");
                 black_box(&obs);
             },
@@ -296,12 +284,7 @@ fn main() {
         let mut obs = NullObserver;
         black_box(
             problem
-                .simulate(
-                    black_box(&array),
-                    Dataflow::OutputStationary,
-                    &SimOptions::exhaustive(),
-                    &mut obs,
-                )
+                .simulate(black_box(&array), Dataflow::OutputStationary, &mut obs)
                 .expect("simulates"),
         );
     });

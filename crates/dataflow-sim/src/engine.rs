@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 
 use accel_sim::{
     ArrayConfig, ComputeSchedule, CycleContext, CycleObserver, Dataflow, GemmProblem, MacUnit,
-    Matrix, SimError, SimOptions,
+    Matrix, SimError,
 };
 
 use crate::report::{ChannelReport, ContextReport, DataflowReport};
@@ -123,11 +123,8 @@ impl From<SimError> for EventError {
 /// report.
 #[derive(Debug, Clone)]
 pub struct DataflowRun {
-    /// Output matrix (`K x M`); un-simulated pixels (when sampling) are
-    /// zero, exactly as in [`accel_sim::SimResult`].
+    /// Output matrix (`K x M`).
     pub outputs: Matrix<i32>,
-    /// Indices of the output pixels that were simulated (ascending).
-    pub simulated_pixels: Vec<usize>,
     /// Cycle/stall/occupancy accounting for the run.
     pub report: DataflowReport,
 }
@@ -317,10 +314,10 @@ enum BufOp {
     RecvSpill,
 }
 
-fn lower_output_stationary(schedule: &ComputeSchedule, pixels: &[usize]) -> Vec<Segment> {
+fn lower_output_stationary(schedule: &ComputeSchedule, num_pixels: usize) -> Vec<Segment> {
     let mut segments = Vec::new();
     for (gi, group) in schedule.groups().iter().enumerate() {
-        for &pixel in pixels {
+        for pixel in 0..num_pixels {
             for &channel in &group.columns {
                 segments.push(Segment {
                     group: gi,
@@ -340,7 +337,6 @@ fn lower_output_stationary(schedule: &ComputeSchedule, pixels: &[usize]) -> Vec<
 
 fn lower_weight_stationary(
     schedule: &ComputeSchedule,
-    pixels: &[usize],
     array: &ArrayConfig,
     num_pixels: usize,
 ) -> (Vec<Segment>, Vec<BufOp>) {
@@ -350,7 +346,7 @@ fn lower_weight_stationary(
         let tile_rows = array.rows();
         for (tile_no, tile) in group.row_order.chunks(tile_rows).enumerate() {
             let is_last = (tile_no + 1) * tile_rows >= group.row_order.len();
-            for &pixel in pixels {
+            for pixel in 0..num_pixels {
                 for &channel in &group.columns {
                     // One live partial sum per (channel, pixel); channels
                     // belong to exactly one group, so the slot is unique.
@@ -705,8 +701,8 @@ impl Accumulator {
     }
 }
 
-/// Executes the GEMM on the event-driven context/channel model and returns
-/// the outputs plus a [`DataflowReport`].
+/// Executes the GEMM over every output pixel on the event-driven
+/// context/channel model and returns the outputs plus a [`DataflowReport`].
 ///
 /// The observer sees exactly the MAC cycles (and `on_output_done` contexts)
 /// that [`GemmProblem::simulate_with_schedule`] would deliver for the same
@@ -722,13 +718,11 @@ impl Accumulator {
 ///   does not know how to lower;
 /// * [`EventError::Deadlock`] — the engine seized (indicates a lowering
 ///   bug; covered by regression tests at capacity 1).
-#[allow(clippy::too_many_arguments)]
 pub fn run_dataflow<O: CycleObserver + ?Sized>(
     problem: &GemmProblem,
     array: &ArrayConfig,
     dataflow: Dataflow,
     schedule: &ComputeSchedule,
-    options: &SimOptions,
     config: &EngineConfig,
     observer: &mut O,
     trace: Option<&mut TraceRecorder>,
@@ -737,13 +731,11 @@ pub fn run_dataflow<O: CycleObserver + ?Sized>(
         return Err(EventError::ZeroCapacity);
     }
     schedule.validate(problem.reduction_len(), problem.num_channels())?;
-    let pixels = problem.select_pixels(options);
 
+    let num_pixels = problem.num_pixels();
     let (segments, buf_ops) = match dataflow {
-        Dataflow::OutputStationary => (lower_output_stationary(schedule, &pixels), Vec::new()),
-        Dataflow::WeightStationary => {
-            lower_weight_stationary(schedule, &pixels, array, problem.num_pixels())
-        }
+        Dataflow::OutputStationary => (lower_output_stationary(schedule, num_pixels), Vec::new()),
+        Dataflow::WeightStationary => lower_weight_stationary(schedule, array, num_pixels),
         other => {
             return Err(EventError::UnsupportedDataflow { name: other.name() });
         }
@@ -772,7 +764,7 @@ pub fn run_dataflow<O: CycleObserver + ?Sized>(
     let mut buffer = PsumBuffer::new(tid_buf);
     let mut acc = Accumulator::new(tid_acc, expected_outputs);
 
-    let mut outputs = Matrix::zeros(problem.num_channels(), problem.num_pixels());
+    let mut outputs = Matrix::zeros(problem.num_channels(), num_pixels);
     let weights = problem.weights();
     let activations = problem.activations();
 
@@ -874,11 +866,7 @@ pub fn run_dataflow<O: CycleObserver + ?Sized>(
         channels,
     };
 
-    Ok(DataflowRun {
-        outputs,
-        simulated_pixels: pixels,
-        report,
-    })
+    Ok(DataflowRun { outputs, report })
 }
 
 fn channel_report<T>(name: &str, ch: &Channel<T>) -> ChannelReport {
@@ -917,7 +905,6 @@ mod tests {
             array,
             dataflow,
             &schedule,
-            &SimOptions::exhaustive(),
             config,
             &mut NullObserver,
             None,
@@ -985,7 +972,6 @@ mod tests {
             &ArrayConfig::new(2, 2),
             Dataflow::OutputStationary,
             &schedule,
-            &SimOptions::exhaustive(),
             &config,
             &mut NullObserver,
             None,
@@ -1004,7 +990,6 @@ mod tests {
             &ArrayConfig::new(4, 2),
             Dataflow::OutputStationary,
             &schedule,
-            &SimOptions::exhaustive(),
             &EngineConfig::default(),
             &mut NullObserver,
             None,
@@ -1020,21 +1005,14 @@ mod tests {
         let schedule = ComputeSchedule::baseline(24, 4, 2);
         for dataflow in Dataflow::ALL {
             let mut analytic = SignFlipStats::new();
-            p.simulate_with_schedule(
-                &array,
-                dataflow,
-                &schedule,
-                &SimOptions::exhaustive(),
-                &mut analytic,
-            )
-            .unwrap();
+            p.simulate_with_schedule(&array, dataflow, &schedule, &mut analytic)
+                .unwrap();
             let mut event = SignFlipStats::new();
             run_dataflow(
                 &p,
                 &array,
                 dataflow,
                 &schedule,
-                &SimOptions::exhaustive(),
                 &EngineConfig::default(),
                 &mut event,
                 None,
@@ -1044,35 +1022,6 @@ mod tests {
             assert_eq!(event.outputs, analytic.outputs, "{dataflow}");
             assert_eq!(event.sign_flips, analytic.sign_flips, "{dataflow}");
         }
-    }
-
-    #[test]
-    fn sampling_simulates_the_same_pixel_subset() {
-        let p = test_problem(8, 2, 40);
-        let options = SimOptions::sampled(5, 99);
-        let mut obs = NullObserver;
-        let analytic = p
-            .simulate(
-                &ArrayConfig::new(4, 2),
-                Dataflow::OutputStationary,
-                &options,
-                &mut obs,
-            )
-            .unwrap();
-        let schedule = ComputeSchedule::baseline(8, 2, 2);
-        let event = run_dataflow(
-            &p,
-            &ArrayConfig::new(4, 2),
-            Dataflow::OutputStationary,
-            &schedule,
-            &options,
-            &EngineConfig::default(),
-            &mut NullObserver,
-            None,
-        )
-        .unwrap();
-        assert_eq!(event.simulated_pixels, analytic.simulated_pixels);
-        assert_eq!(event.outputs, analytic.outputs);
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //! # Example
 //!
 //! ```
-//! use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, NullObserver, SimOptions};
+//! use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, NullObserver};
 //! use dataflow_sim::{run_dataflow, EngineConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -59,7 +59,6 @@
 //!     &ArrayConfig::new(4, 2),
 //!     Dataflow::WeightStationary,
 //!     &schedule,
-//!     &SimOptions::exhaustive(),
 //!     &EngineConfig::default(),
 //!     &mut NullObserver,
 //!     None,

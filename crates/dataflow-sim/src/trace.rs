@@ -61,7 +61,7 @@ struct CounterTrack {
 /// # Example
 ///
 /// ```
-/// use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, NullObserver, SimOptions};
+/// use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, NullObserver};
 /// use dataflow_sim::{json, run_dataflow, EngineConfig, TraceRecorder};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -75,7 +75,6 @@ struct CounterTrack {
 ///     &ArrayConfig::new(2, 2),
 ///     Dataflow::OutputStationary,
 ///     &schedule,
-///     &SimOptions::exhaustive(),
 ///     &EngineConfig::default(),
 ///     &mut NullObserver,
 ///     Some(&mut trace),

@@ -418,9 +418,11 @@ pub trait ArtifactKind {
     /// Encodes a value as a store payload (must round-trip exactly through
     /// [`ArtifactKind::decode`]).
     fn encode(value: &Self::Value) -> String;
-    /// Decodes a store payload; `None` marks the entry corrupt (a counted
-    /// miss, recomputed and rewritten).
-    fn decode(payload: &str) -> Option<Self::Value>;
+    /// Decodes a store payload found under `check`; `None` marks the entry
+    /// corrupt (a counted miss, recomputed and rewritten).  That includes a
+    /// payload that parses but does not fit `check`, which a healthy store
+    /// never holds.
+    fn decode(payload: &str, check: &Self::Check) -> Option<Self::Value>;
 }
 
 /// The schedule artifact class ([`ScheduleKey`] → [`ComputeSchedule`]).
@@ -459,8 +461,9 @@ impl ArtifactKind for ScheduleArtifact {
         value.to_wire()
     }
 
-    fn decode(payload: &str) -> Option<Self::Value> {
+    fn decode(payload: &str, check: &Self::Check) -> Option<Self::Value> {
         ComputeSchedule::from_wire(payload)
+            .filter(|schedule| schedule.validate(check.rows, check.cols).is_ok())
     }
 }
 
@@ -503,7 +506,7 @@ impl ArtifactKind for HistogramArtifact {
         value.to_wire()
     }
 
-    fn decode(payload: &str) -> Option<Self::Value> {
+    fn decode(payload: &str, _check: &Self::Check) -> Option<Self::Value> {
         DepthHistogram::from_wire(payload)
     }
 }
@@ -543,8 +546,10 @@ impl ArtifactKind for UnitArtifact {
         value.encode()
     }
 
-    fn decode(payload: &str) -> Option<Self::Value> {
-        UnitResult::decode(payload).ok()
+    fn decode(payload: &str, check: &Self::Check) -> Option<Self::Value> {
+        UnitResult::decode(payload)
+            .ok()
+            .filter(|result| result.unit().encode() == check.unit)
     }
 }
 
@@ -654,7 +659,7 @@ impl<A: ArtifactKind> VerifiedCache<A> {
         if let Some(store) = &self.store {
             let id = A::key_id(&key);
             if let Some(payload) = store.load(A::KIND, id, &A::check_line(&key, &check)) {
-                match A::decode(&payload) {
+                match A::decode(&payload, &check) {
                     Some(value) => return Ok(self.admit(key, check, Arc::new(value), false)),
                     None => store.note_corrupt(A::KIND, id),
                 }
@@ -674,9 +679,10 @@ impl<A: ArtifactKind> VerifiedCache<A> {
     /// [`VerifiedCache::get_or_compute`] calls are plain memory hits.
     /// Returns how many entries were admitted.  A no-op without a store.
     ///
-    /// Purely an optimization: misses and undecodable payloads (noted
-    /// corrupt, as in the un-prefetched path) are computed on demand
-    /// exactly as before, so results are byte-identical either way.
+    /// Purely an optimization: misses and payloads that do not decode to
+    /// a value fitting their key (noted corrupt, as in the un-prefetched
+    /// path) are computed on demand exactly as before, so results are
+    /// byte-identical either way.
     pub fn prefetch(&self, entries: &[(A::Key, A::Check)]) -> usize {
         let Some(store) = &self.store else { return 0 };
         let wanted: Vec<&(A::Key, A::Check)> = {
@@ -700,7 +706,7 @@ impl<A: ArtifactKind> VerifiedCache<A> {
         let mut admitted = 0;
         for ((key, check), payload) in wanted.iter().zip(store.load_many(&requests)) {
             let Some(payload) = payload else { continue };
-            match A::decode(&payload) {
+            match A::decode(&payload, check) {
                 Some(value) => {
                     self.admit(*key, check.clone(), Arc::new(value), false);
                     admitted += 1;
@@ -1011,29 +1017,74 @@ mod tests {
         assert_eq!(second.counters().0, 1);
     }
 
+    /// Undecodable payloads, and payloads that parse but do not fit their
+    /// key, are counted misses: recomputed and rewritten.  The schedule
+    /// cases go through the lookup path (the last two are no schedule of
+    /// the keyed `8 x 4` layer), the unit case (another unit's result)
+    /// through the prefetch path.
     #[test]
     fn corrupt_store_payloads_recompute_and_rewrite() {
+        let fits = ComputeSchedule::baseline(8, 4, 2);
+        let misfits = [
+            "not a schedule".to_string(),
+            "groups=0@0".to_string(),
+            ComputeSchedule::baseline(8, 2, 2).to_wire(),
+        ];
+        for payload in misfits {
+            let store = Arc::new(MemoryStore::new());
+            store.put(
+                "schedule",
+                ScheduleArtifact::key_id(&key(9)),
+                &ScheduleArtifact::check_line(&key(9), &check("a")),
+                &payload,
+            );
+            let cache =
+                ScheduleCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
+            let value = cache
+                .get_or_compute(key(9), check("a"), || Ok(fits.clone()))
+                .unwrap();
+            assert_eq!(*value, fits, "{payload}");
+            assert_eq!(cache.counters().1, 1, "corrupt payload → fresh compute");
+            assert_eq!(store.stats().corrupt, 1, "{payload}");
+            // The recomputed artifact was rewritten: a fresh cache now loads it.
+            let fresh =
+                ScheduleCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
+            fresh
+                .get_or_compute(key(9), check("a"), || panic!("rewritten entry expected"))
+                .unwrap();
+        }
+
         let store = Arc::new(MemoryStore::new());
+        let ukey = UnitKey { plan: 5, unit: 6 };
+        let ucheck = UnitCheck {
+            plan: "sig".into(),
+            unit: "mc cell=0 trials=0..2".into(),
+        };
+        let other = UnitResult::McShard {
+            cell: 0,
+            trial_range: 2..4,
+            ters: vec![vec![0.5, 0.25]],
+        };
         store.put(
-            "schedule",
-            ScheduleArtifact::key_id(&key(9)),
-            &ScheduleArtifact::check_line(&key(9), &check("a")),
-            "not a schedule",
+            UnitArtifact::KIND,
+            UnitArtifact::key_id(&ukey),
+            &UnitArtifact::check_line(&ukey, &ucheck),
+            &other.encode(),
         );
-        let cache = ScheduleCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
-        let value = cache
-            .get_or_compute(key(9), check("a"), || {
-                Ok(ComputeSchedule::baseline(8, 4, 2))
-            })
-            .unwrap();
-        assert_eq!(*value, ComputeSchedule::baseline(8, 4, 2));
-        assert_eq!(cache.counters().1, 1, "corrupt payload → fresh compute");
+        let ours = UnitResult::McShard {
+            cell: 0,
+            trial_range: 0..2,
+            ters: vec![vec![0.125, 0.0]],
+        };
+        let cache = UnitCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
+        assert_eq!(cache.prefetch(&[(ukey, ucheck.clone())]), 0);
         assert_eq!(store.stats().corrupt, 1);
-        // The recomputed artifact was rewritten: a fresh cache now loads it.
-        let fresh = ScheduleCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
-        fresh
-            .get_or_compute(key(9), check("a"), || panic!("rewritten entry expected"))
+        let value = cache
+            .get_or_compute(ukey, ucheck.clone(), || Ok(ours.clone()))
             .unwrap();
+        assert_eq!(*value, ours);
+        let fresh = UnitCache::with_store(Some(Arc::clone(&store) as Arc<dyn ArtifactStore>));
+        assert_eq!(fresh.prefetch(&[(ukey, ucheck)]), 1, "rewritten entry");
     }
 
     #[test]

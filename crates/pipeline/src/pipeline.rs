@@ -4,12 +4,10 @@
 
 use std::sync::Arc;
 
-use accel_sim::{
-    ArrayConfig, ComputeSchedule, CycleObserver, Dataflow, Matrix, SimOptions, SimResult,
-};
+use accel_sim::{ArrayConfig, ComputeSchedule, CycleObserver, Dataflow, Matrix, SimResult};
 use qnn::{Dataset, Model};
 use read_core::{ReadConfig, ReadOptimizer};
-use timing::{DelayModel, DepthHistogram, OperatingCondition};
+use timing::{DepthHistogram, OperatingCondition};
 
 use crate::cache::{
     weights_fingerprint, workload_fingerprint, ArtifactKind, CacheStats, HistogramArtifact,
@@ -27,6 +25,13 @@ use crate::store::ArtifactStore;
 use crate::sweep::{SweepPlan, SweepReport};
 use crate::wire::escape_wire;
 use crate::workload::LayerWorkload;
+
+/// The `sim=` field of every plan signature and the tail of every histogram
+/// context fingerprint: the Debug text of the simulation options the
+/// simulator took before it always covered every output pixel.  Every
+/// stored histogram key and every plan signature was made with it, so it
+/// stays, byte for byte, to keep warm stores warm.
+const SIM_OPTIONS: &str = "SimOptions { max_pixels: None, seed: 12648430 }";
 
 /// Builder for a [`ReadPipeline`].  Obtain with [`ReadPipeline::builder`].
 #[derive(Default)]
@@ -89,11 +94,6 @@ impl ReadPipelineBuilder {
         self
     }
 
-    /// Shorthand: a [`DelayErrorModel`] wrapping `delay`.
-    pub fn delay_model(self, delay: DelayModel) -> Self {
-        self.error_model(DelayErrorModel::new(delay))
-    }
-
     /// Shorthand: a [`MonteCarloErrorModel`] with the default delay model
     /// and the given trials/seed — reports carry `ter_stddev`.
     pub fn monte_carlo(self, trials: u32, seed: u64) -> Self {
@@ -152,12 +152,6 @@ impl ReadPipelineBuilder {
     /// multi-process implementations.
     pub fn executor(mut self, executor: impl Executor + 'static) -> Self {
         self.executor = Some(Arc::new(executor));
-        self
-    }
-
-    /// Sets an already-shared execution strategy.
-    pub fn executor_arc(mut self, executor: Arc<dyn Executor>) -> Self {
-        self.executor = Some(executor);
         self
     }
 
@@ -235,8 +229,8 @@ impl ReadPipelineBuilder {
         let error_model = match (self.error_model, self.pe_variation_seed) {
             (Some(_), Some(_)) => {
                 return Err(PipelineError::builder(
-                    "set either .error_model(..)/.delay_model(..)/.monte_carlo(..) or \
-                     .pe_variation(..), not both",
+                    "set either .error_model(..)/.monte_carlo(..) or .pe_variation(..), \
+                     not both",
                 ))
             }
             (Some(model), None) => model,
@@ -377,11 +371,6 @@ impl ReadPipeline {
         self.model.as_ref()
     }
 
-    /// The configured sweep plan, when one is set up.
-    pub fn sweep_plan(&self) -> Option<&SweepPlan> {
-        self.sweep_plan.as_ref()
-    }
-
     /// The attached artifact store, when one is configured
     /// ([`ReadPipelineBuilder::store`]).
     pub fn artifact_store(&self) -> Option<&Arc<dyn ArtifactStore>> {
@@ -443,11 +432,10 @@ impl ReadPipeline {
     pub(crate) fn stage_signature(&self) -> String {
         use std::fmt::Write as _;
         let mut sig = format!(
-            "array={}x{} dataflow={:?} sim={:?} sources=",
+            "array={}x{} dataflow={:?} sim={SIM_OPTIONS} sources=",
             self.array.rows(),
             self.array.cols(),
             self.dataflow,
-            SimOptions::exhaustive()
         );
         for (i, source) in self.sources.iter().enumerate() {
             if i > 0 {
@@ -517,22 +505,20 @@ impl ReadPipeline {
             &self.array,
             self.dataflow,
             &schedule,
-            &SimOptions::exhaustive(),
             observer,
         )?)
     }
 
     /// Fingerprint of the simulation context a cached histogram depends on
-    /// (array geometry, dataflow, simulation options) — combined with the
-    /// source and workload fingerprints in the [`HistogramKey`].
+    /// (array geometry, dataflow) — combined with the source and workload
+    /// fingerprints in the [`HistogramKey`].
     fn sim_context_fingerprint(&self) -> u64 {
         fnv1a(
             format!(
-                "{}x{}/{:?}/{:?}",
+                "{}x{}/{:?}/{SIM_OPTIONS}",
                 self.array.rows(),
                 self.array.cols(),
                 self.dataflow,
-                SimOptions::exhaustive()
             )
             .bytes(),
         )
@@ -673,7 +659,9 @@ impl ReadPipeline {
         WorkPlan::ter(self, network, workloads)
     }
 
-    /// The [`WorkPlan`] of the configured corner/die sweep.
+    /// The [`WorkPlan`] of the configured corner/die sweep: one histogram
+    /// unit per pair (histograms are corner-independent) plus one unit per
+    /// Monte-Carlo trial shard per sampling cell.
     ///
     /// # Errors
     ///
@@ -687,44 +675,7 @@ impl ReadPipeline {
             .sweep_plan
             .as_ref()
             .ok_or(PipelineError::Missing { what: "sweep plan" })?;
-        self.plan_sweep_with(network, workloads, plan)
-    }
-
-    /// The [`WorkPlan`] of an explicit sweep plan: one histogram unit per
-    /// pair (histograms are corner-independent) plus one unit per
-    /// Monte-Carlo trial shard per sampling cell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates plan validation failures.
-    pub fn plan_sweep_with<'a>(
-        &'a self,
-        network: &str,
-        workloads: &'a [LayerWorkload],
-        plan: &SweepPlan,
-    ) -> Result<WorkPlan<'a>, PipelineError> {
         WorkPlan::sweep(self, network, workloads, plan)
-    }
-
-    /// The [`WorkPlan`] of the accuracy experiment with the pipeline's
-    /// configured model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Missing`] when no model was configured; see
-    /// [`ReadPipeline::plan_accuracy_for`].
-    pub fn plan_accuracy<'a>(
-        &'a self,
-        network: &str,
-        dataset: &'a Dataset,
-        workloads: &'a [LayerWorkload],
-        seeds: u64,
-    ) -> Result<WorkPlan<'a>, PipelineError> {
-        let model = self
-            .model
-            .as_ref()
-            .ok_or(PipelineError::Missing { what: "model" })?;
-        self.plan_accuracy_for(model, network, dataset, workloads, seeds)
     }
 
     /// The [`WorkPlan`] of the accuracy experiment against an
@@ -844,25 +795,9 @@ impl ReadPipeline {
         self.run_plan(&plan)?.into_dataflow()
     }
 
-    /// Runs the configured corner/die sweep (see
-    /// [`ReadPipeline::run_sweep_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Missing`] when no sweep plan was configured
-    /// (use [`ReadPipelineBuilder::sweep`]); otherwise see
-    /// [`ReadPipeline::run_sweep_with`].
-    pub fn run_sweep(
-        &self,
-        network: &str,
-        workloads: &[LayerWorkload],
-    ) -> Result<SweepReport, PipelineError> {
-        let plan = self.plan_sweep(network, workloads)?;
-        self.run_plan(&plan)?.into_sweep()
-    }
-
-    /// Runs a corner/die sweep: every (die, condition) cell of `plan` over
-    /// every (workload, source) pair, in one pipeline run.
+    /// Runs the configured corner/die sweep ([`ReadPipelineBuilder::sweep`]):
+    /// every (die, condition) cell of the plan over every (workload, source)
+    /// pair, in one pipeline run.
     ///
     /// The plan — not the pipeline's configured conditions or error model —
     /// decides what each cell evaluates: typical-silicon cells use the
@@ -883,15 +818,15 @@ impl ReadPipeline {
     ///
     /// # Errors
     ///
-    /// Propagates plan validation failures and the first simulation failure
-    /// in (cell, workload, source) order.
-    pub fn run_sweep_with(
+    /// Returns [`PipelineError::Missing`] when no sweep plan was configured;
+    /// otherwise propagates the first simulation failure in
+    /// (cell, workload, source) order.
+    pub fn run_sweep(
         &self,
         network: &str,
         workloads: &[LayerWorkload],
-        plan: &SweepPlan,
     ) -> Result<SweepReport, PipelineError> {
-        let plan = self.plan_sweep_with(network, workloads, plan)?;
+        let plan = self.plan_sweep(network, workloads)?;
         self.run_plan(&plan)?.into_sweep()
     }
 
@@ -1156,17 +1091,14 @@ mod tests {
 
     #[test]
     fn threaded_executor_matches_serial_reports() {
-        let build = |executor: Arc<dyn Executor>| {
+        let builder = || {
             ReadPipeline::builder()
                 .baseline()
                 .condition(OperatingCondition::aging_vt(10.0, 0.05))
-                .executor_arc(executor)
-                .build()
-                .unwrap()
         };
-        let threaded = build(Arc::new(ThreadExecutor::new(2)));
+        let threaded = builder().executor(ThreadExecutor::new(2)).build().unwrap();
         assert_eq!(threaded.executor().name(), "threads[2]");
-        let serial = build(Arc::new(SerialExecutor));
+        let serial = builder().executor(SerialExecutor).build().unwrap();
         let workloads = tiny_workloads(1);
         assert_eq!(
             threaded.run_ter("exec", &workloads).unwrap().to_json(),

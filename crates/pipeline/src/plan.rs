@@ -40,7 +40,7 @@ use std::io::{BufRead, Write};
 use std::ops::Range;
 use std::sync::Arc;
 
-use accel_sim::{Dataflow, NullObserver, SimOptions};
+use accel_sim::{Dataflow, NullObserver};
 use dataflow_sim::{run_dataflow, DataflowReport, EngineConfig};
 use qnn::{Dataset, Model};
 use timing::{DepthHistogram, OperatingCorner, TerEstimate};
@@ -458,7 +458,7 @@ fn plan_signature(
 /// A typed, enumerable description of every unit a pipeline run executes.
 ///
 /// Obtain one with [`ReadPipeline::plan_ter`], [`ReadPipeline::plan_sweep`]
-/// / [`ReadPipeline::plan_sweep_with`] or [`ReadPipeline::plan_accuracy_for`];
+/// or [`ReadPipeline::plan_accuracy_for`];
 /// execute it with any [`crate::Executor`]; fold the results back with
 /// [`WorkPlan::aggregate`] (or an explicit [`Aggregator`]).  Executing the
 /// same plan on any executor — serial, threaded, or worker subprocesses —
@@ -965,7 +965,6 @@ impl<'a> WorkPlan<'a> {
                     self.pipeline.array(),
                     dataflow,
                     &schedule,
-                    &SimOptions::exhaustive(),
                     &EngineConfig::default(),
                     &mut NullObserver,
                     None,

@@ -84,6 +84,17 @@ fn bad_request(line: &str, why: &str) -> PipelineError {
 /// sentinel a client could never *opt out* of a server default.
 pub const NO_TIMEOUT: u64 = u64::MAX;
 
+// Upper bounds on the request sizes that drive an allocation before any
+// work is admitted: workload synthesis, the sweep grid, the Monte-Carlo
+// budget, the accuracy dataset and its evaluation seeds.  No layer of the
+// paper's CIFAR networks has more than 32x32 output pixels.
+const MAX_PIXELS: u64 = 1024;
+const MAX_CORNERS: u64 = 64;
+const MAX_DIES: u64 = 64;
+const MAX_MC_TRIALS: u64 = 4096;
+const MAX_ACC_SAMPLES: u64 = 1024;
+const MAX_ACC_SEEDS: u64 = 64;
+
 /// Admission class of a request: interactive units preempt bulk ones at the
 /// daemon's scheduling gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -635,7 +646,10 @@ impl ServeRequest {
         Ok(request)
     }
 
-    /// Checks cross-field consistency (which fields each kind allows).
+    /// Checks cross-field consistency (which fields each kind allows) and
+    /// bounds every size that drives an allocation before work starts:
+    /// `pixels` <= 1024, at most 64 corners and 64 dies, `mc` trials
+    /// <= 4096, `acc` classes x samples <= 1024 and `acc` seeds <= 64.
     ///
     /// # Errors
     ///
@@ -652,6 +666,30 @@ impl ServeRequest {
         }
         if self.pixels == 0 {
             return Err(input("pixels must be >= 1"));
+        }
+        let acc = self.accuracy.as_ref();
+        let bounds = [
+            ("pixels", self.pixels as u64, MAX_PIXELS),
+            ("corners", self.corners.len() as u64, MAX_CORNERS),
+            ("dies", self.dies.len() as u64, MAX_DIES),
+            (
+                "mc trials",
+                self.mc.map_or(0, |mc| u64::from(mc.trials)),
+                MAX_MC_TRIALS,
+            ),
+            (
+                "acc classes x samples",
+                acc.map_or(0, |a| {
+                    (a.classes as u64).saturating_mul(a.samples_per_class as u64)
+                }),
+                MAX_ACC_SAMPLES,
+            ),
+            ("acc seeds", acc.map_or(0, |a| a.seeds), MAX_ACC_SEEDS),
+        ];
+        for (field, value, max) in bounds {
+            if value > max {
+                return Err(input(&format!("{field} must be <= {max}, got {value}")));
+            }
         }
         match self.kind {
             RequestKind::Ter => {
@@ -1848,6 +1886,58 @@ mod tests {
                 ServeRequest::decode(line).is_err(),
                 "should reject {line:?}"
             );
+        }
+    }
+
+    /// Each size bound admits a value at the bound and rejects one above
+    /// it with an `Input` error naming the field.
+    #[test]
+    fn request_sizes_are_bounded() {
+        let ter = "req v1 kind=ter sources=baseline corners=ideal";
+        let sweep = "req v1 kind=sweep sources=baseline corners=ideal typical=1";
+        let acc = "req v1 kind=acc sources=baseline corners=ideal";
+        let corners = |n: usize| vec!["ideal"; n].join(",");
+        let dies = |n: u64| (0..n).map(|d| d.to_string()).collect::<Vec<_>>().join(",");
+        let cases = [
+            (
+                "pixels",
+                format!("{ter} pixels=1024"),
+                format!("{ter} pixels=1025"),
+            ),
+            (
+                "corners",
+                format!("req v1 kind=ter sources=baseline corners={}", corners(64)),
+                format!("req v1 kind=ter sources=baseline corners={}", corners(65)),
+            ),
+            (
+                "dies",
+                format!("{sweep} dies={}", dies(64)),
+                format!("{sweep} dies={}", dies(65)),
+            ),
+            (
+                "mc trials",
+                format!("{sweep} mc=4096:1:0"),
+                format!("{sweep} mc=4097:1:0"),
+            ),
+            (
+                "acc classes x samples",
+                format!("{acc} acc=16:4:9:256:24:5:2:0"),
+                format!("{acc} acc=16:4:9:257:24:5:2:0"),
+            ),
+            (
+                "acc seeds",
+                format!("{acc} acc=16:4:9:2:24:5:64:0"),
+                format!("{acc} acc=16:4:9:2:24:5:65:0"),
+            ),
+        ];
+        for (field, at, above) in cases {
+            ServeRequest::decode(&at).unwrap_or_else(|e| panic!("{field} at its bound: {e}"));
+            match ServeRequest::decode(&above) {
+                Err(PipelineError::Input { reason }) => {
+                    assert!(reason.contains(&format!("{field} must be <=")), "{reason}")
+                }
+                other => panic!("{field} above its bound: {other:?}"),
+            }
         }
     }
 

@@ -576,7 +576,7 @@ mod tests {
     }
 
     fn stress_histogram() -> DepthHistogram {
-        use accel_sim::{Dataflow, GemmProblem, SimOptions};
+        use accel_sim::{Dataflow, GemmProblem};
         let w = Matrix::from_fn(48, 4, |r, c| (((r * 11 + c * 3) % 15) as i8) - 7);
         let a = Matrix::from_fn(48, 8, |r, c| ((r + 2 * c) % 5) as i8);
         let mut hist = DepthHistogram::new();
@@ -585,7 +585,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut hist,
             )
             .unwrap();

@@ -16,8 +16,9 @@
 //!   fingerprint-keyed entries.  Writes go to a unique temporary file and
 //!   are published with an atomic rename, so concurrent writers (threads
 //!   *or* processes) always leave a decodable entry; corrupt or
-//!   version-mismatched entries read as misses (counted in
-//!   [`StoreStats::corrupt`]) and are rewritten by the next computation.
+//!   version-mismatched entries, and payloads that do not fit their key,
+//!   read as misses (counted in [`StoreStats::corrupt`]) and are rewritten
+//!   by the next computation.
 //!   Point worker processes ([`crate::SubprocessExecutor`],
 //!   [`crate::WorkPlan::serve`]) at a shared directory and optimization and
 //!   simulation stop being duplicated across processes and runs entirely.

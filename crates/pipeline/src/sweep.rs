@@ -197,11 +197,6 @@ impl SweepPlan {
         self
     }
 
-    /// The configured conditions, in cell order.
-    pub fn condition_set(&self) -> &[OperatingCondition] {
-        &self.conditions
-    }
-
     /// The configured dies, in cell order ([`DieSpec::Typical`] when none
     /// was configured).
     pub fn die_set(&self) -> Vec<DieSpec> {

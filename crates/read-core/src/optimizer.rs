@@ -291,7 +291,7 @@ impl ReadOptimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel_sim::{ArrayConfig, Dataflow, GemmProblem, NullObserver, SimOptions};
+    use accel_sim::{ArrayConfig, Dataflow, GemmProblem, NullObserver};
 
     fn demo_weights(rows: usize, cols: usize, seed: u64) -> Matrix<i8> {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -375,7 +375,6 @@ mod tests {
                 &ArrayConfig::new(4, 4),
                 Dataflow::OutputStationary,
                 &schedule.to_compute_schedule(),
-                &SimOptions::exhaustive(),
                 &mut obs,
             )
             .unwrap();

@@ -490,7 +490,7 @@ fn binomial_sample(rng: &mut StdRng, n: u64, p: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix, SimOptions};
+    use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix};
 
     fn demo_histogram() -> DepthHistogram {
         let w = Matrix::from_fn(64, 4, |r, c| (((r * 13 + c * 7) % 17) as i8) - 8);
@@ -501,7 +501,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut hist,
             )
             .unwrap();

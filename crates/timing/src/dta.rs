@@ -249,7 +249,7 @@ impl DepthWordSink for DepthHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix, SimOptions};
+    use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix};
 
     fn demo_problem() -> GemmProblem {
         let w = Matrix::from_fn(64, 4, |r, c| (((r * 13 + c * 7) % 17) as i8) - 8);
@@ -304,7 +304,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut oracle,
             )
             .unwrap();
@@ -342,7 +341,6 @@ mod tests {
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut hist,
             )
             .unwrap();
@@ -361,23 +359,17 @@ mod tests {
     fn depth_histogram_merge_accumulates() {
         let mut a = DepthHistogram::new();
         let mut b = DepthHistogram::new();
-        let problem = demo_problem();
+        let other = {
+            let w = Matrix::from_fn(32, 4, |r, c| (((r * 5 + c * 11) % 15) as i8) - 7);
+            let a = Matrix::from_fn(32, 4, |r, c| ((r + c * 5) % 9) as i8);
+            GemmProblem::new(w, a).unwrap()
+        };
         let array = ArrayConfig::paper_default();
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::sampled(4, 1),
-                &mut a,
-            )
+        demo_problem()
+            .simulate(&array, Dataflow::OutputStationary, &mut a)
             .unwrap();
-        problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::sampled(4, 2),
-                &mut b,
-            )
+        other
+            .simulate(&array, Dataflow::OutputStationary, &mut b)
             .unwrap();
         let total = a.total() + b.total();
         a.merge(&b);
@@ -396,28 +388,24 @@ mod tests {
     #[test]
     fn packed_histogram_is_byte_identical_to_scalar_path() {
         use accel_sim::ScalarPath;
-        let problem = {
-            // 5 channels x 70 pixels = 350 outputs in two column groups:
-            // one word straddles the groups and the last holds 30 lanes.
-            let w = Matrix::from_fn(48, 5, |r, c| (((r * 13 + c * 7) % 17) as i8) - 8);
-            let a = Matrix::from_fn(48, 70, |r, c| (((r * 3 + c) % 9) as i8) - 2);
-            GemmProblem::new(w, a).unwrap()
-        };
         let array = ArrayConfig::paper_default();
-        for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
-            for options in [SimOptions::exhaustive(), SimOptions::sampled(33, 3)] {
+        // 5 channels in two column groups.  At 70 pixels (350 outputs) one
+        // word straddles the groups and the last holds 30 lanes; at 33
+        // pixels (165 outputs) the last word straddles them with 37 lanes.
+        for pixels in [70, 33] {
+            let w = Matrix::from_fn(48, 5, |r, c| (((r * 13 + c * 7) % 17) as i8) - 8);
+            let a = Matrix::from_fn(48, pixels, |r, c| (((r * 3 + c) % 9) as i8) - 2);
+            let problem = GemmProblem::new(w, a).unwrap();
+            for dataflow in [Dataflow::OutputStationary, Dataflow::WeightStationary] {
                 let mut packed = DepthHistogram::new();
                 let mut scalar = ScalarPath(DepthHistogram::new());
-                let fast = problem
-                    .simulate(&array, dataflow, &options, &mut packed)
-                    .unwrap();
-                let slow = problem
-                    .simulate(&array, dataflow, &options, &mut scalar)
-                    .unwrap();
-                assert_eq!(packed, scalar.0, "{dataflow:?} {options:?}");
+                let fast = problem.simulate(&array, dataflow, &mut packed).unwrap();
+                let slow = problem.simulate(&array, dataflow, &mut scalar).unwrap();
+                assert_eq!(packed, scalar.0, "{dataflow:?} pixels={pixels}");
                 assert_eq!(packed.to_wire(), scalar.0.to_wire());
                 assert_eq!(fast.outputs, slow.outputs);
                 assert_eq!(fast.total_cycles, slow.total_cycles);
+                assert_eq!(fast.total_cycles, (48 * 5 * pixels) as u64);
                 assert!(packed.total() > 0);
             }
         }

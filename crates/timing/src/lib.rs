@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix, SimOptions};
+//! use accel_sim::{ArrayConfig, Dataflow, GemmProblem, Matrix};
 //! use timing::{DelayModel, DepthHistogram, OperatingCondition};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,12 +42,7 @@
 //!
 //! // One simulation pass records the triggered depths...
 //! let mut hist = DepthHistogram::new();
-//! problem.simulate(
-//!     &ArrayConfig::paper_default(),
-//!     Dataflow::OutputStationary,
-//!     &SimOptions::exhaustive(),
-//!     &mut hist,
-//! )?;
+//! problem.simulate(&ArrayConfig::paper_default(), Dataflow::OutputStationary, &mut hist)?;
 //! // ...and yields the TER at any corner without simulating again.
 //! let delay = DelayModel::nangate15_like();
 //! let ideal = hist.ter(&delay, &OperatingCondition::ideal());

@@ -47,13 +47,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let problem = layer.problem();
     let array = ArrayConfig::new(16, 4);
     let schedule = read.schedule(&layer.weights, array.cols())?;
-    let options = SimOptions::exhaustive();
     let reference = problem.reference_output()?;
 
     for dataflow in Dataflow::ALL {
         // Analytic path: the closed-form engine's depth histogram.
         let mut analytic = DepthHistogram::new();
-        problem.simulate_with_schedule(&array, dataflow, &schedule, &options, &mut analytic)?;
+        problem.simulate_with_schedule(&array, dataflow, &schedule, &mut analytic)?;
 
         // Event path: same schedule through contexts and bounded channels,
         // with a Chrome trace attached.
@@ -64,7 +63,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &array,
             dataflow,
             &schedule,
-            &options,
             &EngineConfig::default(),
             &mut event,
             Some(&mut trace),

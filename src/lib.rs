@@ -81,7 +81,7 @@ pub mod prelude {
     pub use accel_sim::{
         im2col, weights_to_matrix, ArrayConfig, ColumnGroup, ComputeSchedule, ConvShape,
         CycleObserver, Dataflow, GemmProblem, MacUnit, Matrix, NullObserver, PsumTraceRecorder,
-        SignFlipStats, SimOptions, SimResult,
+        SignFlipStats, SimResult,
     };
     pub use dataflow_sim::{
         run_dataflow, DataflowReport, DataflowRun, EngineConfig, EventError, TraceRecorder,

@@ -9,7 +9,7 @@
 //! `proptest` is not available offline, so this uses the workspace's
 //! deterministic case generator over the seeded RNG shim.
 
-use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix, SimOptions};
+use accel_sim::{ArrayConfig, ComputeSchedule, Dataflow, GemmProblem, Matrix};
 use dataflow_sim::{run_dataflow, EngineConfig, EventError, TraceRecorder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,20 +34,13 @@ impl Gen {
     }
 }
 
-/// A random (problem, array, schedule, options, engine-config) case.  Row
-/// counts run well past 64 and are rarely multiples of it, so the analytic
-/// path's packed word-parallel kernels see ragged tail words too.
-#[allow(clippy::type_complexity)]
+/// A random (problem, array, schedule, engine-config) case.  Row counts
+/// run well past 64 and are rarely multiples of it, so the analytic path's
+/// packed word-parallel kernels see ragged tail words too.
 fn random_case(
     gen: &mut Gen,
     case: usize,
-) -> (
-    GemmProblem,
-    ArrayConfig,
-    ComputeSchedule,
-    SimOptions,
-    EngineConfig,
-) {
+) -> (GemmProblem, ArrayConfig, ComputeSchedule, EngineConfig) {
     let rows = gen.range(1, 100);
     let cols = gen.range(1, 10);
     let pixels = gen.range(1, 8);
@@ -67,38 +60,33 @@ fn random_case(
         .schedule(&weights, array.cols())
         .expect("optimizer schedule")
     };
-    let options = if case.is_multiple_of(3) {
-        SimOptions::sampled(gen.range(1, pixels + 1), case as u64)
-    } else {
-        SimOptions::exhaustive()
-    };
     let config = EngineConfig {
         channel_capacity: gen.range(1, 6),
         hop_latency: gen.range(0, 3) as u64,
     };
-    (problem, array, schedule, options, config)
+    (problem, array, schedule, config)
 }
 
 const CASES: usize = 48;
 
 /// THE acceptance property: across random shapes (including reduction
-/// depths that are not multiples of 64), schedules, pixel sampling and
-/// channel configurations, the event engine's depth histogram renders to
+/// depths that are not multiples of 64), schedules and channel
+/// configurations, the event engine's depth histogram renders to
 /// the exact bytes of the analytic engine's, for both dataflows — and the
 /// outputs are bit-identical.
 #[test]
 fn event_histograms_are_byte_identical_to_the_analytic_engine() {
     let mut gen = Gen::new(0xDF10);
     for case in 0..CASES {
-        let (problem, array, schedule, options, config) = random_case(&mut gen, case);
+        let (problem, array, schedule, config) = random_case(&mut gen, case);
         for dataflow in Dataflow::ALL {
             let mut analytic = DepthHistogram::new();
             let reference = problem
-                .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut analytic)
+                .simulate_with_schedule(&array, dataflow, &schedule, &mut analytic)
                 .expect("analytic run");
             let mut event = DepthHistogram::new();
             let run = run_dataflow(
-                &problem, &array, dataflow, &schedule, &options, &config, &mut event, None,
+                &problem, &array, dataflow, &schedule, &config, &mut event, None,
             )
             .expect("event run");
             assert_eq!(
@@ -110,7 +98,11 @@ fn event_histograms_are_byte_identical_to_the_analytic_engine() {
                 run.outputs, reference.outputs,
                 "case {case} {dataflow:?}: outputs diverged"
             );
-            assert_eq!(run.simulated_pixels, reference.simulated_pixels);
+            assert_eq!(run.report.macs, reference.total_cycles);
+            assert_eq!(
+                run.report.macs,
+                (problem.reduction_len() * problem.num_channels() * problem.num_pixels()) as u64
+            );
             assert_eq!(run.report.dataflow, dataflow.name());
         }
     }
@@ -144,7 +136,6 @@ fn capacity_one_weight_stationary_spill_reload_terminates() {
             &array,
             Dataflow::WeightStationary,
             &schedule,
-            &SimOptions::exhaustive(),
             &config,
             &mut accel_sim::NullObserver,
             Some(&mut trace),
@@ -175,7 +166,6 @@ fn zero_capacity_is_rejected_up_front() {
         &ArrayConfig::new(4, 2),
         Dataflow::OutputStationary,
         &schedule,
-        &SimOptions::exhaustive(),
         &EngineConfig {
             channel_capacity: 0,
             hop_latency: 1,

@@ -10,7 +10,7 @@
 
 use accel_sim::{
     bitplane, carry_chain_length, ArrayConfig, ColumnGroup, ComputeSchedule, Dataflow, DepthWord,
-    GemmProblem, MacUnit, Matrix, NullObserver, ScalarPath, SimOptions, ACC_BITS,
+    GemmProblem, MacUnit, Matrix, NullObserver, ScalarPath, ACC_BITS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -142,20 +142,10 @@ fn dataflows_agree() {
         let array = ArrayConfig::new(4, 2);
         let mut obs = NullObserver;
         let os = problem
-            .simulate(
-                &array,
-                Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
-                &mut obs,
-            )
+            .simulate(&array, Dataflow::OutputStationary, &mut obs)
             .unwrap();
         let ws = problem
-            .simulate(
-                &array,
-                Dataflow::WeightStationary,
-                &SimOptions::exhaustive(),
-                &mut obs,
-            )
+            .simulate(&array, Dataflow::WeightStationary, &mut obs)
             .unwrap();
         assert_eq!(os.outputs, ws.outputs);
     }
@@ -271,7 +261,7 @@ fn packed_histogram_accumulation_matches_scalar() {
 /// outputs per word) fills the same depth histogram, outputs and cycle
 /// count as the scalar MAC path, for random schedules of several groups
 /// with their own row orders and uneven widths, pixel counts around the
-/// word width, both dataflows and sampled pixels.
+/// word width and both dataflows.
 #[test]
 fn packed_simulation_matches_scalar_on_random_schedules() {
     let mut gen = Gen::new(0x5C4E);
@@ -304,26 +294,22 @@ fn packed_simulation_matches_scalar_on_random_schedules() {
         let schedule = ComputeSchedule::new(groups);
         // Every pixel count meets both dataflows.
         let dataflow = Dataflow::ALL[(case / 8) % 2];
-        let options = if case % 3 == 0 {
-            SimOptions::sampled(gen.range(1, m + 1), gen.next_u64())
-        } else {
-            SimOptions::exhaustive()
-        };
         let array = ArrayConfig::new(4, 2);
         let mut packed = DepthHistogram::new();
         let mut scalar = ScalarPath(DepthHistogram::new());
         let fast = problem
-            .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut packed)
+            .simulate_with_schedule(&array, dataflow, &schedule, &mut packed)
             .unwrap();
         let slow = problem
-            .simulate_with_schedule(&array, dataflow, &schedule, &options, &mut scalar)
+            .simulate_with_schedule(&array, dataflow, &schedule, &mut scalar)
             .unwrap();
         assert_eq!(
             packed, scalar.0,
             "case {case}: m={m} r={r} k={k} {dataflow:?}"
         );
         assert_eq!(fast, slow, "case {case}");
-        assert_eq!(packed.total(), (r * k * fast.simulated_pixels.len()) as u64);
+        assert_eq!(fast.total_cycles, (r * k * m) as u64, "case {case}");
+        assert_eq!(packed.total(), (r * k * m) as u64);
     }
 }
 
@@ -464,7 +450,6 @@ fn sharded_mc_aggregation_equals_unsharded_for_arbitrary_splits() {
             .simulate(
                 &ArrayConfig::paper_default(),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut hist,
             )
             .unwrap();
@@ -601,7 +586,6 @@ fn simulator_and_analytic_sign_flips_agree_on_unit_activations() {
             .simulate(
                 &ArrayConfig::new(2, weights.cols().max(1)),
                 Dataflow::OutputStationary,
-                &SimOptions::exhaustive(),
                 &mut stats,
             )
             .unwrap();

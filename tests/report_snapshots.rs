@@ -222,7 +222,6 @@ fn dataflow_trace_layout_is_stable() {
         &ArrayConfig::new(4, 2),
         Dataflow::WeightStationary,
         &schedule,
-        &SimOptions::exhaustive(),
         &EngineConfig::default(),
         &mut NullObserver,
         Some(&mut trace),

@@ -2,6 +2,8 @@
 //! (exactly-once computation of every distinct work unit), byte-identical
 //! reports versus serial execution, and interactive-over-bulk preemption.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use read_repro::prelude::*;
@@ -197,5 +199,50 @@ fn interactive_request_preempts_an_in_flight_bulk_sweep() {
     );
 
     client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+/// One oversized request line gets an `err` reply naming the field, and the
+/// same daemon still answers: request sizes are bounded before any workload
+/// is synthesized, so a trillion pixels never reach an allocation.
+#[test]
+fn oversized_request_is_refused_and_the_daemon_survives() {
+    let handle = ServeServer::spawn(
+        "127.0.0.1:0",
+        ServerConfig {
+            slots: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    // Sends one line and returns the reply, up to its closing `.` line.
+    let mut exchange = |line: &str| {
+        writeln!(reader.get_ref(), "{line}").unwrap();
+        let mut reply = String::new();
+        loop {
+            let mut next = String::new();
+            assert!(reader.read_line(&mut next).unwrap() > 0, "daemon hung up");
+            if next == ".\n" {
+                return reply;
+            }
+            reply.push_str(&next);
+        }
+    };
+    let reply = exchange(
+        "req v1 kind=ter net=x family=vgg16 layers=1 pixels=1000000000000 wseed=1 \
+         sources=baseline corners=ideal priority=auto timeout_ms=0",
+    );
+    // Wire-escaped: `\s` stands for a space.
+    assert!(
+        reply.starts_with("err ") && reply.contains(r"pixels\smust\sbe\s<=\s1024"),
+        "{reply}"
+    );
+    assert_eq!(exchange("ping"), "ok pong\n");
+    handle.client().shutdown().unwrap();
     handle.join().unwrap();
 }

@@ -14,7 +14,7 @@
 //! pattern).
 
 use std::io::BufReader;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 
 use read_repro::prelude::*;
@@ -90,6 +90,41 @@ fn disk_entry_format_matches_the_golden_fixture() {
         written,
         include_str!("fixtures/artifact_entry.txt"),
         "on-disk entry format drifted from the golden fixture"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The content address of a stored histogram is a stable contract too: a
+/// warm store stays warm only while the key bytes (source, workload and
+/// simulation-context fingerprints) do not drift.  One `layer_histogram`
+/// over a fresh `DiskStore` writes exactly one histogram entry, at this
+/// file name, under this check line.
+#[test]
+fn histogram_store_key_is_pinned() {
+    let dir = scratch_dir("hist-key");
+    let pipeline = ReadPipeline::builder()
+        .baseline()
+        .condition(OperatingCondition::ideal())
+        .store(DiskStore::new(&dir).unwrap())
+        .build()
+        .unwrap();
+    pipeline
+        .layer_histogram(&tiny_workloads(1)[0], &Baseline)
+        .unwrap();
+    let entries: Vec<PathBuf> = std::fs::read_dir(dir.join("histogram"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(entries.len(), 1, "{entries:?}");
+    assert_eq!(
+        entries[0].file_name().unwrap().to_str().unwrap(),
+        "32a06470b8aa14e2.entry"
+    );
+    let entry = std::fs::read_to_string(&entries[0]).unwrap();
+    assert_eq!(
+        entry.lines().nth(2).unwrap(),
+        "check=source=baseline workload=conv1_1 rows=27 cols=64 pixels=1 \
+         source_fp=f37ca99ea5888162 workload_fp=314b8bf56f8934f0 context_fp=e937c8d90c420d39"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -209,6 +244,115 @@ fn accuracy_rerun_from_disk_executes_zero_units_fresh() {
     assert_eq!(warm_stats.hist_misses, 0);
     assert_eq!(warm_stats.unit_misses, 0, "the evaluator never ran again");
     assert_eq!(cold.to_json().into_bytes(), warm.to_json().into_bytes());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- entries that parse but do not fit their key -------------------------
+
+/// The entry files of one artifact kind, with their contents.
+fn entries_of(dir: &Path, kind: &str) -> Vec<(PathBuf, String)> {
+    std::fs::read_dir(dir.join(kind))
+        .unwrap()
+        .map(|e| {
+            let path = e.unwrap().path();
+            let content = std::fs::read_to_string(&path).unwrap();
+            (path, content)
+        })
+        .collect()
+}
+
+/// Replaces the payload of an entry file, keeping its header and check
+/// line: a well-formed entry under the right key whose payload belongs
+/// elsewhere.
+fn rewrite_payload(path: &Path, payload: &str) {
+    let entry = std::fs::read_to_string(path).unwrap();
+    let (head, _) = entry.split_once("\n---\n").unwrap();
+    std::fs::write(path, format!("{head}\n---\n{payload}\n")).unwrap();
+}
+
+/// A schedule entry under the right key and check line whose payload parses
+/// but is no schedule of that layer is a counted miss: the run recomputes
+/// the schedule, matches the reference report and rewrites the entry, which
+/// then serves a rerun.
+#[test]
+fn misfit_schedule_entry_is_a_counted_miss() {
+    let dir = scratch_dir("misfit-schedule");
+    let workloads = tiny_workloads(1);
+    let build = || {
+        ReadPipeline::builder()
+            .baseline()
+            .condition(OperatingCondition::aging_vt(10.0, 0.05))
+            .store(DiskStore::new(&dir).unwrap())
+            .build()
+            .unwrap()
+    };
+    let reference = build().run_ter("misfit", &workloads).unwrap().to_json();
+    // Drop the histogram so the next run needs the schedule again.
+    std::fs::remove_dir_all(dir.join("histogram")).unwrap();
+    let schedules = entries_of(&dir, "schedule");
+    assert_eq!(schedules.len(), 1);
+    rewrite_payload(&schedules[0].0, "groups=0@0");
+
+    let pipeline = build();
+    let report = pipeline.run_ter("misfit", &workloads).unwrap();
+    assert_eq!(report.to_json(), reference);
+    let stats = pipeline.cache_stats();
+    assert_eq!(stats.corrupt_entries, 1);
+    assert_eq!(stats.misses, 1, "the schedule was recomputed");
+
+    std::fs::remove_dir_all(dir.join("histogram")).unwrap();
+    let rerun = build();
+    assert_eq!(
+        rerun.run_ter("misfit", &workloads).unwrap().to_json(),
+        reference
+    );
+    let stats = rerun.cache_stats();
+    assert_eq!(stats.misses, 0, "served from the rewritten entry");
+    assert_eq!(stats.corrupt_entries, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A unit entry holding the result of another unit (here the Monte-Carlo
+/// shard `trials=0..8` holding shard `8..16`'s result) is a counted miss,
+/// not a failed aggregation.
+#[test]
+fn misfit_unit_entry_is_a_counted_miss() {
+    let dir = scratch_dir("misfit-unit");
+    let workloads = tiny_workloads(1);
+    let build = || {
+        sweep_builder()
+            .store(DiskStore::new(&dir).unwrap())
+            .build()
+            .unwrap()
+    };
+    let reference = build().run_sweep(NETWORK, &workloads).unwrap().to_json();
+    let units = entries_of(&dir, "unit");
+    let find = |unit: &str| {
+        let prefix = format!("check=unit={} plan=", unit.replace(' ', r"\\s"));
+        units
+            .iter()
+            .find(|(_, content)| content.lines().any(|l| l.starts_with(&prefix)))
+            .unwrap_or_else(|| panic!("no entry for {unit}"))
+    };
+    let (first, _) = find("mc cell=0 trials=0..8");
+    let (_, second) = find("mc cell=0 trials=8..16");
+    rewrite_payload(first, second.split_once("\n---\n").unwrap().1.trim_end());
+
+    let pipeline = build();
+    let report = pipeline.run_sweep(NETWORK, &workloads).unwrap();
+    assert_eq!(report.to_json(), reference);
+    let stats = pipeline.cache_stats();
+    assert_eq!(stats.corrupt_entries, 1);
+    assert_eq!(stats.unit_misses, 1, "only the misfit shard was recomputed");
+
+    let rerun = build();
+    assert_eq!(
+        rerun.run_sweep(NETWORK, &workloads).unwrap().to_json(),
+        reference
+    );
+    let stats = rerun.cache_stats();
+    assert_eq!(stats.unit_misses, 0, "served from the rewritten entry");
+    assert_eq!(stats.corrupt_entries, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -232,10 +232,14 @@ fn run_sweep_requires_a_configured_plan() {
         matches!(err, PipelineError::Missing { what: "sweep plan" }),
         "{err}"
     );
-    // run_sweep_with works without a configured plan.
-    let plan = SweepPlan::new().condition(OperatingCondition::ideal());
-    let report = pipeline
-        .run_sweep_with("adhoc", &tiny_workloads(1), &plan)
+    // The same pipeline with a plan configured runs it.
+    let report = ReadPipeline::builder()
+        .baseline()
+        .condition(OperatingCondition::ideal())
+        .sweep(SweepPlan::new().condition(OperatingCondition::ideal()))
+        .build()
+        .unwrap()
+        .run_sweep("adhoc", &tiny_workloads(1))
         .unwrap();
     assert_eq!(report.cells.len(), 1);
     assert_eq!(report.cells[0].error_model, "delay-model");
