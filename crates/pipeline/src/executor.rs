@@ -17,7 +17,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::TcpStream;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 use crate::error::PipelineError;
 use crate::exec::{resolve_threads, run_indexed_threads};
 use crate::plan::{UnitLedger, UnitResult, WorkPlan, WorkUnit};
+use crate::wire;
 
 /// A strategy for executing a contiguous range of a [`WorkPlan`]'s units.
 pub trait Executor: Send + Sync {
@@ -118,10 +119,6 @@ const DEFAULT_WINDOW: usize = 8;
 /// Dispatches a unit gets before the worker deaths that lose it fail the
 /// run.
 const DEFAULT_ATTEMPTS: u32 = 3;
-
-/// How long a socket driver waits for a TCP connection to one worker
-/// address.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The error of a run whose deadline passed.
 const TIMED_OUT: &str = "request timed out while units were outstanding";
@@ -436,26 +433,11 @@ struct TcpLink {
 
 impl TcpLink {
     fn connect(addr: &str, liveness: Duration) -> Result<TcpLink, String> {
-        let addrs = addr
-            .to_socket_addrs()
-            .map_err(|e| format!("address did not resolve: {e}"))?;
-        let mut last_error = "address resolved to nothing".to_string();
-        for sock_addr in addrs {
-            match TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT) {
-                Ok(stream) => {
-                    stream
-                        .set_read_timeout(Some(liveness))
-                        .map_err(|e| format!("set_read_timeout failed: {e}"))?;
-                    let _ = stream.set_nodelay(true);
-                    return Ok(TcpLink {
-                        reader: BufReader::new(stream),
-                        liveness,
-                    });
-                }
-                Err(e) => last_error = format!("connect failed: {e}"),
-            }
-        }
-        Err(last_error)
+        let stream = wire::connect(addr, liveness).map_err(|e| format!("connect failed: {e}"))?;
+        Ok(TcpLink {
+            reader: BufReader::new(stream),
+            liveness,
+        })
     }
 }
 

@@ -42,7 +42,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -61,7 +61,9 @@ use crate::plan::{window_reply, UnitResult, WorkPlan, WorkUnit};
 use crate::stage::Algorithm;
 use crate::store::{ArtifactStore, MemoryStore};
 use crate::sweep::SweepPlan;
-use crate::wire::{escape_wire, io_err, unescape, Conn, Daemon, Fields, Flow, Handler, LineServer};
+use crate::wire::{
+    self, escape_wire, io_err, unescape, Conn, Daemon, Fields, Flow, Handler, LineServer,
+};
 use crate::workload::{
     resnet18_workloads_prefix, resnet34_workloads_prefix, vgg16_workloads_prefix, LayerWorkload,
     WorkloadConfig,
@@ -1465,13 +1467,9 @@ impl ServeClient {
     }
 
     fn round_trip(&self, line: &str) -> Result<Vec<String>, PipelineError> {
-        let stream = TcpStream::connect(self.addr).map_err(|e| io_err("connect", e))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(600)))
-            .map_err(|e| io_err("set_read_timeout", e))?;
-        let mut write_half = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
-        writeln!(write_half, "{line}").map_err(|e| io_err("send", e))?;
-        write_half.flush().map_err(|e| io_err("send", e))?;
+        let stream =
+            wire::connect(self.addr, Duration::from_secs(600)).map_err(|e| io_err("connect", e))?;
+        writeln!(&stream, "{line}").map_err(|e| io_err("send", e))?;
         let reader = BufReader::new(stream);
         let mut lines = Vec::new();
         for read in reader.lines() {
@@ -1707,10 +1705,8 @@ impl WorkerServer {
     /// Returns [`PipelineError::Exec`] on transport failure or an
     /// unexpected response.
     pub fn shutdown_at(addr: &str) -> Result<(), PipelineError> {
-        let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .map_err(|e| io_err("set_read_timeout", e))?;
+        let stream =
+            wire::connect(addr, Duration::from_secs(30)).map_err(|e| io_err("connect", e))?;
         let mut reader = BufReader::new(stream);
         writeln!(reader.get_ref(), "shutdown").map_err(|e| io_err("send", e))?;
         let mut line = String::new();
@@ -1750,8 +1746,6 @@ impl WorkerHandle {
 }
 
 impl Handler for WorkerDaemon {
-    const NODELAY: bool = true;
-
     fn serve(&self, conn: &mut Conn<'_>) {
         // Control / handshake phase: answer pings until a spec line arrives.
         let job = loop {
@@ -1828,6 +1822,7 @@ impl WorkerDaemon {
 mod tests {
     use super::*;
     use crate::executor::{Executor as _, SerialExecutor};
+    use std::net::TcpStream;
     use std::sync::mpsc;
 
     // ---- protocol ---------------------------------------------------------

@@ -55,7 +55,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::PipelineError;
-use crate::wire::{bad_wire, escape_wire, Conn, Daemon, Fields, Flow, Handler, LineServer};
+use crate::wire::{self, bad_wire, escape_wire, Conn, Daemon, Fields, Flow, Handler, LineServer};
 
 /// Version tag of the on-disk entry format.  Stored in every entry header;
 /// entries carrying any other version read as misses and are counted in
@@ -523,7 +523,8 @@ fn parse_entry(content: &str) -> Option<(&str, &str, &str)> {
 /// fails it.
 ///
 /// I/O is *batched*: `put` appends to a write-behind buffer that is
-/// published as one `mput` line when 32 puts have accumulated (and on
+/// published as one `mput` line when 32 puts or 64 KiB of check and
+/// payload bytes have accumulated (and on
 /// [`ArtifactStore::flush`] — called at run boundaries and when a worker
 /// session ends), and [`ArtifactStore::load_many`] answers a whole
 /// batch with one `mget` line.  Reads are read-your-writes: a `load`
@@ -572,12 +573,16 @@ fn decode_entries(
     Ok(entries)
 }
 
-/// Entries per batched wire line: bounds line length (and the daemon's
-/// per-line allocation) without changing observable behavior.
+/// Entries per `mget` line: bounds the line and its reply without changing
+/// observable behavior.
 const BATCH_CHUNK: usize = 64;
 
 /// Buffered puts a [`RemoteStore`] publishes as one `mput` line.
 const WRITE_BEHIND: usize = 32;
+
+/// Buffered check and payload bytes a [`RemoteStore`] publishes at,
+/// whatever the count: bounds each `mput` line.
+const WRITE_BEHIND_BYTES: usize = 64 * 1024;
 
 /// Read and write timeout of one [`RemoteStore`] round trip.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
@@ -614,8 +619,7 @@ impl RemoteStore {
     }
 
     fn open_connection(&self) -> std::io::Result<BufReader<TcpStream>> {
-        let stream = TcpStream::connect(&self.addr)?;
-        stream.set_read_timeout(Some(IO_TIMEOUT))?;
+        let stream = wire::connect(&*self.addr, IO_TIMEOUT)?;
         stream.set_write_timeout(Some(IO_TIMEOUT))?;
         Ok(BufReader::new(stream))
     }
@@ -624,13 +628,8 @@ impl RemoteStore {
         conn: &mut Option<BufReader<TcpStream>>,
         line: &str,
     ) -> std::io::Result<String> {
-        let reader = match conn {
-            Some(reader) => reader,
-            None => unreachable!("caller ensures a connection"),
-        };
-        let mut stream = reader.get_ref();
-        writeln!(stream, "{line}")?;
-        stream.flush()?;
+        let reader = conn.as_mut().expect("caller ensures a connection");
+        writeln!(reader.get_ref(), "{line}")?;
         let mut response = String::new();
         if reader.read_line(&mut response)? == 0 {
             return Err(std::io::Error::new(
@@ -731,27 +730,26 @@ impl RemoteStore {
         }
     }
 
-    /// Publishes `pending` as `mput` lines, [`BATCH_CHUNK`] entries each.
-    /// Best-effort like `put`: a failed batch is dropped (uncounted) and
-    /// its artifacts are recomputed by whoever needs them next.
+    /// Publishes `pending` (at most one full write-behind buffer) as one
+    /// `mput` line.  Best-effort like `put`: a failed batch is dropped
+    /// (uncounted) and its artifacts are recomputed by whoever needs them
+    /// next.
     fn publish(&self, pending: Vec<BufferedPut>) {
-        for chunk in pending.chunks(BATCH_CHUNK) {
-            let mut line = format!("mput count={}", chunk.len());
-            for entry in chunk {
-                line.push_str(&format!(
-                    " kind={} key={:016x} check={} payload={}",
-                    escape_wire(&entry.kind),
-                    entry.key,
-                    escape_wire(&entry.check),
-                    escape_wire(&entry.payload)
-                ));
-            }
-            let expected = format!("ok count={}", chunk.len());
-            if matches!(self.round_trip(&line).as_deref(), Ok(r) if r == expected) {
-                self.counters
-                    .writes
-                    .fetch_add(chunk.len() as u64, Ordering::Relaxed);
-            }
+        let mut line = format!("mput count={}", pending.len());
+        for entry in &pending {
+            line.push_str(&format!(
+                " kind={} key={:016x} check={} payload={}",
+                escape_wire(&entry.kind),
+                entry.key,
+                escape_wire(&entry.check),
+                escape_wire(&entry.payload)
+            ));
+        }
+        let expected = format!("ok count={}", pending.len());
+        if matches!(self.round_trip(&line).as_deref(), Ok(r) if r == expected) {
+            self.counters
+                .writes
+                .fetch_add(pending.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -851,7 +849,9 @@ impl ArtifactStore for RemoteStore {
                 check: check.to_string(),
                 payload: payload.to_string(),
             });
-            (buffer.len() >= WRITE_BEHIND).then(|| std::mem::take(&mut *buffer))
+            let bytes: usize = buffer.iter().map(|e| e.check.len() + e.payload.len()).sum();
+            (buffer.len() >= WRITE_BEHIND || bytes >= WRITE_BEHIND_BYTES)
+                .then(|| std::mem::take(&mut *buffer))
         };
         if let Some(pending) = full {
             self.publish(pending);
@@ -1119,6 +1119,7 @@ impl StoreHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -1370,8 +1371,8 @@ mod tests {
         .unwrap();
         let remote = handle.client();
 
-        // Enough entries to span more than one BATCH_CHUNK wire line in
-        // both the mput and mget directions.
+        // Enough entries to span more than one BATCH_CHUNK `mget` line (the
+        // puts go out as `mput` lines of at most WRITE_BEHIND entries).
         let total = BATCH_CHUNK + 9;
         for i in 0..total as u64 {
             remote.put("unit", i, "check", &format!("payload {i}"));
@@ -1438,32 +1439,68 @@ mod tests {
 
     #[test]
     fn write_behind_publishes_at_capacity_and_on_drop() {
-        let backing = Arc::new(MemoryStore::new());
-        let handle = StoreServer::spawn(
-            "127.0.0.1:0",
-            Arc::clone(&backing) as Arc<dyn ArtifactStore>,
-        )
-        .unwrap();
-        let capacity = WRITE_BEHIND as u64;
-        {
-            let remote = handle.client();
-            for key in 1..capacity {
-                remote.put("unit", key, "c", "payload");
+        // (payload of every put, puts that fill the buffer): the count
+        // trigger, then the byte trigger (3 x 30,000 bytes >= 64 KiB).
+        let cases = [
+            ("payload".to_string(), WRITE_BEHIND),
+            ("x".repeat(30_000), 3),
+        ];
+        for (payload, puts) in cases {
+            let backing = Arc::new(MemoryStore::new());
+            let handle = StoreServer::spawn(
+                "127.0.0.1:0",
+                Arc::clone(&backing) as Arc<dyn ArtifactStore>,
+            )
+            .unwrap();
+            let capacity = puts as u64;
+            {
+                let remote = handle.client();
+                for key in 1..capacity {
+                    remote.put("unit", key, "c", &payload);
+                }
+                assert_eq!(backing.len(), 0, "below capacity: buffered");
+                remote.put("unit", capacity, "c", &payload);
+                assert_eq!(
+                    backing.len(),
+                    puts,
+                    "capacity reached: one mput publishes the whole buffer"
+                );
+                remote.put("unit", capacity + 1, "c", "tail");
+                assert_eq!(backing.len(), puts, "tail write buffered again");
+                assert_eq!(remote.stats().writes, capacity);
+                // Dropping the client publishes the leftover buffer.
             }
-            assert_eq!(backing.len(), 0, "below capacity: buffered");
-            remote.put("unit", capacity, "c", "payload");
-            assert_eq!(
-                backing.len(),
-                WRITE_BEHIND,
-                "capacity reached: one mput publishes the whole buffer"
-            );
-            remote.put("unit", capacity + 1, "c", "tail");
-            assert_eq!(backing.len(), WRITE_BEHIND, "tail write buffered again");
-            assert_eq!(remote.stats().writes, capacity);
-            // Dropping the client publishes the leftover buffer.
+            assert_eq!(backing.len(), puts + 1);
+            handle.client().shutdown_daemon().unwrap();
+            handle.join().unwrap();
         }
-        assert_eq!(backing.len(), WRITE_BEHIND + 1);
-        handle.client().shutdown_daemon().unwrap();
+    }
+
+    #[test]
+    fn kept_open_round_trips_are_not_paced_by_delayed_acks() {
+        // Bug pin: with Nagle on, a request's newline (a segment of its
+        // own) waited for the daemon's delayed ACK, about 44 ms per round
+        // trip on the client's kept-open connection.
+        let handle = StoreServer::spawn("127.0.0.1:0", Arc::new(MemoryStore::new()) as _).unwrap();
+        let remote = handle.client();
+        let forty_loads = |key| {
+            let start = Instant::now();
+            for _ in 0..40 {
+                remote.load("unit", key, "c");
+            }
+            start.elapsed()
+        };
+        let misses = forty_loads(1);
+        assert!(misses < Duration::from_secs(1), "40 misses took {misses:?}");
+        // 100,000 bytes in 4-byte characters: the unoptimized test build
+        // escapes and splits per character, and the stall is per round trip.
+        remote.put("unit", 2, "c", &"\u{1f980}".repeat(25_000));
+        remote.flush();
+        let hits = forty_loads(2);
+        assert!(hits < Duration::from_secs(1), "40 hits took {hits:?}");
+        let stats = remote.stats();
+        assert_eq!((stats.hits, stats.misses, stats.writes), (40, 40, 1));
+        remote.shutdown_daemon().unwrap();
         handle.join().unwrap();
     }
 

@@ -7,10 +7,16 @@
 //! a line finishes that line and its reply, then closes.  The codec is
 //! [`escape_wire`]/[`unescape`] for free-text fields plus [`Fields`], which
 //! decodes a line of space-separated `key=value` tokens.
+//!
+//! Every socket of these protocols is opened here, by [`LineServer::run`]
+//! on the daemon side and [`connect`] on the client side, and sends with
+//! Nagle off: a line often leaves as two segments (`writeln!` writes its
+//! newline apart), and with Nagle on the second would wait for the peer's
+//! delayed ACK, about 40 ms per round trip.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::str::{FromStr, SplitWhitespace};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -23,6 +29,27 @@ use crate::error::PipelineError;
 /// once instead of waiting this out.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 
+/// How long [`connect`] waits for a TCP connection to one resolved address.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Opens a client connection to `addr`: tries every address it resolves
+/// to, each for at most [`CONNECT_TIMEOUT`], then turns Nagle off and
+/// bounds every read by `read_timeout`.
+pub(crate) fn connect(addr: impl ToSocketAddrs, read_timeout: Duration) -> io::Result<TcpStream> {
+    let mut failure = io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing");
+    for sock_addr in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&sock_addr, CONNECT_TIMEOUT) {
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(read_timeout))?;
+                return Ok(stream);
+            }
+            Err(e) => failure = e,
+        }
+    }
+    Err(failure)
+}
+
 /// What a connection does after answering a line.
 pub(crate) enum Flow {
     /// Read the next line.
@@ -33,9 +60,6 @@ pub(crate) enum Flow {
 
 /// A daemon protocol: what a [`LineServer`] does with each connection.
 pub(crate) trait Handler: Sync {
-    /// Whether accepted connections send with Nagle off (`TCP_NODELAY`).
-    const NODELAY: bool = false;
-
     /// Serves one connection: read lines with [`Conn::next_line`] or
     /// [`Conn::answer_lines`], reply by writing to [`Conn::out`].  Each
     /// reply is flushed once, when the next line is read or the connection
@@ -93,9 +117,7 @@ impl<H: Handler> LineServer<H> {
             };
             scope.spawn(move || {
                 let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
-                if H::NODELAY {
-                    let _ = stream.set_nodelay(true);
-                }
+                let _ = stream.set_nodelay(true);
                 let stream = Arc::new(stream);
                 self.handler.serve(&mut Conn {
                     stream: &stream,
