@@ -41,14 +41,14 @@ fn main() {
     };
     let workload = vgg16_workloads(&config)
         .into_iter()
-        .find(|w| w.name == "conv4_8")
+        .find(|w| w.name() == "conv4_8")
         .expect("vgg16 plan contains conv4_8");
     let delay = DelayModel::nangate15_like();
     let condition = OperatingCondition::aging_vt(10.0, 0.05);
 
     report::section(&format!(
         "Ablation: TER reduction vs array columns ({}, output-stationary)",
-        workload.name
+        workload.name()
     ));
     let mut rows = Vec::new();
     for cols in [2usize, 4, 8, 16, 32] {

@@ -10,7 +10,7 @@ use accel_sim::{ArrayConfig, Matrix};
 use read_bench::experiments::figure_pipeline;
 use read_bench::report;
 use read_core::SortCriterion;
-use read_pipeline::{vgg16_workloads, Algorithm, WorkloadConfig};
+use read_pipeline::{vgg16_workloads, Algorithm, LayerWorkload, WorkloadConfig};
 use timing::{DelayModel, OperatingCondition};
 
 fn main() {
@@ -30,24 +30,24 @@ fn main() {
         let mut log_reduction = 0.0;
         let mut n = 0usize;
         for (i, workload) in vgg16_workloads(&config).iter().enumerate() {
-            let mut workload = workload.clone();
-            if make_signed {
+            let workload = if make_signed {
                 // Flip the sign of half the activation entries
                 // deterministically to emulate a signed input distribution
                 // with the same magnitudes.
-                workload.activations = Matrix::from_fn(
-                    workload.activations.rows(),
-                    workload.activations.cols(),
-                    |r, c| {
-                        let v = workload.activations[(r, c)];
-                        if (r * 31 + c * 17 + i) % 2 == 0 {
-                            v
-                        } else {
-                            v.saturating_neg()
-                        }
-                    },
-                );
-            }
+                let activations = workload.activations();
+                let signed = Matrix::from_fn(activations.rows(), activations.cols(), |r, c| {
+                    let v = activations[(r, c)];
+                    if (r * 31 + c * 17 + i) % 2 == 0 {
+                        v
+                    } else {
+                        v.saturating_neg()
+                    }
+                });
+                LayerWorkload::from_matrices(workload.name(), workload.weights().clone(), signed)
+                    .expect("the signed activations keep the layer's dimensions")
+            } else {
+                workload.clone()
+            };
             let base = pipeline
                 .layer_ter(&workload, &Algorithm::Baseline, &condition)
                 .expect("simulates");

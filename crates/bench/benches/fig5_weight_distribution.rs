@@ -19,9 +19,9 @@ fn main() {
     // A middle VGG-16 layer (256 -> 256 channels), as in the paper's example.
     let workload = vgg16_workloads(&config)
         .into_iter()
-        .find(|w| w.name == "conv3_6")
+        .find(|w| w.name() == "conv3_6")
         .expect("vgg16 plan contains conv3_6");
-    let weights = &workload.weights;
+    let weights = workload.weights();
     let all_cols: Vec<usize> = (0..weights.cols()).collect();
     let natural: Vec<usize> = (0..weights.rows()).collect();
     let buckets = 10;
@@ -40,7 +40,8 @@ fn main() {
 
     report::section(&format!(
         "Fig. 5(a-c): non-negative weight ratio by position decile ({} layer {})",
-        "VGG-16", workload.name
+        "VGG-16",
+        workload.name()
     ));
     let rows: Vec<Vec<String>> = (0..buckets)
         .map(|b| {

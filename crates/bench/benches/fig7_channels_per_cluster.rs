@@ -21,7 +21,7 @@ fn main() {
     // A 256->256 VGG-16 layer: wide enough to form 32-channel clusters.
     let workload = vgg16_workloads(&config)
         .into_iter()
-        .find(|w| w.name == "conv3_6")
+        .find(|w| w.name() == "conv3_6")
         .expect("vgg16 plan contains conv3_6");
     let delay = DelayModel::nangate15_like();
     let condition = OperatingCondition::aging_vt(10.0, 0.05);
@@ -35,7 +35,8 @@ fn main() {
 
     report::section(&format!(
         "Fig. 7: TER vs channels per cluster ({} at {})",
-        workload.name, condition
+        workload.name(),
+        condition
     ));
     let mut rows = Vec::new();
     for channels_per_cluster in [4usize, 8, 16, 32] {

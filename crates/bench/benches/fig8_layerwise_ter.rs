@@ -33,22 +33,22 @@ fn main() {
         ));
         let mut printed = Vec::new();
         for workload in &workloads {
-            let mut cells = vec![workload.name.clone()];
+            let mut cells = vec![workload.name().to_string()];
             for algorithm in &algorithms {
                 let row = rows
                     .iter()
-                    .find(|r| r.layer == workload.name && r.algorithm == algorithm.name())
+                    .find(|r| r.layer == workload.name() && r.algorithm == algorithm.name())
                     .expect("row exists");
                 cells.push(report::sci(row.ter));
             }
             // Per-layer reduction of the best algorithm.
             let base = rows
                 .iter()
-                .find(|r| r.layer == workload.name && r.algorithm == "baseline")
+                .find(|r| r.layer == workload.name() && r.algorithm == "baseline")
                 .expect("baseline row");
             let best = rows
                 .iter()
-                .filter(|r| r.layer == workload.name && r.algorithm != "baseline")
+                .filter(|r| r.layer == workload.name() && r.algorithm != "baseline")
                 .map(|r| r.ter)
                 .fold(f64::INFINITY, f64::min);
             cells.push(if best > 0.0 {
@@ -102,7 +102,7 @@ fn main() {
         .zip(analytic.iter().zip(&sampled))
         .map(|(w, (a, s))| {
             vec![
-                w.name.clone(),
+                w.name().to_string(),
                 report::sci(a.ter),
                 report::sci(s.ter),
                 report::sci(s.ter_stddev.unwrap_or(0.0)),

@@ -23,7 +23,7 @@ fn main() {
     // A representative cross-section of VGG-16: early, middle and late.
     let workloads: Vec<_> = vgg16_workloads(&config)
         .into_iter()
-        .filter(|w| ["conv1_2", "conv3_6", "conv5_11"].contains(&w.name.as_str()))
+        .filter(|w| ["conv1_2", "conv3_6", "conv5_11"].contains(&w.name()))
         .collect();
     let algorithms = Algorithm::paper_set();
     let array = ArrayConfig::paper_default();

@@ -20,7 +20,7 @@ fn main() {
     };
     let workload = vgg16_workloads(&config)
         .into_iter()
-        .find(|w| w.name == "conv2_3")
+        .find(|w| w.name() == "conv2_3")
         .expect("vgg16 plan contains conv2_3");
     let array = ArrayConfig::paper_default();
     let algorithms = [
@@ -36,7 +36,7 @@ fn main() {
 
     report::section(&format!(
         "Fig. 9: PSUM accumulation on one MAC while computing 3 outputs ({})",
-        workload.name
+        workload.name()
     ));
     for algorithm in algorithms {
         // Record the PSUM series of output channel 0 over all three pixels.

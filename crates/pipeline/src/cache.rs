@@ -48,7 +48,6 @@ use crate::plan::UnitResult;
 use crate::stage::fnv1a;
 use crate::store::{ArtifactStore, StoreRequest};
 use crate::wire::escape_wire;
-use crate::workload::LayerWorkload;
 
 /// Cache key: (source fingerprint, weights fingerprint, array columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -97,7 +96,7 @@ pub struct HistogramKey {
     /// [`crate::ScheduleSource::fingerprint`] of the producing source.
     pub source: u64,
     /// Fingerprint of the full workload (weights + activations, dims and
-    /// contents) — see [`workload_fingerprint`].
+    /// contents) — see [`crate::LayerWorkload::fingerprint`].
     pub workload: u64,
     /// Fingerprint of the simulation context (array geometry, dataflow,
     /// simulation options).
@@ -110,7 +109,7 @@ pub struct HistogramKey {
 pub struct HistogramCheck {
     /// [`crate::ScheduleSource::name`] of the producing source.
     pub source: String,
-    /// [`LayerWorkload`] name.
+    /// [`crate::LayerWorkload`] name.
     pub workload: String,
     /// Weight-matrix rows (reduction length).
     pub rows: usize,
@@ -150,32 +149,6 @@ pub fn weights_fingerprint(weights: &Matrix<i8>) -> u64 {
         .iter()
         .flat_map(|d| d.to_le_bytes())
         .chain(weights.as_slice().iter().map(|&w| w as u8));
-    fnv1a(bytes)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Calls of [`workload_fingerprint`] made on this thread, so tests can
-    /// count how often a code path hashes workload contents.
-    pub(crate) static WORKLOAD_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Fingerprint of a full workload: FNV-1a over the weight and activation
-/// matrices (dimensions + contents).
-pub fn workload_fingerprint(workload: &LayerWorkload) -> u64 {
-    #[cfg(test)]
-    WORKLOAD_HASHES.with(|calls| calls.set(calls.get() + 1));
-    let dims = [
-        workload.weights.rows() as u64,
-        workload.weights.cols() as u64,
-        workload.activations.rows() as u64,
-        workload.activations.cols() as u64,
-    ];
-    let bytes = dims
-        .iter()
-        .flat_map(|d| d.to_le_bytes())
-        .chain(workload.weights.as_slice().iter().map(|&w| w as u8))
-        .chain(workload.activations.as_slice().iter().map(|&a| a as u8));
     fnv1a(bytes)
 }
 
@@ -804,6 +777,7 @@ pub type UnitCache = VerifiedCache<UnitArtifact>;
 mod tests {
     use super::*;
     use crate::store::{DiskStore, MemoryStore};
+    use crate::workload::LayerWorkload;
 
     fn key(n: u64) -> ScheduleKey {
         ScheduleKey {
@@ -912,11 +886,11 @@ mod tests {
         let acts_b = Matrix::from_fn(6, 2, |r, c| (r * 2 + c) as i8 + 1);
         let a = LayerWorkload::from_matrices("l", weights.clone(), acts_a.clone()).unwrap();
         let b = LayerWorkload::from_matrices("l", weights, acts_b).unwrap();
-        assert_ne!(workload_fingerprint(&a), workload_fingerprint(&b));
-        let again = LayerWorkload::from_matrices("renamed", a.weights.clone(), acts_a).unwrap();
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let again = LayerWorkload::from_matrices("renamed", a.weights().clone(), acts_a).unwrap();
         // The fingerprint covers contents, not the display name (the name is
         // verified by the HistogramCheck instead).
-        assert_eq!(workload_fingerprint(&a), workload_fingerprint(&again));
+        assert_eq!(a.fingerprint(), again.fingerprint());
     }
 
     #[test]

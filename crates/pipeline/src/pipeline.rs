@@ -10,8 +10,8 @@ use read_core::{ReadConfig, ReadOptimizer};
 use timing::{DepthHistogram, OperatingCondition};
 
 use crate::cache::{
-    weights_fingerprint, workload_fingerprint, ArtifactKind, CacheStats, HistogramArtifact,
-    HistogramCache, HistogramCheck, HistogramKey, KeyCheck, ScheduleCache, ScheduleKey, UnitCache,
+    weights_fingerprint, ArtifactKind, CacheStats, HistogramArtifact, HistogramCache,
+    HistogramCheck, HistogramKey, KeyCheck, ScheduleCache, ScheduleKey, UnitCache,
 };
 use crate::error::PipelineError;
 use crate::executor::{Executor, SerialExecutor, ThreadExecutor};
@@ -500,8 +500,8 @@ impl ReadPipeline {
         source: &dyn ScheduleSource,
         observer: &mut (impl CycleObserver + ?Sized),
     ) -> Result<SimResult, PipelineError> {
-        let schedule = self.schedule_for(&workload.weights, source)?;
-        Ok(workload.problem().simulate_with_schedule(
+        let schedule = self.schedule_for(workload.weights(), source)?;
+        Ok(workload.problem()?.simulate_with_schedule(
             &self.array,
             self.dataflow,
             &schedule,
@@ -525,28 +525,26 @@ impl ReadPipeline {
     }
 
     /// The full cache key + verification check of `workload`'s histogram
-    /// under `source`, given the workload's content fingerprint
-    /// (`workload_fp`, its [`workload_fingerprint`]) — shared by the
-    /// histogram lookup ([`ReadPipeline::cached_histogram`]) and the serve
-    /// layer's content-addressed single-flight identity
+    /// under `source` — shared by the histogram lookup
+    /// ([`ReadPipeline::cached_histogram`]) and the serve layer's
+    /// content-addressed single-flight identity
     /// ([`ReadPipeline::histogram_check_line`]).
     fn histogram_key_check(
         &self,
         workload: &LayerWorkload,
-        workload_fp: u64,
         source: &dyn ScheduleSource,
     ) -> (HistogramKey, HistogramCheck) {
         let key = HistogramKey {
             source: source.fingerprint(),
-            workload: workload_fp,
+            workload: workload.fingerprint(),
             context: self.sim_context_fingerprint(),
         };
         let check = HistogramCheck {
             source: source.name(),
-            workload: workload.name.clone(),
-            rows: workload.weights.rows(),
-            cols: workload.weights.cols(),
-            pixels: workload.activations.cols(),
+            workload: workload.name().to_string(),
+            rows: workload.weights().rows(),
+            cols: workload.weights().cols(),
+            pixels: workload.activations().cols(),
         };
         (key, check)
     }
@@ -560,25 +558,20 @@ impl ReadPipeline {
     pub(crate) fn histogram_check_line(
         &self,
         workload: &LayerWorkload,
-        workload_fp: u64,
         source: &dyn ScheduleSource,
     ) -> String {
-        let (key, check) = self.histogram_key_check(workload, workload_fp, source);
+        let (key, check) = self.histogram_key_check(workload, source);
         HistogramArtifact::check_line(&key, &check)
     }
 
     /// The one histogram lookup behind [`ReadPipeline::layer_histogram`]
     /// and a [`WorkPlan`]'s units: memory, then store, then simulation.
-    /// `workload_fp` is `workload`'s [`workload_fingerprint`], which the
-    /// caller supplies so that a plan hashes each workload once, at
-    /// assembly, rather than once per unit.
     pub(crate) fn cached_histogram(
         &self,
         workload: &LayerWorkload,
-        workload_fp: u64,
         source: &dyn ScheduleSource,
     ) -> Result<Arc<DepthHistogram>, PipelineError> {
-        let (key, check) = self.histogram_key_check(workload, workload_fp, source);
+        let (key, check) = self.histogram_key_check(workload, source);
         self.hist_cache.get_or_compute(key, check, || {
             let mut hist = DepthHistogram::new();
             self.observe_layer(workload, source, &mut hist)?;
@@ -594,9 +587,8 @@ impl ReadPipeline {
     /// fingerprint, the workload contents and the simulation context — see
     /// [`HistogramCache`] — so a sweep simulates each (workload, source)
     /// pair once and every further corner, die or repeated run reuses it
-    /// ([`CacheStats::hist_hits`]).  Each call hashes the workload's
-    /// contents once to form the key; the units of a [`WorkPlan`] reuse the
-    /// fingerprint the plan computed at assembly instead.
+    /// ([`CacheStats::hist_hits`]).  The key reads the workload's
+    /// [`LayerWorkload::fingerprint`], so a lookup hashes no layer bytes.
     ///
     /// # Errors
     ///
@@ -606,7 +598,7 @@ impl ReadPipeline {
         workload: &LayerWorkload,
         source: &dyn ScheduleSource,
     ) -> Result<DepthHistogram, PipelineError> {
-        let hist = self.cached_histogram(workload, workload_fingerprint(workload), source)?;
+        let hist = self.cached_histogram(workload, source)?;
         Ok((*hist).clone())
     }
 
@@ -996,7 +988,7 @@ mod tests {
         let report = pipeline.run_ter("tiny", &workloads).unwrap();
         // layers x sources x conditions
         assert_eq!(report.rows.len(), 2 * 2 * 2);
-        assert_eq!(report.rows[0].layer, workloads[0].name);
+        assert_eq!(report.rows[0].layer, workloads[0].name());
         assert_eq!(report.rows[0].algorithm, "baseline");
         assert_eq!(report.rows[0].condition, "Ideal");
         let first_stats = pipeline.cache_stats();
@@ -1068,7 +1060,7 @@ mod tests {
         assert_eq!(report.rows.len(), Dataflow::ALL.len());
         for (row, df) in report.rows.iter().zip(Dataflow::ALL) {
             assert_eq!(row.report.dataflow, df.name());
-            assert_eq!(row.layer, workloads[0].name);
+            assert_eq!(row.layer, workloads[0].name());
             assert_eq!(row.algorithm, "baseline");
             assert!(row.report.macs > 0);
             assert!(row.report.cycles >= row.report.macs / 16);
@@ -1076,11 +1068,11 @@ mod tests {
         // Output-stationary never spills psums; conv1_1 has 27 reduction
         // rows over a 16-row array, so weight-stationary must.
         let os = report
-            .row("output-stationary", &workloads[0].name, "baseline")
+            .row("output-stationary", workloads[0].name(), "baseline")
             .unwrap();
         assert_eq!(os.report.peak_psum_buffer, 0);
         let ws = report
-            .row("weight-stationary", &workloads[0].name, "baseline")
+            .row("weight-stationary", workloads[0].name(), "baseline")
             .unwrap();
         assert!(ws.report.peak_psum_buffer > 0);
         // A rerun aggregates from the memoized unit results.

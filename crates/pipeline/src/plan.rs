@@ -45,9 +45,7 @@ use dataflow_sim::{run_dataflow, DataflowReport, EngineConfig};
 use qnn::{Dataset, Model};
 use timing::{DepthHistogram, OperatingCorner, TerEstimate};
 
-use crate::cache::{
-    dataset_fingerprint, model_fingerprint, workload_fingerprint, UnitCheck, UnitKey,
-};
+use crate::cache::{dataset_fingerprint, model_fingerprint, UnitCheck, UnitKey};
 use crate::error::PipelineError;
 use crate::pipeline::ReadPipeline;
 use crate::report::{
@@ -380,22 +378,25 @@ pub(crate) enum PlanKind<'a> {
 /// results for identical unit ids — which is exactly the contract the
 /// memoized unit-result cache ([`crate::cache::UnitCache`]) keys on.  The
 /// network label is deliberately excluded: it names reports, it never
-/// changes a unit's result.  `workload_fps[i]` is the
-/// [`workload_fingerprint`] of `workloads[i]`.
+/// changes a unit's result.
 fn plan_signature(
     pipeline: &ReadPipeline,
     workloads: &[LayerWorkload],
-    workload_fps: &[u64],
     kind: &PlanKind<'_>,
 ) -> String {
     use std::fmt::Write as _;
     let mut sig = pipeline.stage_signature();
     sig.push_str(" workloads=");
-    for (i, (workload, fp)) in workloads.iter().zip(workload_fps).enumerate() {
+    for (i, workload) in workloads.iter().enumerate() {
         if i > 0 {
             sig.push(';');
         }
-        let _ = write!(sig, "{}:{fp:016x}", escape_wire(&workload.name));
+        let _ = write!(
+            sig,
+            "{}:{:016x}",
+            escape_wire(workload.name()),
+            workload.fingerprint()
+        );
     }
     match kind {
         PlanKind::Ter => sig.push_str(" kind=ter"),
@@ -467,11 +468,6 @@ fn plan_signature(
 pub struct WorkPlan<'a> {
     pub(crate) pipeline: &'a ReadPipeline,
     pub(crate) workloads: &'a [LayerWorkload],
-    /// [`workload_fingerprint`] of each workload, hashed once at assembly:
-    /// the plan borrows the workloads immutably for its whole life, so
-    /// the signature, every unit's histogram lookup and every flight key
-    /// reuse these instead of rehashing megabytes of layer bytes per unit.
-    workload_fps: Vec<u64>,
     network: String,
     kind: PlanKind<'a>,
     units: Vec<WorkUnit>,
@@ -501,13 +497,11 @@ impl<'a> WorkPlan<'a> {
             .enumerate()
             .map(|(index, unit)| (unit.clone(), index))
             .collect();
-        let workload_fps: Vec<u64> = workloads.iter().map(workload_fingerprint).collect();
-        let signature: Arc<str> = plan_signature(pipeline, workloads, &workload_fps, &kind).into();
+        let signature: Arc<str> = plan_signature(pipeline, workloads, &kind).into();
         let signature_hash = fnv1a(signature.bytes());
         WorkPlan {
             pipeline,
             workloads,
-            workload_fps,
             network: network.to_string(),
             kind,
             units,
@@ -609,14 +603,18 @@ impl<'a> WorkPlan<'a> {
         // BERs are matched to conv layers by name; a workload set from one
         // network evaluated against a model of another would silently inject
         // nothing, so refuse it outright.
-        if !workloads.is_empty() && !workloads.iter().any(|w| conv_names.contains(&w.name)) {
+        if !workloads.is_empty()
+            && !workloads
+                .iter()
+                .any(|w| conv_names.iter().any(|n| n == w.name()))
+        {
             return Err(PipelineError::Input {
                 reason: format!(
                     "no workload name matches any convolution layer of the model \
                      (workloads: {:?}..., model layers: {:?}...)",
                     workloads
                         .iter()
-                        .map(|w| &w.name)
+                        .map(LayerWorkload::name)
                         .take(3)
                         .collect::<Vec<_>>(),
                     conv_names.iter().take(3).collect::<Vec<_>>(),
@@ -710,22 +708,14 @@ impl<'a> WorkPlan<'a> {
         &self.workloads[pair / self.pipeline.sources().len()]
     }
 
-    fn workload_fp_of(&self, pair: usize) -> u64 {
-        self.workload_fps[pair / self.pipeline.sources().len()]
-    }
-
     fn source_of(&self, pair: usize) -> &dyn crate::stage::ScheduleSource {
         self.pipeline.sources()[pair % self.pipeline.sources().len()].as_ref()
     }
 
-    /// The histogram of `pair`, looked up under the workload fingerprint
-    /// the plan computed at assembly.
+    /// The histogram of `pair`.
     fn pair_histogram(&self, pair: usize) -> Result<Arc<DepthHistogram>, PipelineError> {
-        self.pipeline.cached_histogram(
-            self.workload_of(pair),
-            self.workload_fp_of(pair),
-            self.source_of(pair),
-        )
+        self.pipeline
+            .cached_histogram(self.workload_of(pair), self.source_of(pair))
     }
 
     /// Executes the unit at `index` and returns its self-identifying result.
@@ -766,11 +756,8 @@ impl<'a> WorkPlan<'a> {
         match unit {
             WorkUnit::Histogram { pair, .. } => format!(
                 "hist {}",
-                self.pipeline.histogram_check_line(
-                    self.workload_of(*pair),
-                    self.workload_fp_of(*pair),
-                    self.source_of(*pair)
-                )
+                self.pipeline
+                    .histogram_check_line(self.workload_of(*pair), self.source_of(*pair))
             ),
             _ => format!("unit {} {}", self.signature(), unit.encode()),
         }
@@ -913,7 +900,7 @@ impl<'a> WorkPlan<'a> {
                     let ber = error_model.ber(ter, workload.macs_per_output());
                     ber_sum += ber;
                     ber_count += 1;
-                    if let Some(idx) = conv_names.iter().position(|n| *n == workload.name) {
+                    if let Some(idx) = conv_names.iter().position(|n| n == workload.name()) {
                         bers[idx] = ber;
                     }
                 }
@@ -959,9 +946,9 @@ impl<'a> WorkPlan<'a> {
                 let pair = *cell % pairs;
                 let workload = self.workload_of(pair);
                 let source = self.source_of(pair);
-                let schedule = self.pipeline.schedule_for(&workload.weights, source)?;
+                let schedule = self.pipeline.schedule_for(workload.weights(), source)?;
                 let run = run_dataflow(
-                    &workload.problem(),
+                    &workload.problem()?,
                     self.pipeline.array(),
                     dataflow,
                     &schedule,
@@ -1291,7 +1278,7 @@ impl<'p, 'a> Aggregator<'p, 'a> {
             let hist = self.pair_hist(pair)?;
             let estimate = estimate_of_pair(pair, hist);
             rows.push(LayerReport {
-                layer: workload.name.clone(),
+                layer: workload.name().to_string(),
                 algorithm: plan.source_of(pair).name(),
                 condition: condition.name.to_string(),
                 corner: error_model.corner(),
@@ -1325,7 +1312,7 @@ impl<'p, 'a> Aggregator<'p, 'a> {
                     for condition in plan.pipeline.conditions() {
                         let estimate = error_model.estimate(hist, condition);
                         rows.push(LayerReport {
-                            layer: workload.name.clone(),
+                            layer: workload.name().to_string(),
                             algorithm: plan.source_of(pair).name(),
                             condition: condition.name.to_string(),
                             corner: error_model.corner(),
@@ -1425,7 +1412,7 @@ impl<'p, 'a> Aggregator<'p, 'a> {
                     })?;
                     let pair = cell % plan.pairs();
                     rows.push(DataflowRow {
-                        layer: plan.workload_of(pair).name.clone(),
+                        layer: plan.workload_of(pair).name().to_string(),
                         algorithm: plan.source_of(pair).name(),
                         report,
                     });
@@ -1933,10 +1920,9 @@ mod tests {
     }
 
     #[test]
-    fn a_plan_hashes_each_workload_once_and_keeps_its_keys() {
-        use crate::cache::WORKLOAD_HASHES;
+    fn workloads_hash_once_when_built_and_plans_keep_their_keys() {
         use crate::stage::Algorithm;
-        use crate::workload::{vgg16_workloads_prefix, WorkloadConfig};
+        use crate::workload::{vgg16_workloads_prefix, WorkloadConfig, WORKLOAD_HASHES};
         use timing::OperatingCondition;
 
         let hashes = || WORKLOAD_HASHES.with(|calls| calls.get());
@@ -1944,7 +1930,34 @@ mod tests {
             pixels_per_layer: 1,
             ..WorkloadConfig::default()
         };
+        let before = hashes();
         let workloads = vgg16_workloads_prefix(&config, 2);
+        let built = hashes();
+        assert_eq!(built - before, 2, "one hash per workload, when it is built");
+
+        // The fingerprint is FNV-1a over the four dims (little-endian u64),
+        // the weight bytes and the activation bytes, and a clone keeps it.
+        for workload in &workloads {
+            let (weights, activations) = (workload.weights(), workload.activations());
+            let mut expected = 0xCBF2_9CE4_8422_2325u64;
+            let dims = [
+                weights.rows(),
+                weights.cols(),
+                activations.rows(),
+                activations.cols(),
+            ];
+            let bytes = dims
+                .iter()
+                .flat_map(|&d| (d as u64).to_le_bytes())
+                .chain(weights.as_slice().iter().map(|&w| w as u8))
+                .chain(activations.as_slice().iter().map(|&a| a as u8));
+            for byte in bytes {
+                expected = (expected ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+            assert_eq!(workload.fingerprint(), expected);
+            assert_eq!(workload.clone().fingerprint(), expected);
+        }
+
         let model = qnn::models::vgg11_cifar_scaled(8, 4, 3).unwrap();
         let dataset = qnn::SyntheticDatasetBuilder::new(4, [3, 16, 16])
             .samples_per_class(1)
@@ -1967,13 +1980,10 @@ mod tests {
             .build()
             .unwrap();
 
-        let before = hashes();
         let sweep = pipeline.plan_sweep("hash-once", &workloads).unwrap();
         let accuracy = pipeline
             .plan_accuracy_for(&model, "hash-once", &dataset, &workloads, 1)
             .unwrap();
-        let assembled = hashes();
-        assert_eq!(assembled - before, 4, "two plans, two workloads each");
         let shards = sweep
             .units()
             .iter()
@@ -1985,20 +1995,13 @@ mod tests {
                 plan.run_unit(index).unwrap();
             }
         }
-        assert_eq!(
-            hashes(),
-            assembled,
-            "units must reuse the plan's workload fingerprints"
-        );
 
-        // Histogram flight keys are the store check lines a direct hash
-        // builds, and the public lookup finds the histograms the plan's
-        // units cached, hashing once per call.
+        // Histogram flight keys are the store check lines, and the public
+        // lookup finds the histograms the plan's units cached.
         let misses = pipeline.cache_stats().hist_misses;
         for pair in 0..sweep.pairs() {
             let (workload, source) = (sweep.workload_of(pair), sweep.source_of(pair));
-            let expected =
-                pipeline.histogram_check_line(workload, workload_fingerprint(workload), source);
+            let expected = pipeline.histogram_check_line(workload, source);
             assert_eq!(
                 sweep.flight_key(&WorkUnit::Histogram { cell: 0, pair }),
                 format!("hist {expected}")
@@ -2006,7 +2009,11 @@ mod tests {
             pipeline.layer_histogram(workload, source).unwrap();
         }
         assert_eq!(pipeline.cache_stats().hist_misses, misses);
-        assert_eq!(hashes(), assembled + 2 * sweep.pairs() as u64);
+        assert_eq!(
+            hashes(),
+            built,
+            "plans, units, flight keys and lookups read the built fingerprint"
+        );
     }
 
     // ---- UnitLedger -------------------------------------------------------

@@ -637,7 +637,12 @@ impl RemoteStore {
                 "store daemon closed the connection",
             ));
         }
-        Ok(response.trim().to_string())
+        // Trim in place: a hit's reply carries its whole payload, and
+        // `unescape` makes the only copy of it.
+        response.truncate(response.trim_end().len());
+        let leading = response.len() - response.trim_start().len();
+        response.drain(..leading);
+        Ok(response)
     }
 
     /// One request/response exchange, transparently reconnecting once — a

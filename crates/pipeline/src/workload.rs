@@ -8,6 +8,8 @@ use accel_sim::{ConvShape, GemmProblem, Matrix};
 use qnn::init::{synthetic_activations, WeightInit};
 use qnn::models;
 
+use crate::stage::fnv1a;
+
 /// How a layer workload is generated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
@@ -45,16 +47,45 @@ impl Default for WorkloadConfig {
 }
 
 /// One convolution layer lowered to the GEMM form the simulator consumes.
+///
+/// The fields are private so that the content [`LayerWorkload::fingerprint`],
+/// hashed once when the workload is built, always describes the matrices it
+/// is stored beside.
 #[derive(Debug, Clone)]
 pub struct LayerWorkload {
-    /// Layer name (e.g. `"conv3_2"`).
-    pub name: String,
-    /// Full-size convolution shape of the layer.
-    pub shape: ConvShape,
-    /// Weight matrix (`reduction_len x K`).
-    pub weights: Matrix<i8>,
-    /// Activation matrix (`reduction_len x pixels`).
-    pub activations: Matrix<i8>,
+    name: String,
+    shape: ConvShape,
+    weights: Matrix<i8>,
+    activations: Matrix<i8>,
+    fingerprint: u64,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`content_fingerprint`] made on this thread, so tests can
+    /// count how often a code path hashes workload contents.
+    pub(crate) static WORKLOAD_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// FNV-1a over the weight and activation matrices: their four dimensions
+/// as little-endian `u64`s, then the weight bytes, then the activation
+/// bytes.  Histogram keys and plan signatures persist this value, so the
+/// byte stream is part of the store-format contract.
+fn content_fingerprint(weights: &Matrix<i8>, activations: &Matrix<i8>) -> u64 {
+    #[cfg(test)]
+    WORKLOAD_HASHES.with(|calls| calls.set(calls.get() + 1));
+    let dims = [
+        weights.rows() as u64,
+        weights.cols() as u64,
+        activations.rows() as u64,
+        activations.cols() as u64,
+    ];
+    let bytes = dims
+        .iter()
+        .flat_map(|d| d.to_le_bytes())
+        .chain(weights.as_slice().iter().map(|&w| w as u8))
+        .chain(activations.as_slice().iter().map(|&a| a as u8));
+    fnv1a(bytes)
 }
 
 impl LayerWorkload {
@@ -81,6 +112,7 @@ impl LayerWorkload {
             weights.cols(),
         );
         Ok(LayerWorkload {
+            fingerprint: content_fingerprint(&weights, &activations),
             name: name.to_string(),
             shape,
             weights,
@@ -119,6 +151,7 @@ impl LayerWorkload {
             acts[r * config.pixels_per_layer + p]
         });
         LayerWorkload {
+            fingerprint: content_fingerprint(&weights, &activations),
             name: name.to_string(),
             shape,
             weights,
@@ -126,15 +159,42 @@ impl LayerWorkload {
         }
     }
 
+    /// Layer name (e.g. `"conv3_2"`).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Full-size convolution shape of the layer.
+    pub fn shape(&self) -> &ConvShape {
+        &self.shape
+    }
+
+    /// Weight matrix (`reduction_len x K`).
+    pub fn weights(&self) -> &Matrix<i8> {
+        &self.weights
+    }
+
+    /// Activation matrix (`reduction_len x pixels`).
+    pub fn activations(&self) -> &Matrix<i8> {
+        &self.activations
+    }
+
+    /// Content fingerprint: FNV-1a over the weight and activation matrices
+    /// (dimensions and bytes), hashed once when the workload was built.
+    /// It covers contents, not the name or the convolution shape; it is
+    /// the workload half of every histogram key and plan signature.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
     /// The GEMM problem of this workload.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Never panics for workloads produced by [`LayerWorkload::generate`]
-    /// (the matrices are consistent by construction).
-    pub fn problem(&self) -> GemmProblem {
+    /// Returns [`accel_sim::SimError`] when the matrices do not form a
+    /// GEMM, e.g. a workload generated with zero pixels per layer.
+    pub fn problem(&self) -> Result<GemmProblem, accel_sim::SimError> {
         GemmProblem::new(self.weights.clone(), self.activations.clone())
-            .expect("workload matrices are consistent by construction")
     }
 
     /// MAC operations per output activation (the `N` of Eq. (1)).
@@ -211,9 +271,9 @@ mod prefix_tests {
         let prefix = vgg16_workloads_prefix(&config, 2);
         assert_eq!(prefix.len(), 2);
         for (p, f) in prefix.iter().zip(&full) {
-            assert_eq!(p.name, f.name);
-            assert_eq!(p.weights, f.weights);
-            assert_eq!(p.activations, f.activations);
+            assert_eq!(p.name(), f.name());
+            assert_eq!(p.weights(), f.weights());
+            assert_eq!(p.activations(), f.activations());
         }
         // take = 0 and an oversized take both mean "all layers".
         assert_eq!(vgg16_workloads_prefix(&config, 0).len(), full.len());
@@ -234,9 +294,9 @@ mod tests {
         let w = vgg16_workloads(&config);
         assert_eq!(w.len(), 13);
         for layer in &w {
-            assert_eq!(layer.weights.rows(), layer.shape.reduction_len());
-            assert_eq!(layer.activations.cols(), 2);
-            assert!(layer.activations.as_slice().iter().all(|&a| a >= 0));
+            assert_eq!(layer.weights().rows(), layer.shape().reduction_len());
+            assert_eq!(layer.activations().cols(), 2);
+            assert!(layer.activations().as_slice().iter().all(|&a| a >= 0));
         }
     }
 
@@ -257,10 +317,10 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let layer = &vgg16_workloads(&config)[1];
-        let p = layer.problem();
-        assert_eq!(p.reduction_len(), layer.shape.reduction_len());
+        let p = layer.problem().unwrap();
+        assert_eq!(p.reduction_len(), layer.shape().reduction_len());
         assert_eq!(p.num_pixels(), 3);
-        assert_eq!(layer.macs_per_output(), layer.shape.reduction_len());
+        assert_eq!(layer.macs_per_output(), layer.shape().reduction_len());
     }
 
     #[test]
@@ -268,7 +328,7 @@ mod tests {
         let config = WorkloadConfig::default();
         let a = vgg16_workloads(&config);
         let b = vgg16_workloads(&config);
-        assert_eq!(a[3].weights, b[3].weights);
-        assert_eq!(a[3].activations, b[3].activations);
+        assert_eq!(a[3].weights(), b[3].weights());
+        assert_eq!(a[3].activations(), b[3].activations());
     }
 }

@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let workloads: Vec<_> = vgg16_workloads(&config)
         .into_iter()
-        .filter(|w| ["conv1_2", "conv4_8"].contains(&w.name.as_str()))
+        .filter(|w| ["conv1_2", "conv4_8"].contains(&w.name()))
         .collect();
 
     // The grid: all six paper corners × (typical silicon + two dies), with

@@ -44,9 +44,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or_else(|| std::path::PathBuf::from("target/dataflow-traces"));
     std::fs::create_dir_all(&dir)?;
 
-    let problem = layer.problem();
+    let problem = layer.problem()?;
     let array = ArrayConfig::new(16, 4);
-    let schedule = read.schedule(&layer.weights, array.cols())?;
+    let schedule = read.schedule(layer.weights(), array.cols())?;
     let reference = problem.reference_output()?;
 
     for dataflow in Dataflow::ALL {
@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let json = trace.to_chrome_json();
         read_repro::dataflow_sim::json::validate(&json)
             .map_err(|e| format!("{dataflow:?} trace is not valid JSON: {e}"))?;
-        let path = dir.join(format!("{}_{}.json", layer.name, dataflow.name()));
+        let path = dir.join(format!("{}_{}.json", layer.name(), dataflow.name()));
         std::fs::write(&path, &json)?;
 
         let r = &run.report;
@@ -97,7 +97,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The WS round trip through the psum buffer is what the trace shows.
     let ws = report
-        .row("weight-stationary", &layer.name, &read.name())
+        .row("weight-stationary", layer.name(), &read.name())
         .expect("WS row present");
     assert!(ws.report.peak_psum_buffer > 0, "multi-tile WS must spill");
 

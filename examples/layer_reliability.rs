@@ -15,9 +15,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let workload = vgg16_workloads(&config)
         .into_iter()
-        .find(|w| w.name == "conv3_6")
+        .find(|w| w.name() == "conv3_6")
         .expect("VGG-16 plan contains conv3_6");
-    println!("layer {}: {}", workload.name, workload.shape);
+    println!("layer {}: {}", workload.name(), workload.shape());
 
     // Baseline vs READ over all six paper corners from one simulation pass
     // per schedule.

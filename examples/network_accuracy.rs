@@ -50,13 +50,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let rows: Vec<_> = ter_report
             .rows
             .iter()
-            .filter(|r| r.layer == workload.name)
+            .filter(|r| r.layer == workload.name())
             .collect();
         let base = rows.iter().find(|r| r.algorithm == "baseline").unwrap();
         let opt = rows.iter().find(|r| r.algorithm != "baseline").unwrap();
         println!(
             "  {:<10} baseline TER {:.2e} -> BER {:.2e} | READ TER {:.2e} -> BER {:.2e}",
-            workload.name, base.ter, base.ber, opt.ter, opt.ber
+            workload.name(),
+            base.ter,
+            base.ber,
+            opt.ter,
+            opt.ber
         );
     }
 

@@ -60,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         clustering: ClusteringMode::ClusterThenReorder,
         ..ReadConfig::default()
     })
-    .optimize(&workload.weights, pipeline.array().cols())?;
+    .optimize(workload.weights(), pipeline.array().cols())?;
     let lut = schedule.lut()?;
     println!();
     println!(
@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
     println!(
         "outputs verified bit-exact across schedules for all {} output channels",
-        workload.weights.cols()
+        workload.weights().cols()
     );
     Ok(())
 }

@@ -32,7 +32,7 @@ fn workloads() -> Vec<LayerWorkload> {
     };
     vgg16_workloads(&config)
         .into_iter()
-        .filter(|w| ["conv1_2", "conv3_5"].contains(&w.name.as_str()))
+        .filter(|w| ["conv1_2", "conv3_5"].contains(&w.name()))
         .collect()
 }
 

@@ -39,7 +39,10 @@ fn read_schedule_preserves_layer_outputs_bit_exactly() {
         .layer_outputs(&workload, &read_algorithm())
         .unwrap();
     assert_eq!(baseline, optimized);
-    assert_eq!(baseline, workload.problem().reference_output().unwrap());
+    assert_eq!(
+        baseline,
+        workload.problem().unwrap().reference_output().unwrap()
+    );
 }
 
 #[test]

@@ -85,17 +85,39 @@ fn accuracy_without_model_is_a_missing_stage_error() {
 // ---- bit-exactness through every source ---------------------------------
 
 #[test]
+fn a_zero_pixel_workload_is_a_simulation_error() {
+    let config = WorkloadConfig {
+        pixels_per_layer: 0,
+        ..WorkloadConfig::default()
+    };
+    let workloads = vgg16_workloads_prefix(&config, 1);
+    let pipeline = ReadPipeline::builder()
+        .baseline()
+        .condition(OperatingCondition::ideal())
+        .build()
+        .unwrap();
+    let err = pipeline.run_ter("empty", &workloads).unwrap_err();
+    assert!(matches!(err, PipelineError::Sim(_)), "{err}");
+    let err = pipeline
+        .layer_histogram(&workloads[0], &Algorithm::Baseline)
+        .unwrap_err();
+    assert!(matches!(err, PipelineError::Sim(_)), "{err}");
+    let err = pipeline.run_dataflow("empty", &workloads).unwrap_err();
+    assert!(matches!(err, PipelineError::Sim(_)), "{err}");
+}
+
+#[test]
 fn every_schedule_source_preserves_outputs_bit_exactly() {
     let pipeline = paper_builder().build().unwrap();
     for workload in &tiny_workloads(3) {
-        let reference = workload.problem().reference_output().unwrap();
+        let reference = workload.problem().unwrap().reference_output().unwrap();
         for source in [
             Algorithm::Baseline,
             Algorithm::Reorder(SortCriterion::SignFirst),
             Algorithm::ClusterThenReorder(SortCriterion::SignFirst),
         ] {
             let outputs = pipeline.layer_outputs(workload, &source).unwrap();
-            assert_eq!(outputs, reference, "source {source} on {}", workload.name);
+            assert_eq!(outputs, reference, "source {source} on {}", workload.name());
         }
     }
 }
@@ -141,7 +163,7 @@ fn custom_schedule_sources_plug_in() {
         .build()
         .unwrap();
     let workload = &tiny_workloads(1)[0];
-    let reference = workload.problem().reference_output().unwrap();
+    let reference = workload.problem().unwrap().reference_output().unwrap();
     let outputs = pipeline.layer_outputs(workload, &ReversedOrder).unwrap();
     assert_eq!(outputs, reference);
 }

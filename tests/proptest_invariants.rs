@@ -125,7 +125,7 @@ fn reordering_preserves_gemm_results() {
             activations,
         )
         .unwrap();
-        let reference = workload.problem().reference_output().unwrap();
+        let reference = workload.problem().unwrap().reference_output().unwrap();
         let optimized = pipeline.layer_outputs(&workload, &optimizer).unwrap();
         assert_eq!(optimized, reference);
     }

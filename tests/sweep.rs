@@ -162,12 +162,12 @@ fn sweep_reuses_the_schedule_and_histogram_caches_across_cells() {
     });
     let workloads: Vec<LayerWorkload> = all
         .into_iter()
-        .filter(|w| ["conv1_2", "conv2_3"].contains(&w.name.as_str()))
+        .filter(|w| ["conv1_2", "conv2_3"].contains(&w.name()))
         .collect();
     assert_eq!(workloads.len(), 2);
     assert_ne!(
-        (workloads[0].weights.rows(), workloads[0].weights.cols()),
-        (workloads[1].weights.rows(), workloads[1].weights.cols()),
+        (workloads[0].weights().rows(), workloads[0].weights().cols()),
+        (workloads[1].weights().rows(), workloads[1].weights().cols()),
         "the two layers must have distinct dimensions"
     );
 
@@ -333,7 +333,7 @@ fn sweep_summary_and_curves_read_off_the_grid() {
     // The TER-vs-corner curve is monotone from Ideal to the worst corner
     // for the monotone paper conditions.
     let curve: Vec<f64> = sweep
-        .ter_curve(&workloads[0].name, "baseline")
+        .ter_curve(workloads[0].name(), "baseline")
         .map(|(_, ter)| ter)
         .collect();
     assert_eq!(curve.len(), 6);
