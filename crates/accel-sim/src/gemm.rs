@@ -54,6 +54,21 @@ impl GemmProblem {
     /// Returns [`SimError::DimensionMismatch`] if the reduction dimensions
     /// differ, or [`SimError::EmptyDimension`] if any dimension is zero.
     pub fn new(weights: Matrix<i8>, activations: Matrix<i8>) -> Result<Self, SimError> {
+        Self::check(&weights, &activations)?;
+        Ok(GemmProblem {
+            weights,
+            activations,
+        })
+    }
+
+    /// Checks, without taking the matrices, that a weight matrix and an
+    /// activation matrix form a GEMM problem: [`GemmProblem::new`] accepts
+    /// exactly the pairs this accepts.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`GemmProblem::new`].
+    pub fn check(weights: &Matrix<i8>, activations: &Matrix<i8>) -> Result<(), SimError> {
         if weights.rows() != activations.rows() {
             return Err(SimError::DimensionMismatch {
                 what: "reduction length",
@@ -76,10 +91,7 @@ impl GemmProblem {
                 what: "output pixels",
             });
         }
-        Ok(GemmProblem {
-            weights,
-            activations,
-        })
+        Ok(())
     }
 
     /// The weight matrix (`R x K`).

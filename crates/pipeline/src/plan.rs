@@ -43,7 +43,7 @@ use std::sync::Arc;
 use accel_sim::{Dataflow, NullObserver};
 use dataflow_sim::{run_dataflow, DataflowReport, EngineConfig};
 use qnn::{Dataset, Model};
-use timing::{DepthHistogram, OperatingCorner, TerEstimate};
+use timing::{AnalyticAnalysis, DepthHistogram, OperatingCorner, TerEstimate};
 
 use crate::cache::{dataset_fingerprint, model_fingerprint, UnitCheck, UnitKey};
 use crate::error::PipelineError;
@@ -559,9 +559,12 @@ impl<'a> WorkPlan<'a> {
         // by the cache contract).  Analytic and per-PE cells
         // emit no evaluation unit on purpose: their estimates are
         // closed-form sums over the ~25 histogram buckets (× PEs for a
-        // die), computed during aggregation — orders of magnitude cheaper
+        // die), computed during aggregation from one `CornerTable` per
+        // cell, shared by all of its pairs — orders of magnitude cheaper
         // than the simulation/sampling units and far below the
-        // per-unit coordination cost of any distributed executor.
+        // per-unit coordination cost of any distributed executor.  The
+        // aggregator builds the tables, so a worker that only answers
+        // Monte-Carlo shards never does.
         let mut units: Vec<WorkUnit> = (0..pairs)
             .map(|pair| WorkUnit::Histogram { cell: 0, pair })
             .collect();
@@ -1114,6 +1117,13 @@ pub struct Aggregator<'p, 'a> {
 /// TER vectors.
 type McShardSamples = (Range<u32>, Vec<Vec<f64>>);
 
+#[cfg(test)]
+thread_local! {
+    /// `CornerTable`s the sweep aggregation built on this thread, so tests
+    /// can count them per cell.
+    static CORNER_TABLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 impl<'p, 'a> Aggregator<'p, 'a> {
     /// An empty aggregator for `plan`.
     pub fn new(plan: &'p WorkPlan<'a>) -> Self {
@@ -1347,9 +1357,17 @@ impl<'p, 'a> Aggregator<'p, 'a> {
                                 TerEstimate::from_trials(&trials[pair])
                             })?
                         }
-                        None => self.cell_rows(condition, error_model, |_, hist| {
-                            error_model.estimate(hist, condition)
-                        })?,
+                        None => {
+                            // The cell's stage estimates through a table
+                            // of this corner, so sharing one across the
+                            // pairs keeps every bit: the die's offsets and
+                            // per-depth probabilities are evaluated once
+                            // per cell, not once per pair.
+                            #[cfg(test)]
+                            CORNER_TABLES.with(|tables| tables.set(tables.get() + 1));
+                            let table = AnalyticAnalysis::new(model.delay()).table(corner);
+                            self.cell_rows(condition, error_model, |_, hist| table.estimate(hist))?
+                        }
                     };
                     report_cells.push(SweepCell {
                         die: corner.variation.label(),
@@ -2014,6 +2032,72 @@ mod tests {
             built,
             "plans, units, flight keys and lookups read the built fingerprint"
         );
+    }
+
+    /// Runs every unit of a sweep over the first `layers` VGG-16 layers
+    /// and aggregates it, returning the cell count and the corner tables
+    /// the aggregation built.  Executing the units must build none.
+    fn sweep_corner_tables(sweep: SweepPlan, layers: usize) -> (usize, u64) {
+        use crate::workload::{vgg16_workloads_prefix, WorkloadConfig};
+
+        let tables = || CORNER_TABLES.with(|built| built.get());
+        let config = WorkloadConfig {
+            pixels_per_layer: 1,
+            ..WorkloadConfig::default()
+        };
+        let workloads = vgg16_workloads_prefix(&config, layers);
+        let pipeline = ReadPipeline::builder()
+            .baseline()
+            .condition(timing::OperatingCondition::ideal())
+            .sweep(sweep)
+            .build()
+            .unwrap();
+        let plan = pipeline.plan_sweep("corner-tables", &workloads).unwrap();
+        let before = tables();
+        let results: Vec<UnitResult> = (0..plan.len())
+            .map(|index| plan.run_unit(index).unwrap())
+            .collect();
+        assert_eq!(tables(), before, "units build no corner table");
+        let report = plan.aggregate(results).unwrap().into_sweep().unwrap();
+        assert!(report.cells.iter().all(|cell| cell.rows.len() == layers));
+        (report.cells.len(), tables() - before)
+    }
+
+    fn two_condition_sweep() -> SweepPlan {
+        use timing::OperatingCondition;
+        SweepPlan::new().conditions([
+            OperatingCondition::vt(0.05),
+            OperatingCondition::aging_vt(10.0, 0.05),
+        ])
+    }
+
+    #[test]
+    fn sweep_aggregation_builds_one_corner_table_per_cell() {
+        for layers in [1, 3] {
+            let sweep = two_condition_sweep().typical().dies([3, 4]);
+            assert_eq!(
+                sweep_corner_tables(sweep, layers),
+                (6, 6),
+                "{layers} workloads"
+            );
+        }
+    }
+
+    #[test]
+    fn monte_carlo_sweep_cells_build_no_corner_table() {
+        for layers in [1, 3] {
+            let sampled = two_condition_sweep().typical().monte_carlo(16, 3);
+            assert_eq!(
+                sweep_corner_tables(sampled.trials_per_shard(8), layers),
+                (2, 0)
+            );
+            // Only the die cells of a sampled sweep build a table.
+            let dies = two_condition_sweep()
+                .typical()
+                .dies([3, 4])
+                .monte_carlo(16, 3);
+            assert_eq!(sweep_corner_tables(dies, layers), (6, 4));
+        }
     }
 
     // ---- UnitLedger -------------------------------------------------------

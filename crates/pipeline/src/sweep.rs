@@ -18,7 +18,11 @@
 //!   values, byte-identical `to_json()` rows.  Typical-silicon cells use
 //!   [`crate::DelayErrorModel`] (or [`crate::MonteCarloErrorModel`] when a
 //!   trial budget is set); per-PE die cells use
-//!   [`crate::VariationErrorModel`].
+//!   [`crate::VariationErrorModel`].  Analytic and per-PE cells are folded
+//!   during aggregation over one [`timing::CornerTable`] per cell, which
+//!   evaluates the die's offsets and per-depth probabilities once for all
+//!   of the cell's (workload, source) pairs and folds each histogram as
+//!   the stage would.
 //! * **Sharded == unsharded.**  A cell's Monte-Carlo trials are split into
 //!   shards of [`MonteCarloSweep::trials_per_shard`] trials, each an
 //!   independent work unit; the per-shard samples are concatenated in trial
@@ -294,6 +298,15 @@ impl DieModel {
             DieModel::Analytic(m) => m,
             DieModel::MonteCarlo(m, _) => m,
             DieModel::PerPe(m) => m,
+        }
+    }
+
+    /// The delay model every cell of this die evaluates with.
+    pub(crate) fn delay(&self) -> DelayModel {
+        match self {
+            DieModel::Analytic(m) => m.delay,
+            DieModel::MonteCarlo(m, _) => m.delay,
+            DieModel::PerPe(m) => m.delay,
         }
     }
 

@@ -103,7 +103,7 @@ impl LayerWorkload {
         activations: Matrix<i8>,
     ) -> Result<Self, accel_sim::SimError> {
         // Validate consistency the same way the simulator will.
-        GemmProblem::new(weights.clone(), activations.clone())?;
+        GemmProblem::check(&weights, &activations)?;
         let shape = ConvShape::pointwise(
             1,
             weights.rows(),
@@ -321,6 +321,54 @@ mod tests {
         assert_eq!(p.reduction_len(), layer.shape().reduction_len());
         assert_eq!(p.num_pixels(), 3);
         assert_eq!(layer.macs_per_output(), layer.shape().reduction_len());
+    }
+
+    #[test]
+    fn from_matrices_rejects_what_gemm_problem_new_rejects() {
+        use accel_sim::SimError;
+        let m = |rows, cols| Matrix::from_fn(rows, cols, |r, c| (r + c) as i8);
+        let cases = [
+            (
+                m(4, 2),
+                m(3, 5),
+                SimError::DimensionMismatch {
+                    what: "reduction length",
+                    left: 4,
+                    right: 3,
+                },
+            ),
+            (
+                m(0, 2),
+                m(0, 5),
+                SimError::EmptyDimension {
+                    what: "reduction length",
+                },
+            ),
+            (
+                m(4, 0),
+                m(4, 5),
+                SimError::EmptyDimension {
+                    what: "output channels",
+                },
+            ),
+            (
+                m(4, 2),
+                m(4, 0),
+                SimError::EmptyDimension {
+                    what: "output pixels",
+                },
+            ),
+        ];
+        for (weights, activations, expected) in cases {
+            let built = LayerWorkload::from_matrices("bad", weights.clone(), activations.clone());
+            assert_eq!(built.unwrap_err(), expected);
+            assert_eq!(
+                GemmProblem::new(weights, activations).unwrap_err(),
+                expected
+            );
+        }
+        let layer = LayerWorkload::from_matrices("ok", m(4, 2), m(4, 5)).unwrap();
+        assert_eq!(layer.problem().unwrap().num_pixels(), 5);
     }
 
     #[test]

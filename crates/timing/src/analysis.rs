@@ -6,16 +6,22 @@
 //! one simulation pass, reusable across corners) and an
 //! [`OperatingCorner`] — an [`OperatingCondition`] plus a [`Variation`]
 //! describing the silicon — and their `estimate` produces a
-//! [`TerEstimate`] with an optional spread.  [`AnalyticAnalysis`] folds
-//! the histogram in closed form, per PE of a specific die when the corner
-//! asks for one ([`PeOffsets`]); [`MonteCarloAnalysis`] samples error
-//! counts per trial.  The pipeline crate's `ErrorModel` stage builds
-//! directly on these engines.
+//! [`TerEstimate`] with an optional spread.
+//!
+//! Both read a corner's per-depth error probabilities from one
+//! [`CornerTable`]: one row at typical silicon, or one row per PE of a
+//! specific die ([`PeOffsets`]).
+//! [`AnalyticAnalysis`] folds the histogram over the table in closed form;
+//! [`MonteCarloAnalysis`] samples error counts per trial at the table's PE
+//! mean.  A table depends on the corner alone, so a caller that evaluates
+//! many histograms at one corner builds it once
+//! ([`AnalyticAnalysis::table`]).  The pipeline crate's `ErrorModel` stage
+//! builds directly on these engines.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::delay::DelayModel;
+use crate::delay::{DelayModel, MAX_DEPTH};
 use crate::dta::DepthHistogram;
 use crate::pvta::OperatingCondition;
 
@@ -234,7 +240,7 @@ impl TerEstimate {
 }
 
 /// Closed-form analytic engine: every depth bucket contributes its expected
-/// error count.
+/// error count, read from the corner's [`CornerTable`].
 ///
 /// * At [`Variation::Typical`] this is exactly [`DepthHistogram::ter`].
 /// * At [`Variation::PerPe`] the estimate is the population average over the
@@ -259,15 +265,18 @@ impl AnalyticAnalysis {
         "analytic".to_string()
     }
 
-    /// Estimates the TER of the recorded cycles at `corner`.
+    /// The per-depth error probabilities at `corner`: one row at typical
+    /// silicon, or one row per PE of the corner's die, whose [`PeOffsets`]
+    /// are drawn once, here.
+    pub fn table(&self, corner: &OperatingCorner) -> CornerTable {
+        let offsets = PeOffsets::for_variation(&corner.variation, &self.delay);
+        CornerTable::new(&self.delay, &corner.condition, offsets.as_ref())
+    }
+
+    /// Estimates the TER of the recorded cycles at `corner`: the
+    /// [`CornerTable::estimate`] of a table built for this one histogram.
     pub fn estimate(&self, hist: &DepthHistogram, corner: &OperatingCorner) -> TerEstimate {
-        match PeOffsets::for_variation(&corner.variation, &self.delay) {
-            None => TerEstimate::point(hist.ter(&self.delay, &corner.condition)),
-            Some(offsets) => {
-                let ters = self.per_pe_ters(hist, &corner.condition, &offsets);
-                mean_and_spread(&ters)
-            }
-        }
+        self.table(corner).estimate(hist)
     }
 
     /// Per-PE TERs of `hist` at `condition` for explicit `offsets` (one TER
@@ -278,17 +287,83 @@ impl AnalyticAnalysis {
         condition: &OperatingCondition,
         offsets: &PeOffsets,
     ) -> Vec<f64> {
-        offsets
-            .as_slice()
-            .iter()
-            .map(|&offset| histogram_ter_with_offset(hist, &self.delay, condition, offset))
-            .collect()
+        CornerTable::new(&self.delay, condition, Some(offsets)).per_pe_ters(hist)
     }
 }
 
 impl Default for AnalyticAnalysis {
     fn default() -> Self {
         AnalyticAnalysis::new(DelayModel::nangate15_like())
+    }
+}
+
+/// The error probability of every triggered depth `0..=MAX_DEPTH` at one
+/// [`OperatingCorner`]: one row of [`DelayModel::depth_probabilities`] at
+/// typical silicon, or one row per PE of a die, row-major over the array.
+///
+/// Both engines read their per-depth probabilities from a table, and every
+/// estimate folds a histogram over a row with the one sum
+/// [`DepthHistogram::ter`] uses.  A table depends on the corner alone, so
+/// one table serves any number of histograms, and an estimate keeps its
+/// bits whether its table was built for it or shared.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CornerTable {
+    rows: Vec<[f64; MAX_DEPTH as usize + 1]>,
+    /// Whether `rows` holds the PEs of a die rather than one typical row.
+    die: bool,
+}
+
+impl CornerTable {
+    fn new(
+        delay: &DelayModel,
+        condition: &OperatingCondition,
+        offsets: Option<&PeOffsets>,
+    ) -> Self {
+        match offsets {
+            None => CornerTable {
+                rows: vec![delay.depth_probabilities(condition, 0.0)],
+                die: false,
+            },
+            Some(offsets) => CornerTable {
+                rows: offsets
+                    .as_slice()
+                    .iter()
+                    .map(|&offset| delay.depth_probabilities(condition, offset))
+                    .collect(),
+                die: true,
+            },
+        }
+    }
+
+    /// The TER of `hist` at the table's corner: a point estimate at typical
+    /// silicon; on a die, the mean and sample spread of
+    /// [`CornerTable::per_pe_ters`].
+    pub fn estimate(&self, hist: &DepthHistogram) -> TerEstimate {
+        if self.die {
+            mean_and_spread(&self.per_pe_ters(hist))
+        } else {
+            TerEstimate::point(hist.fold(&self.rows[0]))
+        }
+    }
+
+    /// One TER of `hist` per row: per PE of a die (row-major), or the one
+    /// TER at typical silicon.
+    pub fn per_pe_ters(&self, hist: &DepthHistogram) -> Vec<f64> {
+        self.rows.iter().map(|row| hist.fold(row)).collect()
+    }
+
+    /// The mean probability of each depth over the rows: the PE population
+    /// mean of a die (`0.0` for a die without PEs), or the typical row
+    /// itself, since a one-element sum divided by one is exact.
+    pub(crate) fn pe_mean(&self) -> [f64; MAX_DEPTH as usize + 1] {
+        if self.rows.is_empty() {
+            return [0.0; MAX_DEPTH as usize + 1];
+        }
+        let pes = self.rows.len() as f64;
+        std::array::from_fn(|depth| {
+            let sum: f64 = self.rows.iter().map(|row| row[depth]).sum();
+            sum / pes
+        })
     }
 }
 
@@ -299,8 +374,9 @@ impl Default for AnalyticAnalysis {
 /// Sampling is seeded and fully deterministic: trial `t` uses an [`StdRng`]
 /// derived from `seed` and `t` only, so repeated estimates (and serial vs
 /// parallel pipeline runs) are byte-identical.  At a [`Variation::PerPe`]
-/// corner each depth uses the PE-population-averaged error probability (the
-/// histogram does not retain PE identity).
+/// corner each depth uses the PE-population-averaged error probability of
+/// the corner's [`CornerTable`] (the histogram does not retain PE
+/// identity).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloAnalysis {
     /// The MAC datapath delay model.
@@ -351,7 +427,7 @@ impl MonteCarloAnalysis {
         if hist.total() == 0 {
             return vec![0.0; trials.len()];
         }
-        let probabilities = self.depth_probabilities(corner);
+        let probabilities = AnalyticAnalysis::new(self.delay).table(corner).pe_mean();
         let total = hist.total() as f64;
         trials
             .map(|trial| {
@@ -363,29 +439,6 @@ impl MonteCarloAnalysis {
                     }
                 }
                 errors as f64 / total
-            })
-            .collect()
-    }
-
-    fn depth_probabilities(&self, corner: &OperatingCorner) -> Vec<f64> {
-        let offsets = PeOffsets::for_variation(&corner.variation, &self.delay);
-        (0..=crate::delay::MAX_DEPTH)
-            .map(|depth| match &offsets {
-                None => self
-                    .delay
-                    .error_probability_for_depth(depth, &corner.condition, 0.0),
-                Some(offsets) if !offsets.is_empty() => {
-                    let sum: f64 = offsets
-                        .as_slice()
-                        .iter()
-                        .map(|&o| {
-                            self.delay
-                                .error_probability_for_depth(depth, &corner.condition, o)
-                        })
-                        .sum();
-                    sum / offsets.len() as f64
-                }
-                Some(_) => 0.0,
             })
             .collect()
     }
@@ -407,28 +460,6 @@ fn trial_seed(seed: u64, trial: u32) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Expected TER of `hist` evaluated with a fixed per-PE process offset.
-fn histogram_ter_with_offset(
-    hist: &DepthHistogram,
-    delay: &DelayModel,
-    condition: &OperatingCondition,
-    offset: f64,
-) -> f64 {
-    if hist.total() == 0 {
-        return 0.0;
-    }
-    let expected: f64 = hist
-        .counts()
-        .iter()
-        .enumerate()
-        .filter(|(_, &count)| count > 0)
-        .map(|(depth, &count)| {
-            count as f64 * delay.error_probability_for_depth(depth as u32, condition, offset)
-        })
-        .sum();
-    expected / hist.total() as f64
 }
 
 /// Mean and **sample** standard deviation (`n - 1` divisor) of a set of
@@ -509,6 +540,61 @@ mod tests {
 
     fn stressed() -> OperatingCondition {
         OperatingCondition::aging_vt(10.0, 0.05)
+    }
+
+    /// The per-depth fold that `CornerTable` replaced, kept as its oracle:
+    /// one `error_probability_for_depth` call per non-empty depth, summed
+    /// in ascending depth order.
+    fn per_depth_fold(
+        hist: &DepthHistogram,
+        delay: &DelayModel,
+        condition: &OperatingCondition,
+        offset: f64,
+    ) -> f64 {
+        if hist.total() == 0 {
+            return 0.0;
+        }
+        let expected: f64 = hist
+            .counts()
+            .iter()
+            .enumerate()
+            .filter(|(_, &count)| count > 0)
+            .map(|(depth, &count)| {
+                count as f64 * delay.error_probability_for_depth(depth as u32, condition, offset)
+            })
+            .sum();
+        expected / hist.total() as f64
+    }
+
+    /// The simulated histogram, one with every depth non-empty, and one
+    /// with gaps, so the folds skip empty depths as well as visit them.
+    fn table_histograms() -> Vec<DepthHistogram> {
+        let dense: Vec<u64> = (0..=MAX_DEPTH as u64).map(|d| (d * 37) % 101 + 1).collect();
+        let sparse: Vec<u64> = (0..=MAX_DEPTH as u64)
+            .map(|d| if d % 3 == 1 { 0 } else { d * d + 5 })
+            .collect();
+        let with_total =
+            |counts: &[u64], flips| DepthHistogram::from_parts(counts, flips, counts.iter().sum());
+        vec![
+            demo_histogram(),
+            with_total(&dense, 17).unwrap(),
+            with_total(&sparse, 3).unwrap(),
+        ]
+    }
+
+    /// Dies of seeds 1 and 2 on the paper's 16x4 array, and a 1x1 die.
+    fn table_dies() -> Vec<Variation> {
+        let mut dies = Variation::dies(&ArrayConfig::paper_default(), [1, 2]);
+        dies.push(Variation::PerPe {
+            rows: 1,
+            cols: 1,
+            seed: 1,
+        });
+        dies
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -699,6 +785,169 @@ mod tests {
             }
         );
         assert_eq!(TerEstimate::from_trials(&[]).stddev, Some(0.0));
+    }
+
+    #[test]
+    fn corner_table_per_pe_ters_match_the_per_depth_fold_bit_for_bit() {
+        let engine = AnalyticAnalysis::default();
+        for hist in table_histograms() {
+            for condition in crate::pvta::paper_conditions() {
+                for variation in table_dies() {
+                    let corner = OperatingCorner {
+                        condition,
+                        variation,
+                    };
+                    let offsets = PeOffsets::for_variation(&variation, &engine.delay).unwrap();
+                    let oracle: Vec<f64> = offsets
+                        .as_slice()
+                        .iter()
+                        .map(|&offset| per_depth_fold(&hist, &engine.delay, &condition, offset))
+                        .collect();
+                    let table = engine.table(&corner);
+                    let label = corner.label();
+                    assert_eq!(bits(&table.per_pe_ters(&hist)), bits(&oracle), "{label}");
+                    assert_eq!(
+                        bits(&engine.per_pe_ters(&hist, &condition, &offsets)),
+                        bits(&oracle),
+                        "{label}"
+                    );
+                    let expected = mean_and_spread(&oracle);
+                    for estimate in [table.estimate(&hist), engine.estimate(&hist, &corner)] {
+                        assert_eq!(estimate.ter.to_bits(), expected.ter.to_bits(), "{label}");
+                        assert_eq!(
+                            estimate.stddev.map(f64::to_bits),
+                            expected.stddev.map(f64::to_bits),
+                            "{label}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn corner_table_at_typical_silicon_matches_the_fold_at_offset_zero() {
+        let engine = AnalyticAnalysis::default();
+        for hist in table_histograms() {
+            for condition in crate::pvta::paper_conditions() {
+                let oracle = per_depth_fold(&hist, &engine.delay, &condition, 0.0);
+                let corner = OperatingCorner::nominal(condition);
+                let table = engine.table(&corner);
+                let estimate = engine.estimate(&hist, &corner);
+                assert_eq!(
+                    hist.ter(&engine.delay, &condition).to_bits(),
+                    oracle.to_bits()
+                );
+                assert_eq!(
+                    estimate.ter.to_bits(),
+                    oracle.to_bits(),
+                    "{}",
+                    corner.label()
+                );
+                assert_eq!(estimate.stddev, None);
+                assert_eq!(table.estimate(&hist), estimate);
+                assert_eq!(bits(&table.per_pe_ters(&hist)), bits(&[oracle]));
+            }
+        }
+    }
+
+    #[test]
+    fn corner_table_folds_an_empty_histogram_to_zero() {
+        let engine = AnalyticAnalysis::default();
+        let empty = DepthHistogram::new();
+        let typical = engine.table(&OperatingCorner::nominal(stressed()));
+        assert_eq!(typical.estimate(&empty), TerEstimate::point(0.0));
+        assert_eq!(
+            empty.ter(&engine.delay, &stressed()).to_bits(),
+            0.0f64.to_bits()
+        );
+        for variation in table_dies() {
+            let table = engine.table(&OperatingCorner {
+                condition: stressed(),
+                variation,
+            });
+            let ters = table.per_pe_ters(&empty);
+            assert!(!ters.is_empty());
+            assert!(ters.iter().all(|ter| ter.to_bits() == 0.0f64.to_bits()));
+            let offsets = PeOffsets::for_variation(&variation, &engine.delay).unwrap();
+            let oracle = mean_and_spread(
+                &offsets
+                    .as_slice()
+                    .iter()
+                    .map(|&o| per_depth_fold(&empty, &engine.delay, &stressed(), o))
+                    .collect::<Vec<_>>(),
+            );
+            assert_eq!(table.estimate(&empty), oracle);
+            assert_eq!(
+                oracle,
+                TerEstimate {
+                    ter: 0.0,
+                    stddev: Some(0.0)
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn corner_table_pe_mean_is_the_monte_carlo_depth_probability() {
+        let delay = DelayModel::nangate15_like();
+        let mut variations = vec![Variation::Typical];
+        variations.extend(table_dies());
+        variations.push(Variation::PerPe {
+            rows: 0,
+            cols: 4,
+            seed: 1,
+        });
+        let hist = demo_histogram();
+        let engine = MonteCarloAnalysis::new(delay, 24, 7);
+        for condition in crate::pvta::paper_conditions() {
+            for variation in &variations {
+                let corner = OperatingCorner {
+                    condition,
+                    variation: *variation,
+                };
+                // Oracle: `error_probability_for_depth` summed over the
+                // PEs per depth, divided by the PE count.
+                let offsets = PeOffsets::for_variation(variation, &delay);
+                let expected: Vec<f64> = (0..=MAX_DEPTH)
+                    .map(|depth| match &offsets {
+                        None => delay.error_probability_for_depth(depth, &condition, 0.0),
+                        Some(offsets) if !offsets.is_empty() => {
+                            let sum: f64 = offsets
+                                .as_slice()
+                                .iter()
+                                .map(|&o| delay.error_probability_for_depth(depth, &condition, o))
+                                .sum();
+                            sum / offsets.len() as f64
+                        }
+                        Some(_) => 0.0,
+                    })
+                    .collect();
+                let mean = AnalyticAnalysis::new(delay).table(&corner).pe_mean();
+                assert_eq!(bits(&mean), bits(&expected), "{}", corner.label());
+
+                // The engine samples at exactly those probabilities.
+                let total = hist.total() as f64;
+                let sampled: Vec<f64> = (0..24)
+                    .map(|trial| {
+                        let mut rng = StdRng::seed_from_u64(trial_seed(7, trial));
+                        let mut errors = 0u64;
+                        for (depth, &count) in hist.counts().iter().enumerate() {
+                            if count > 0 {
+                                errors += binomial_sample(&mut rng, count, expected[depth]);
+                            }
+                        }
+                        errors as f64 / total
+                    })
+                    .collect();
+                assert_eq!(
+                    bits(&engine.trial_ters(&hist, &corner, 0..24)),
+                    bits(&sampled),
+                    "{}",
+                    corner.label()
+                );
+            }
+        }
     }
 
     #[test]

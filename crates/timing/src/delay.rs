@@ -144,6 +144,18 @@ impl DelayModel {
         normal_tail(slack / sigma)
     }
 
+    /// [`DelayModel::error_probability_for_depth`] at every depth
+    /// `0..=MAX_DEPTH` (index = depth), for one PE under `condition`.
+    pub fn depth_probabilities(
+        &self,
+        condition: &OperatingCondition,
+        process_offset: f64,
+    ) -> [f64; MAX_DEPTH as usize + 1] {
+        std::array::from_fn(|depth| {
+            self.error_probability_for_depth(depth as u32, condition, process_offset)
+        })
+    }
+
     /// Probability that the given MAC cycle violates timing under
     /// `condition`.
     ///

@@ -9,7 +9,7 @@
 
 use accel_sim::{bitplane, CycleContext, CycleObserver, DepthWord, DepthWordSink, MacCycle};
 
-use crate::delay::DelayModel;
+use crate::delay::{DelayModel, MAX_DEPTH};
 use crate::pvta::OperatingCondition;
 
 /// Histogram of triggered path depths over a simulation.
@@ -147,19 +147,29 @@ impl DepthHistogram {
         DepthHistogram::from_parts(&dense, flips, total)
     }
 
-    /// Expected TER under the given delay model and operating condition.
+    /// Expected TER under the given delay model and operating condition at
+    /// typical silicon: the histogram folded over
+    /// [`DelayModel::depth_probabilities`] at process offset `0.0`.  A
+    /// [`crate::CornerTable`] folds every PE of a die through the same sum.
     pub fn ter(&self, delay: &DelayModel, condition: &OperatingCondition) -> f64 {
+        self.fold(&delay.depth_probabilities(condition, 0.0))
+    }
+
+    /// Expected error rate for per-depth error probabilities `p` (index =
+    /// depth): `Σ count · p[depth] / total` over the non-empty depths in
+    /// ascending order, or `0.0` for an empty histogram.  Every analytic
+    /// TER is this one fold, so the sums keep their order, and their bits,
+    /// whoever evaluated `p`.
+    pub(crate) fn fold(&self, p: &[f64; MAX_DEPTH as usize + 1]) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         let expected: f64 = self
             .counts
             .iter()
-            .enumerate()
-            .filter(|(_, &count)| count > 0)
-            .map(|(depth, &count)| {
-                count as f64 * delay.error_probability_for_depth(depth as u32, condition, 0.0)
-            })
+            .zip(p)
+            .filter(|(&count, _)| count > 0)
+            .map(|(&count, &p)| count as f64 * p)
             .sum();
         expected / self.total as f64
     }

@@ -19,7 +19,8 @@
 //! * [`analysis`] — the [`AnalyticAnalysis`] and [`MonteCarloAnalysis`]
 //!   engines: analytic, Monte-Carlo and per-PE-variation TER derivation
 //!   from one triggered-depth histogram, at an [`OperatingCorner`]
-//!   (condition + silicon [`Variation`]).  The pipeline crate's
+//!   (condition + silicon [`Variation`]), over one [`CornerTable`] of
+//!   per-depth error probabilities per corner.  The pipeline crate's
 //!   `ErrorModel` stage builds on them.
 //! * [`ter`] — the paper's Eq. (1) conversion from MAC-level TER to
 //!   activation-level BER, and its inverse.
@@ -63,7 +64,8 @@ pub mod pvta;
 pub mod ter;
 
 pub use analysis::{
-    AnalyticAnalysis, MonteCarloAnalysis, OperatingCorner, PeOffsets, TerEstimate, Variation,
+    AnalyticAnalysis, CornerTable, MonteCarloAnalysis, OperatingCorner, PeOffsets, TerEstimate,
+    Variation,
 };
 pub use delay::DelayModel;
 pub use dta::DepthHistogram;
