@@ -31,6 +31,9 @@
 //! * **Priority** — a two-level admission gate: `interactive` units preempt
 //!   `bulk` ones at unit granularity (bulk acquisition blocks while any
 //!   interactive unit is waiting for a slot).
+//! * **Workload memo** — the workload set of every request that ran at
+//!   interactive priority is kept, under a byte cap, so a repeated probe
+//!   plans against it instead of synthesizing it again.
 //! * **Accounting** — every response carries a per-request [`CacheStats`]
 //!   whose `inflight_hits` counts units served by joining another request's
 //!   computation.
@@ -40,7 +43,7 @@
 //! [`ServeClient::shutdown`] give an in-process daemon for tests.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -157,7 +160,7 @@ impl RequestKind {
 }
 
 /// Which workload family the request simulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelFamily {
     /// VGG-16 conv layers.
     Vgg16,
@@ -1029,6 +1032,127 @@ fn adapt_flight_value(value: FlightValue, unit: &WorkUnit) -> Result<UnitResult,
 }
 
 // ---------------------------------------------------------------------------
+// Workload memo
+// ---------------------------------------------------------------------------
+
+/// Cap on the weight and activation bytes one daemon's [`WorkloadMemo`]
+/// retains: about 200 of `serve_fleet`'s two-layer ResNet-18 probe sets
+/// (41 KB each), or two eight-layer VGG-16 prefixes.
+const WORKLOAD_MEMO_BYTES: usize = 8 << 20;
+
+/// Every request field [`ModelFamily::workloads`] reads: requests with equal
+/// keys synthesize byte-identical workload sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct WorkloadKey {
+    family: ModelFamily,
+    layers: usize,
+    pixels: usize,
+    seed: u64,
+}
+
+impl WorkloadKey {
+    fn of(request: &ServeRequest) -> WorkloadKey {
+        WorkloadKey {
+            family: request.family,
+            layers: request.layers,
+            pixels: request.pixels,
+            seed: request.workload_seed,
+        }
+    }
+
+    fn synthesize(&self) -> Result<Arc<[LayerWorkload]>, PipelineError> {
+        let config = WorkloadConfig {
+            pixels_per_layer: self.pixels,
+            seed: self.seed,
+            ..WorkloadConfig::default()
+        };
+        let workloads = self.family.workloads(&config, self.layers);
+        if workloads.is_empty() {
+            return Err(PipelineError::Input {
+                reason: "request selects zero workloads".to_string(),
+            });
+        }
+        Ok(workloads.into())
+    }
+}
+
+/// The workload sets of a daemon's interactive requests, so a repeated
+/// probe plans against the set an earlier one built instead of
+/// synthesizing it again.  It holds at most `cap` weight and activation
+/// bytes and evicts the least recently used set first.
+struct WorkloadMemo {
+    cap: usize,
+    state: Mutex<MemoState>,
+}
+
+#[derive(Default)]
+struct MemoState {
+    sets: HashMap<WorkloadKey, MemoEntry>,
+    /// Every key by the tick of its last use, least recent first.
+    by_use: BTreeMap<u64, WorkloadKey>,
+    bytes: usize,
+    tick: u64,
+}
+
+struct MemoEntry {
+    set: Arc<[LayerWorkload]>,
+    bytes: usize,
+    used: u64,
+}
+
+impl WorkloadMemo {
+    fn new(cap: usize) -> WorkloadMemo {
+        WorkloadMemo {
+            cap,
+            state: Mutex::default(),
+        }
+    }
+
+    /// The set retained under `key`, which becomes the most recently used.
+    fn get(&self, key: &WorkloadKey) -> Option<Arc<[LayerWorkload]>> {
+        let mut guard = lock_ok(&self.state);
+        let state = &mut *guard;
+        let entry = state.sets.get_mut(key)?;
+        state.by_use.remove(&entry.used);
+        state.tick += 1;
+        entry.used = state.tick;
+        state.by_use.insert(entry.used, *key);
+        Some(Arc::clone(&entry.set))
+    }
+
+    /// Retains `set` under `key` as the most recently used set, evicting
+    /// the least recently used ones until the memo fits its cap.  A set
+    /// larger than the cap is not retained.
+    fn retain(&self, key: WorkloadKey, set: Arc<[LayerWorkload]>) {
+        let bytes = set
+            .iter()
+            .map(|w| w.weights().as_slice().len() + w.activations().as_slice().len())
+            .sum();
+        if bytes > self.cap {
+            return;
+        }
+        let mut guard = lock_ok(&self.state);
+        let state = &mut *guard;
+        state.tick += 1;
+        let used = state.tick;
+        state.by_use.insert(used, key);
+        state.bytes += bytes;
+        if let Some(old) = state.sets.insert(key, MemoEntry { set, bytes, used }) {
+            state.by_use.remove(&old.used);
+            state.bytes -= old.bytes;
+        }
+        while state.bytes > self.cap {
+            let Some((_, oldest)) = state.by_use.pop_first() else {
+                break;
+            };
+            if let Some(evicted) = state.sets.remove(&oldest) {
+                state.bytes -= evicted.bytes;
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Request execution
 // ---------------------------------------------------------------------------
 
@@ -1040,7 +1164,7 @@ fn adapt_flight_value(value: FlightValue, unit: &WorkUnit) -> Result<UnitResult,
 struct RequestJob {
     request: ServeRequest,
     pipeline: ReadPipeline,
-    workloads: Vec<LayerWorkload>,
+    workloads: Arc<[LayerWorkload]>,
     model: Option<Model>,
     dataset: Option<Dataset>,
 }
@@ -1055,21 +1179,21 @@ struct JobOutcome {
 }
 
 impl RequestJob {
+    /// Builds the job over a workload set synthesized for it alone.
     fn build(
         request: ServeRequest,
         store: Arc<dyn ArtifactStore>,
     ) -> Result<RequestJob, PipelineError> {
-        let config = WorkloadConfig {
-            pixels_per_layer: request.pixels,
-            seed: request.workload_seed,
-            ..WorkloadConfig::default()
-        };
-        let workloads = request.family.workloads(&config, request.layers);
-        if workloads.is_empty() {
-            return Err(PipelineError::Input {
-                reason: "request selects zero workloads".to_string(),
-            });
-        }
+        let workloads = WorkloadKey::of(&request).synthesize()?;
+        RequestJob::with_workloads(request, store, workloads)
+    }
+
+    /// Builds the job over `workloads`, the set `request` selects.
+    fn with_workloads(
+        request: ServeRequest,
+        store: Arc<dyn ArtifactStore>,
+        workloads: Arc<[LayerWorkload]>,
+    ) -> Result<RequestJob, PipelineError> {
         let mut builder = ReadPipeline::builder().store_arc(store);
         for source in &request.sources {
             builder = builder.source(source.algorithm());
@@ -1244,10 +1368,12 @@ pub struct ServerConfig {
     pub fleet: Vec<String>,
 }
 
-/// The serve protocol's state: the daemon-wide scheduler and store.
+/// The serve protocol's state: the daemon-wide scheduler, store and
+/// workload memo.
 struct ServeDaemon {
     sched: UnitScheduler,
     store: Arc<dyn ArtifactStore>,
+    workloads: WorkloadMemo,
     default_timeout_ms: u64,
     fleet: Vec<String>,
     next_id: AtomicU64,
@@ -1278,6 +1404,7 @@ impl ServeServer {
         let daemon = ServeDaemon {
             sched: UnitScheduler::new(slots),
             store,
+            workloads: WorkloadMemo::new(WORKLOAD_MEMO_BYTES),
             default_timeout_ms: config.default_timeout_ms,
             fleet: config.fleet,
             next_id: AtomicU64::new(1),
@@ -1374,9 +1501,7 @@ impl ServeDaemon {
             Some("req") => {
                 let id = self.next_id.fetch_add(1, Ordering::Relaxed);
                 let started = Instant::now();
-                let outcome = ServeRequest::decode(line)
-                    .and_then(|request| RequestJob::build(request, Arc::clone(&self.store)))
-                    .and_then(|job| job.run(self));
+                let outcome = ServeRequest::decode(line).and_then(|request| self.answer(request));
                 match outcome {
                     Ok(outcome) => {
                         let latency_us = started.elapsed().as_micros();
@@ -1402,6 +1527,24 @@ impl ServeDaemon {
             }
         }
         Flow::Continue
+    }
+
+    /// Runs one request over the memo's workload set for its key, or over
+    /// one synthesized for it, which the memo retains when the request ran
+    /// at interactive priority.
+    fn answer(&self, request: ServeRequest) -> Result<JobOutcome, PipelineError> {
+        let key = WorkloadKey::of(&request);
+        let (workloads, memoized) = match self.workloads.get(&key) {
+            Some(set) => (set, true),
+            None => (key.synthesize()?, false),
+        };
+        let job =
+            RequestJob::with_workloads(request, Arc::clone(&self.store), Arc::clone(&workloads))?;
+        let outcome = job.run(self)?;
+        if !memoized && outcome.priority == Priority::Interactive {
+            self.workloads.retain(key, workloads);
+        }
+        Ok(outcome)
     }
 }
 
@@ -2175,6 +2318,132 @@ mod tests {
 
         client.shutdown().unwrap();
         handle.join().unwrap();
+    }
+
+    // ---- workload memo ----------------------------------------------------
+
+    /// The report a serial in-process pipeline gives for the TER `request`.
+    fn serial_ter_report(request: &ServeRequest) -> String {
+        let config = WorkloadConfig {
+            pixels_per_layer: request.pixels,
+            seed: request.workload_seed,
+            ..WorkloadConfig::default()
+        };
+        let workloads = request.family.workloads(&config, request.layers);
+        let mut builder = ReadPipeline::builder().executor(SerialExecutor);
+        for source in &request.sources {
+            builder = builder.source(source.algorithm());
+        }
+        builder
+            .conditions(request.corners.iter().map(CornerSpec::resolve))
+            .build()
+            .unwrap()
+            .run_ter(&request.network, &workloads)
+            .unwrap()
+            .to_json()
+    }
+
+    /// Sends `request` through the daemon's line dispatch on this thread
+    /// and returns the reply's header line and report JSON.
+    fn dispatch_request(daemon: &ServeDaemon, request: &ServeRequest) -> (String, String) {
+        let mut out = Vec::new();
+        daemon.dispatch(&request.encode(), &mut out);
+        let reply = String::from_utf8(out).unwrap();
+        let mut lines = reply.lines();
+        let header = lines.next().unwrap_or_default().to_string();
+        let report = lines
+            .next()
+            .and_then(|line| line.strip_prefix("report "))
+            .unwrap_or_else(|| panic!("no report in {reply:?}"));
+        (header, unescape(report, &reply).unwrap())
+    }
+
+    #[test]
+    fn a_repeated_interactive_probe_is_synthesized_once() {
+        let server = ServeServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let daemon = server.0.handler();
+        let request = ServeRequest::ter("memo-repeat");
+        let reference = serial_ter_report(&request);
+        // Synthesis hashes each layer once, as it builds it.
+        let hashes = || crate::workload::WORKLOAD_HASHES.with(std::cell::Cell::get);
+        let before = hashes();
+        for _ in 0..3 {
+            let (header, report) = dispatch_request(daemon, &request);
+            assert!(header.contains("priority=interactive"), "{header}");
+            assert_eq!(report, reference);
+        }
+        assert_eq!(hashes() - before, request.layers as u64);
+    }
+
+    #[test]
+    fn probes_differing_in_one_workload_field_each_get_their_own_set() {
+        let server = ServeServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let daemon = server.0.handler();
+        let base = ServeRequest::ter("memo-fields");
+        let base_report = serial_ter_report(&base);
+        assert_eq!(dispatch_request(daemon, &base).1, base_report);
+        let mut variants = vec![base.clone(); 4];
+        variants[0].workload_seed += 1;
+        variants[1].pixels += 1;
+        variants[2].layers += 1;
+        variants[3].family = ModelFamily::Resnet18;
+        for request in &variants {
+            let reference = serial_ter_report(request);
+            assert_ne!(reference, base_report, "{request:?}");
+            let (header, report) = dispatch_request(daemon, request);
+            assert!(header.contains("priority=interactive"), "{header}");
+            assert_eq!(report, reference, "{request:?}");
+        }
+        assert_eq!(lock_ok(&daemon.workloads.state).sets.len(), 5);
+    }
+
+    #[test]
+    fn a_bulk_request_leaves_the_workload_memo_empty() {
+        let server = ServeServer::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
+        let daemon = server.0.handler();
+        let mut request = ServeRequest::ter("memo-bulk");
+        request.priority = Some(Priority::Bulk);
+        let (header, report) = dispatch_request(daemon, &request);
+        assert!(header.contains("priority=bulk"), "{header}");
+        assert_eq!(report, serial_ter_report(&request));
+        assert!(lock_ok(&daemon.workloads.state).sets.is_empty());
+    }
+
+    #[test]
+    fn workload_memo_evicts_the_least_recently_used_set_first() {
+        // One layer of `rows` weight bytes and `rows` activation bytes.
+        let set = |rows: usize| -> Arc<[LayerWorkload]> {
+            let ones = || accel_sim::Matrix::from_fn(rows, 1, |_, _| 1i8);
+            vec![LayerWorkload::from_matrices("memo", ones(), ones()).unwrap()].into()
+        };
+        let key = |seed| WorkloadKey {
+            family: ModelFamily::Vgg16,
+            layers: 1,
+            pixels: 1,
+            seed,
+        };
+        let held = |memo: &WorkloadMemo| {
+            let state = lock_ok(&memo.state);
+            let mut seeds: Vec<u64> = state.sets.keys().map(|key| key.seed).collect();
+            seeds.sort_unstable();
+            (seeds, state.bytes)
+        };
+        let memo = WorkloadMemo::new(30);
+        for seed in 0..3 {
+            memo.retain(key(seed), set(5));
+        }
+        assert!(memo.get(&key(0)).is_some());
+        memo.retain(key(3), set(5));
+        assert_eq!(held(&memo), (vec![0, 2, 3], 30));
+        // Larger than the cap: not retained, and nothing is evicted for it.
+        memo.retain(key(4), set(16));
+        assert_eq!(held(&memo), (vec![0, 2, 3], 30));
+        // Twice the size of the others: the two least recently used go.
+        memo.retain(key(5), set(10));
+        assert_eq!(held(&memo), (vec![3, 5], 30));
+        // Retained again: replaced in place, counted once.
+        memo.retain(key(5), set(10));
+        assert_eq!(held(&memo), (vec![3, 5], 30));
     }
 
     // ---- deadline pins ----------------------------------------------------

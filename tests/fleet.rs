@@ -76,6 +76,28 @@ fn fleet_pipeline(
     (pipeline, workloads)
 }
 
+/// Runs `sweep` with the rigged worker `flaky` as the only one serving:
+/// `healthy` is bound but runs only after `flaky` has returned its injected
+/// death, and until then the driver's connection to it waits in the listen
+/// backlog.  Returns the sweep's output and the healthy worker's thread,
+/// which serves until it is shut down.
+fn rigged_worker_first<T: Send>(
+    healthy: WorkerServer,
+    flaky: WorkerHandle,
+    sweep: impl FnOnce() -> T + Send,
+) -> (T, std::thread::JoinHandle<Result<(), PipelineError>>) {
+    std::thread::scope(|scope| {
+        let sweep = scope.spawn(sweep);
+        let death = flaky.join().unwrap_err();
+        assert!(
+            death.to_string().contains("died"),
+            "the rigged worker must report its injected death: {death}"
+        );
+        let healthy = std::thread::spawn(move || healthy.run());
+        (sweep.join().unwrap(), healthy)
+    })
+}
+
 // ---- the acceptance criterion -------------------------------------------
 
 /// A fleet run with an injected mid-stream worker death produces a
@@ -103,7 +125,7 @@ fn fleet_with_mid_stream_worker_death_matches_serial_and_reruns_warm() {
     let store_addr = store.addr().to_string();
     let worker_store =
         || -> Arc<dyn ArtifactStore> { Arc::new(RemoteStore::connect(&store_addr).unwrap()) };
-    let healthy = WorkerServer::spawn(
+    let healthy = WorkerServer::bind(
         "127.0.0.1:0",
         WorkerConfig {
             store: Some(worker_store()),
@@ -111,6 +133,7 @@ fn fleet_with_mid_stream_worker_death_matches_serial_and_reruns_warm() {
         },
     )
     .unwrap();
+    let healthy_addr = healthy.local_addr().to_string();
     let flaky = WorkerServer::spawn(
         "127.0.0.1:0",
         WorkerConfig {
@@ -123,14 +146,16 @@ fn fleet_with_mid_stream_worker_death_matches_serial_and_reruns_warm() {
     // Drive the fleet through the socket executor.
     let executor = SocketExecutor::new(
         request.encode(),
-        [healthy.addr().to_string(), flaky.addr().to_string()],
+        [healthy_addr.clone(), flaky.addr().to_string()],
     )
     .liveness_timeout(Duration::from_secs(30));
     let stats = executor.stats();
     let (fleet_pipe, workloads) = fleet_pipeline(&request, worker_store(), executor);
-    let distributed = fleet_pipe.run_sweep(&request.network, &workloads).unwrap();
+    let (distributed, healthy) = rigged_worker_first(healthy, flaky, || {
+        fleet_pipe.run_sweep(&request.network, &workloads)
+    });
     assert_eq!(
-        distributed.to_json().into_bytes(),
+        distributed.unwrap().to_json().into_bytes(),
         reference.clone().into_bytes(),
         "fleet bytes must match serial despite the mid-stream death"
     );
@@ -161,15 +186,9 @@ fn fleet_with_mid_stream_worker_death_matches_serial_and_reruns_warm() {
         "no unit ran again after the fleet run"
     );
 
-    // Teardown: the healthy worker drains clean; the rigged worker reports
-    // its own death; the store daemon drains clean.
-    WorkerServer::shutdown_at(&healthy.addr().to_string()).unwrap();
-    healthy.join().unwrap();
-    let death = flaky.join().unwrap_err();
-    assert!(
-        death.to_string().contains("died"),
-        "the rigged worker must report its injected death: {death}"
-    );
+    // Teardown: the healthy worker and the store daemon drain clean.
+    WorkerServer::shutdown_at(&healthy_addr).unwrap();
+    healthy.join().unwrap().unwrap();
     let remote = RemoteStore::connect(&store_addr).unwrap();
     remote.shutdown_daemon().unwrap();
     store.join().unwrap();
@@ -232,38 +251,6 @@ fn flaky_socket_transport_reaggregates_or_fails_loudly() {
 
 // ---- windowed dispatch ----------------------------------------------------
 
-/// A TCP forwarder that holds each accepted connection for `delay` before
-/// dialing `upstream` — it hands the other worker a deterministic head
-/// start at claiming units, without touching the bytes.
-fn slow_start_proxy(upstream: std::net::SocketAddr, delay: Duration) -> String {
-    use std::net::Shutdown;
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        for conn in listener.incoming() {
-            let Ok(client) = conn else { break };
-            std::thread::spawn(move || {
-                std::thread::sleep(delay);
-                let Ok(server) = TcpStream::connect(upstream) else {
-                    let _ = client.shutdown(Shutdown::Both);
-                    return;
-                };
-                let mut up_rx = client.try_clone().unwrap();
-                let mut up_tx = server.try_clone().unwrap();
-                let pump = std::thread::spawn(move || {
-                    let _ = std::io::copy(&mut up_rx, &mut up_tx);
-                    let _ = up_tx.shutdown(Shutdown::Write);
-                });
-                let (mut down_rx, mut down_tx) = (server, client);
-                let _ = std::io::copy(&mut down_rx, &mut down_tx);
-                let _ = down_tx.shutdown(Shutdown::Write);
-                let _ = pump.join();
-            });
-        }
-    });
-    addr.to_string()
-}
-
 /// A worker that dies with a full window of unanswered units: every
 /// in-flight unit must be requeued and completed on the survivor, the
 /// recovery must be observable in the new `FleetStats` counters, and the
@@ -279,11 +266,11 @@ fn worker_death_with_a_full_window_requeues_in_flight_units() {
         .to_json();
 
     // The rigged worker answers one unit, then drops its connection with
-    // the rest of its window still unanswered.  The healthy worker sits
-    // behind a slow-start proxy so the rigged one deterministically fills
-    // its window before the survivor can drain the queue.
-    let healthy = WorkerServer::spawn("127.0.0.1:0", WorkerConfig::default()).unwrap();
-    let healthy_proxy = slow_start_proxy(healthy.addr(), Duration::from_secs(1));
+    // the rest of its window still unanswered.  It is the only worker
+    // serving until then, so it fills its window before the survivor can
+    // drain the queue.
+    let healthy = WorkerServer::bind("127.0.0.1:0", WorkerConfig::default()).unwrap();
+    let healthy_addr = healthy.local_addr().to_string();
     let flaky = WorkerServer::spawn(
         "127.0.0.1:0",
         WorkerConfig {
@@ -292,15 +279,20 @@ fn worker_death_with_a_full_window_requeues_in_flight_units() {
         },
     )
     .unwrap();
-    let executor = SocketExecutor::new(request.encode(), [healthy_proxy, flaky.addr().to_string()])
-        .window(8)
-        .liveness_timeout(Duration::from_secs(30));
+    let executor = SocketExecutor::new(
+        request.encode(),
+        [healthy_addr.clone(), flaky.addr().to_string()],
+    )
+    .window(8)
+    .liveness_timeout(Duration::from_secs(30));
     let stats = executor.stats();
     let (fleet_pipe, workloads) = fleet_pipeline(&request, Arc::new(MemoryStore::new()), executor);
-    let distributed = fleet_pipe.run_sweep(&request.network, &workloads).unwrap();
+    let (distributed, healthy) = rigged_worker_first(healthy, flaky, || {
+        fleet_pipe.run_sweep(&request.network, &workloads)
+    });
 
     assert_eq!(
-        distributed.to_json(),
+        distributed.unwrap().to_json(),
         reference,
         "a full-window death must not change the report bytes"
     );
@@ -325,12 +317,8 @@ fn worker_death_with_a_full_window_requeues_in_flight_units() {
         stats.inflight_peak()
     );
 
-    WorkerServer::shutdown_at(&healthy.addr().to_string()).unwrap();
-    healthy.join().unwrap();
-    assert!(
-        flaky.join().is_err(),
-        "the rigged worker must report its injected death"
-    );
+    WorkerServer::shutdown_at(&healthy_addr).unwrap();
+    healthy.join().unwrap().unwrap();
 }
 
 // ---- handshake deaths and deadlines ---------------------------------------
