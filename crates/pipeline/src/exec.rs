@@ -1,5 +1,6 @@
 //! The scoped-thread fan-out primitive behind [`crate::ThreadExecutor`]
-//! and the serve daemon's unit pool.
+//! and the serve daemon's unit pool, plus the lock and deadline-bounded
+//! wait that the serve scheduler and the remote driver share.
 //!
 //! The build environment has no external crates, so the parallel path is a
 //! small scoped-thread work queue with the same contract rayon's
@@ -8,7 +9,36 @@
 //! a deterministic job produce identical output.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
+
+/// Recover from a poisoned mutex: every critical section that uses this
+/// leaves the protected state consistent before any operation that could
+/// panic, so the inner data is still valid.
+pub(crate) fn lock_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Waits on `cv` while `blocked` holds, until `deadline` at most.  Every
+/// change to the guarded state must notify `cv` after it, or a waiter can
+/// sleep through it until the deadline.
+pub(crate) fn wait_until<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    deadline: Option<Instant>,
+    blocked: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    match deadline {
+        None => cv
+            .wait_while(guard, blocked)
+            .unwrap_or_else(PoisonError::into_inner),
+        Some(d) => {
+            cv.wait_timeout_while(guard, d.saturating_duration_since(Instant::now()), blocked)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0
+        }
+    }
+}
 
 /// Resolves a requested worker count against an item count: `0` means the
 /// machine's available parallelism, and the result is clamped to

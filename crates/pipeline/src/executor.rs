@@ -11,24 +11,29 @@
 //! executor produces byte-identical reports.
 //!
 //! The two remote executors differ only in their transport.  Both run one
-//! windowed driver over a [`UnitLedger`]: the same `window=<n>` handshake,
-//! the same window of units in flight per worker, and the same rule for a
-//! worker that dies — its in-flight units are requeued on the survivors.
+//! windowed driver: the same `window=<n>` handshake, the same window of
+//! units in flight per worker, and the same rule for a worker that dies —
+//! its in-flight units are requeued on the survivors.  Each worker's
+//! session owns that worker's window.  The run's other shared state (every
+//! unit's progress, the live-worker count and the fatal error) sits behind
+//! one lock whose one condition variable is notified after every change,
+//! so a session that waits for work wakes on the change itself or at the
+//! run's deadline: the driver has no poll.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::error::PipelineError;
-use crate::exec::{resolve_threads, run_indexed_threads};
-use crate::plan::{UnitLedger, UnitResult, WorkPlan, WorkUnit};
+use crate::exec::{lock_ok, resolve_threads, run_indexed_threads, wait_until};
+use crate::plan::{UnitResult, WorkPlan, WorkUnit};
 use crate::wire;
 
 /// A strategy for executing a contiguous range of a [`WorkPlan`]'s units.
@@ -483,10 +488,11 @@ impl Link for TcpLink {
 pub struct FleetStats {
     worker_deaths: AtomicU64,
     failed_connects: AtomicU64,
-    retried_units: AtomicU64,
+    /// In-flight units that worker deaths requeued: both `retried_units`
+    /// and `requeued_inflight` read it.
+    requeued: AtomicU64,
     completed_units: AtomicU64,
     inflight_peak: AtomicU64,
-    requeued_inflight: AtomicU64,
 }
 
 impl FleetStats {
@@ -501,9 +507,11 @@ impl FleetStats {
         self.failed_connects.load(Ordering::Relaxed)
     }
 
-    /// Units re-queued for another worker after their first worker died.
+    /// Units re-queued for another worker after the worker holding them
+    /// died.  The same count as [`FleetStats::requeued_inflight`]: both
+    /// keys count the same requeued units.
     pub fn retried_units(&self) -> u64 {
-        self.retried_units.load(Ordering::Relaxed)
+        self.requeued.load(Ordering::Relaxed)
     }
 
     /// Unit results successfully collected from remote workers.
@@ -520,9 +528,11 @@ impl FleetStats {
     /// In-flight units swept back to the pending queue by worker deaths —
     /// one death can requeue a whole window, and this counter makes that
     /// recovery observable (it counts only the requeued units;
-    /// budget-exhausted losses fail the run instead).
+    /// budget-exhausted losses fail the run instead).  The same count as
+    /// [`FleetStats::retried_units`]: both keys count the same requeued
+    /// units.
     pub fn requeued_inflight(&self) -> u64 {
-        self.requeued_inflight.load(Ordering::Relaxed)
+        self.requeued.load(Ordering::Relaxed)
     }
 
     fn observe_inflight(&self, depth: u64) {
@@ -591,10 +601,10 @@ fn drive<L: Link>(
     }
     let shared = FleetShared::new(config, units, workers.len());
     std::thread::scope(|scope| {
-        for (worker, name) in workers.iter().enumerate() {
+        for name in workers {
             let (shared, open) = (&shared, &open);
             scope.spawn(move || match open(name) {
-                Ok(link) => shared.session(worker, name, link),
+                Ok(link) => shared.session(name, link),
                 Err(reason) => shared.failed_connect(&format!("worker {name}: {reason}")),
             });
         }
@@ -602,40 +612,67 @@ fn drive<L: Link>(
     shared.into_results()
 }
 
-/// Shared state of one windowed run: the unit ledger, worker liveness, and
-/// the first fatal (non-retryable) error.
+/// A unit checked out of the [`Ledger`]: `(slot, attempt)`, attempts from 1.
+type Job = (usize, u32);
+
+/// Shared state of one windowed run.  The ledger, the live-worker count and
+/// the fatal error sit behind one lock, and `changed` is notified after
+/// every change to them, so a session waiting for work wakes on the change
+/// itself or at the deadline: nothing polls.
+///
+/// The units a worker holds are recorded only in its session's window; a
+/// session whose worker dies hands that window back to the ledger, unit by
+/// unit.
 struct FleetShared<'a> {
     config: DriverConfig<'a>,
     units: &'a [WorkUnit],
-    ledger: Mutex<UnitLedger>,
-    work_cv: Condvar,
-    live_workers: Mutex<usize>,
-    fatal: Mutex<Option<String>>,
+    state: Mutex<FleetState>,
+    changed: Condvar,
+}
+
+/// What [`FleetShared`]'s lock guards.
+struct FleetState {
+    ledger: Ledger,
+    /// Workers not yet lost to a failed connect or a death.
+    live: usize,
+    /// The first non-retryable error; it ends the run.
+    fatal: Option<String>,
+}
+
+impl FleetState {
+    /// Takes one worker out of the live count; when the last one is gone,
+    /// every still-pending unit is abandoned so the run fails loudly rather
+    /// than hanging.
+    fn worker_down(&mut self, reason: &str) {
+        self.live = self.live.saturating_sub(1);
+        if self.live == 0 {
+            self.ledger
+                .abandon_pending(&format!("no live workers remain; last error: {reason}"));
+        }
+    }
 }
 
 impl<'a> FleetShared<'a> {
     fn new(config: DriverConfig<'a>, units: &'a [WorkUnit], workers: usize) -> Self {
-        let mut ledger = UnitLedger::new(units.len(), DEFAULT_ATTEMPTS);
-        for _ in 0..workers {
-            // Worker id i belongs to the session of worker i.
-            ledger.add_worker();
-        }
         FleetShared {
             config,
             units,
-            ledger: Mutex::new(ledger),
-            work_cv: Condvar::new(),
-            live_workers: Mutex::new(workers),
-            fatal: Mutex::new(None),
+            state: Mutex::new(FleetState {
+                ledger: Ledger::new(units.len(), DEFAULT_ATTEMPTS),
+                live: workers,
+                fatal: None,
+            }),
+            changed: Condvar::new(),
         }
     }
 
     /// One worker's session over `link`: the handshake, then windowed unit
     /// streaming until the plan settles, the run fails or the worker dies.
     /// Every way out closes the link.
-    fn session<L: Link>(&self, worker: usize, name: &str, mut link: L) {
+    fn session<L: Link>(&self, name: &str, mut link: L) {
+        let mut window = VecDeque::new();
         let (streamed, stop) = match self.handshake(&mut link) {
-            Ok(window) => (true, self.stream(worker, &mut link, window)),
+            Ok(size) => (true, self.stream(&mut link, size, &mut window)),
             Err(stop) => (false, Err(stop)),
         };
         match stop {
@@ -653,15 +690,16 @@ impl<'a> FleetShared<'a> {
                     None => reason,
                 };
                 if streamed {
-                    self.die(worker, &format!("worker {name} died: {reason}"));
+                    self.die(window, &format!("worker {name} died: {reason}"));
                 } else {
                     self.failed_connect(&format!("worker {name} failed its handshake: {reason}"));
                 }
             }
             Err(Stop::Rejected(reason)) => {
-                link.close(End::Kill);
+                // Fail the run before reaping the worker, so no session
+                // takes another unit meanwhile.
                 self.set_fatal(format!("worker {name} rejected {reason}"));
-                self.worker_down("handshake rejected");
+                link.close(End::Kill);
             }
             Err(Stop::Expired) => {
                 // Not a worker death: nothing is requeued, the run fails.
@@ -706,46 +744,46 @@ impl<'a> FleetShared<'a> {
         Ok(self.config.window.min(granted).max(1))
     }
 
-    /// Streams units to one worker, keeping up to `window` of them in
-    /// flight, and settles each answer in the ledger.  `Ok` means this
-    /// worker has nothing left to do: the plan settled or the run failed.
+    /// Streams units to one worker, keeping up to `size` of them in
+    /// `window` (in send order, front = oldest), and settles each answer in
+    /// the ledger.  `Ok` means this worker has nothing left to do: the plan
+    /// settled or the run failed.  On a death, `window` holds the units the
+    /// worker never answered.
     ///
-    /// Answers are matched against the in-flight set: results
-    /// self-identify, and an in-band `!` failure belongs to the oldest
-    /// outstanding unit (workers answer in request order).  A death loses
-    /// the whole in-flight set, which [`FleetShared::die`] requeues.
-    fn stream<L: Link>(&self, worker: usize, link: &mut L, window: usize) -> Result<(), Stop> {
+    /// Answers are matched against the window: results self-identify, and
+    /// an in-band `!` failure belongs to the oldest outstanding unit
+    /// (workers answer in request order).
+    fn stream<L: Link>(
+        &self,
+        link: &mut L,
+        size: usize,
+        window: &mut VecDeque<Job>,
+    ) -> Result<(), Stop> {
         let died = |reason: String| Stop::Died(reason, End::Kill);
-        // Mirror of the ledger's in-flight set for this worker, in send
-        // order (front = oldest outstanding unit).
-        let mut inflight: VecDeque<usize> = VecDeque::with_capacity(window);
         loop {
             // Top up the window.  Block only with an empty window: the
             // queue may be momentarily dry while another worker's units
             // are in flight, and this worker may be the survivor that has
             // to run them if they are lost.
-            while inflight.len() < window {
-                let job = if inflight.is_empty() {
-                    self.next_job(worker)
-                } else {
-                    self.try_job(worker)
+            while window.len() < size {
+                let Some(job) = self.next_job(window.is_empty()) else {
+                    break;
                 };
-                let Some((slot, _attempt)) = job else { break };
-                inflight.push_back(slot);
-                link.send(&self.units[slot].encode())
+                window.push_back(job);
+                link.send(&self.units[job.0].encode())
                     .map_err(|e| died(format!("unit send failed: {e}")))?;
             }
-            if inflight.is_empty() {
+            if window.is_empty() {
                 return Ok(());
             }
-            self.config.stats.observe_inflight(inflight.len() as u64);
+            self.config.stats.observe_inflight(window.len() as u64);
             let line = self.read(link)?;
-            let (slot, settled) = if let Some(failure) = line.strip_prefix('!') {
+            if let Some(failure) = line.strip_prefix('!') {
                 // Deterministic: every worker would fail the unit the same
                 // way, so it is recorded, not retried.
-                let slot = inflight.pop_front().expect("window is non-empty");
+                let (slot, _) = window.pop_front().expect("window is non-empty");
                 let reason = format!("worker reported failure: {failure}");
-                (slot, self.fail(worker, slot, reason))
+                self.change(|state| state.ledger.fail(slot, reason));
             } else {
                 // After the handshake every line is protocol traffic: one
                 // that does not decode means the stream is corrupt and the
@@ -753,15 +791,12 @@ impl<'a> FleetShared<'a> {
                 let result = UnitResult::decode(&line)
                     .map_err(|_| died(format!("undecodable response line {line:?}")))?;
                 let unit = result.unit();
-                let at = inflight
+                let at = window
                     .iter()
-                    .position(|&slot| self.units[slot] == unit)
+                    .position(|&(slot, _)| self.units[slot] == unit)
                     .ok_or_else(|| died(format!("answered with wrong unit {:?}", unit.encode())))?;
-                let slot = inflight.remove(at).expect("position is in range");
-                (slot, self.complete(worker, slot, result))
-            };
-            if !settled {
-                return Err(died(format!("ledger lost track of slot {slot}")));
+                let (slot, _) = window.remove(at).expect("position is in range");
+                self.change(|state| state.ledger.complete(slot, result));
             }
         }
     }
@@ -790,103 +825,68 @@ impl<'a> FleetShared<'a> {
             .is_some_and(|deadline| Instant::now() >= deadline)
     }
 
-    fn lock_ledger(&self) -> std::sync::MutexGuard<'_, UnitLedger> {
-        self.ledger.lock().unwrap_or_else(|e| e.into_inner())
+    /// Applies one change to the shared state, then wakes every waiting
+    /// session to look at it.
+    fn change<R>(&self, update: impl FnOnce(&mut FleetState) -> R) -> R {
+        let out = update(&mut lock_ok(&self.state));
+        self.changed.notify_all();
+        out
     }
 
     fn fatal_set(&self) -> bool {
-        self.fatal
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some()
+        lock_ok(&self.state).fatal.is_some()
     }
 
     fn set_fatal(&self, reason: String) {
-        let mut fatal = self.fatal.lock().unwrap_or_else(|e| e.into_inner());
-        fatal.get_or_insert(reason);
-        drop(fatal);
-        self.work_cv.notify_all();
+        self.change(|state| {
+            state.fatal.get_or_insert(reason);
+        });
     }
 
-    /// Blocks until a unit is available, the plan is settled, a fatal error
-    /// is recorded, or the deadline expires.  Returns the checked-out
-    /// `(slot, attempt)` or `None` when this worker should stop.
+    /// The next unit for a session, or `None` when it should take no more:
+    /// the run failed, the plan settled, or, without `block`, nothing is
+    /// pending right now.
     ///
-    /// Workers must *not* exit on a momentarily-empty queue: another
-    /// worker's in-flight unit may yet be lost and re-queued, and this
-    /// worker may be the only survivor able to run it.
-    fn next_job(&self, worker: usize) -> Option<(usize, u32)> {
-        let mut ledger = self.lock_ledger();
-        loop {
-            if self.fatal_set() {
-                return None;
-            }
-            if self.expired() {
-                drop(ledger);
-                self.set_fatal(TIMED_OUT.to_string());
-                return None;
-            }
-            if let Some(job) = ledger.checkout_for(worker) {
-                return Some(job);
-            }
-            if ledger.is_settled() {
-                // Wake any other waiters so they observe settledness too.
-                self.work_cv.notify_all();
-                return None;
-            }
-            // Bounded wait so the deadline (and fatal flags set without the
-            // ledger lock held) are re-checked promptly.
-            let (guard, _) = self
-                .work_cv
-                .wait_timeout(ledger, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            ledger = guard;
+    /// With `block` it waits while nothing is pending but units are in
+    /// flight: another worker's unit may yet be lost and requeued, and this
+    /// worker may be the only survivor able to run it.  A wait that reaches
+    /// the deadline fails the run.
+    fn next_job(&self, block: bool) -> Option<Job> {
+        let mut state = lock_ok(&self.state);
+        if block {
+            state = wait_until(&self.changed, state, self.config.deadline, |state| {
+                state.fatal.is_none()
+                    && state.ledger.pending.is_empty()
+                    && !state.ledger.is_settled()
+            });
         }
-    }
-
-    /// Non-blocking [`FleetShared::next_job`]: tops up a worker's window
-    /// when more work is pending *right now*, without waiting for other
-    /// workers' in-flight units to be lost and re-queued — the worker
-    /// already has units in flight to keep it busy.
-    fn try_job(&self, worker: usize) -> Option<(usize, u32)> {
-        if self.fatal_set() {
+        if state.fatal.is_some() {
             return None;
         }
-        self.lock_ledger().checkout_for(worker)
+        if block && self.expired() {
+            drop(state);
+            self.set_fatal(TIMED_OUT.to_string());
+            return None;
+        }
+        state.ledger.checkout()
     }
 
-    /// Settles `slot` from `worker`'s window; `false` means the worker
-    /// never held that slot (a protocol violation — treat the connection
-    /// as corrupt).
-    fn complete(&self, worker: usize, slot: usize, result: UnitResult) -> bool {
-        let matched = self.lock_ledger().complete_for(worker, slot, result);
-        self.work_cv.notify_all();
-        matched
-    }
-
-    fn fail(&self, worker: usize, slot: usize, reason: String) -> bool {
-        let matched = self.lock_ledger().fail_for(worker, slot, reason);
-        self.work_cv.notify_all();
-        matched
-    }
-
-    /// A worker died mid-stream: requeues (or budget-fails) every unit in
-    /// its window, then takes it out of the live set.
-    fn die(&self, worker: usize, reason: &str) {
+    /// A worker died mid-stream: every unit left in its `window` is
+    /// requeued (or, its attempt budget spent, failed), and the worker
+    /// leaves the live count in the same change, so that if it was the
+    /// last one, the requeued units are abandoned with the rest.
+    fn die(&self, window: VecDeque<Job>, reason: &str) {
         let stats = self.config.stats;
         stats.worker_deaths.fetch_add(1, Ordering::Relaxed);
-        // Requeue the in-flight window *before* the live-worker decrement:
-        // if this was the last worker, the units must already be re-queued
-        // (or budget-failed) so `abandon_pending` accounts for them too.
-        let (requeued, _held) = self.lock_ledger().lose_all(worker, reason);
-        self.work_cv.notify_all();
-        stats
-            .retried_units
-            .fetch_add(requeued as u64, Ordering::Relaxed);
-        stats
-            .requeued_inflight
-            .fetch_add(requeued as u64, Ordering::Relaxed);
-        self.worker_down(reason);
+        let requeued = self.change(|state| {
+            let mut requeued = 0;
+            for (slot, attempt) in window {
+                requeued += u64::from(state.ledger.lose(slot, attempt, reason));
+            }
+            state.worker_down(reason);
+            requeued
+        });
+        stats.requeued.fetch_add(requeued, Ordering::Relaxed);
     }
 
     /// A worker never got as far as streaming units; its share of the plan
@@ -896,41 +896,129 @@ impl<'a> FleetShared<'a> {
             .stats
             .failed_connects
             .fetch_add(1, Ordering::Relaxed);
-        self.worker_down(reason);
-    }
-
-    /// Removes one worker from the live set; when the last worker is gone,
-    /// all still-pending units are abandoned so the run fails loudly rather
-    /// than hanging.
-    fn worker_down(&self, reason: &str) {
-        let mut live = self.live_workers.lock().unwrap_or_else(|e| e.into_inner());
-        *live = live.saturating_sub(1);
-        let none_left = *live == 0;
-        drop(live);
-        if none_left {
-            self.lock_ledger()
-                .abandon_pending(&format!("no live workers remain; last error: {reason}"));
-        }
-        self.work_cv.notify_all();
+        self.change(|state| state.worker_down(reason));
     }
 
     /// The run's outcome: its fatal error, or every unit's result in unit
     /// order (the smallest failing unit's error otherwise).
     fn into_results(self) -> Result<Vec<UnitResult>, PipelineError> {
-        let fatal = self.fatal.into_inner().unwrap_or_else(|e| e.into_inner());
-        if let Some(reason) = fatal {
+        let state = self
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(reason) = state.fatal {
             return Err(PipelineError::exec(reason));
         }
-        let results = self
-            .ledger
-            .into_inner()
-            .unwrap_or_else(|e| e.into_inner())
-            .into_results()?;
+        let results = state.ledger.into_results()?;
         self.config
             .stats
             .completed_units
             .fetch_add(results.len() as u64, Ordering::Relaxed);
         Ok(results)
+    }
+}
+
+/// Unit-loss accounting of one windowed run: every unit goes from pending,
+/// through in flight, to completed or failed, and a unit whose worker died
+/// goes back to pending until its attempt budget is spent.  Pure
+/// bookkeeping under [`FleetShared`]'s lock: which worker holds a unit only
+/// that worker's session records.  `into_results` enforces the
+/// [`Executor`] contract, whatever the workers' timing.
+struct Ledger {
+    pending: VecDeque<Job>,
+    results: Vec<Option<UnitResult>>,
+    failures: BTreeMap<usize, String>,
+    in_flight: usize,
+    max_attempts: u32,
+}
+
+impl Ledger {
+    /// A ledger over `units` slots, each dispatchable up to `max_attempts`
+    /// times (clamped to at least 1).
+    fn new(units: usize, max_attempts: u32) -> Ledger {
+        Ledger {
+            pending: (0..units).map(|slot| (slot, 1)).collect(),
+            results: (0..units).map(|_| None).collect(),
+            failures: BTreeMap::new(),
+            in_flight: 0,
+            max_attempts: max_attempts.max(1),
+        }
+    }
+
+    /// Hands out the next pending unit, marking it in flight.  `None` means
+    /// nothing is pending *right now*: an in-flight unit may yet be lost
+    /// and re-queued.
+    fn checkout(&mut self) -> Option<Job> {
+        let entry = self.pending.pop_front()?;
+        self.in_flight += 1;
+        Some(entry)
+    }
+
+    /// Settles a checked-out slot with its result.  A duplicate completion
+    /// (two workers racing the same re-dispatched slot) keeps the first
+    /// result — units are deterministic, so both are byte-identical.
+    fn complete(&mut self, slot: usize, result: UnitResult) {
+        self.in_flight = self.in_flight.saturating_sub(1);
+        if self.results[slot].is_none() && !self.failures.contains_key(&slot) {
+            self.results[slot] = Some(result);
+        }
+    }
+
+    /// Settles a checked-out slot as deterministically failed (the worker
+    /// computed it and reported an in-band failure): re-dispatching would
+    /// fail identically, so the slot is not retried.
+    fn fail(&mut self, slot: usize, reason: impl Into<String>) {
+        self.in_flight = self.in_flight.saturating_sub(1);
+        if self.results[slot].is_none() {
+            self.failures.entry(slot).or_insert_with(|| reason.into());
+        }
+    }
+
+    /// Reports that the worker holding `(slot, attempt)` died before
+    /// answering.  Returns `true` when the unit was re-queued for another
+    /// worker; `false` when its attempt budget is exhausted and it has been
+    /// recorded as failed.
+    fn lose(&mut self, slot: usize, attempt: u32, reason: &str) -> bool {
+        self.in_flight = self.in_flight.saturating_sub(1);
+        if attempt < self.max_attempts {
+            self.pending.push_back((slot, attempt + 1));
+            true
+        } else {
+            self.failures.entry(slot).or_insert_with(|| {
+                format!("unit lost {attempt} time(s); attempt budget exhausted: {reason}")
+            });
+            false
+        }
+    }
+
+    /// Fails every still-pending unit (no worker left to run them).
+    fn abandon_pending(&mut self, reason: &str) {
+        while let Some((slot, _)) = self.pending.pop_front() {
+            self.failures
+                .entry(slot)
+                .or_insert_with(|| format!("unit abandoned: {reason}"));
+        }
+    }
+
+    /// Whether every unit has been settled (completed or failed) — nothing
+    /// pending, nothing in flight.
+    fn is_settled(&self) -> bool {
+        self.pending.is_empty() && self.in_flight == 0
+    }
+
+    /// Every slot completed → the results in unit order; otherwise the
+    /// error of the *smallest* failed (or, finished early, unsettled) slot.
+    fn into_results(self) -> Result<Vec<UnitResult>, PipelineError> {
+        if let Some((slot, reason)) = self.failures.into_iter().next() {
+            return Err(PipelineError::exec(format!("unit {slot}: {reason}")));
+        }
+        self.results
+            .into_iter()
+            .enumerate()
+            .map(|(slot, result)| {
+                result.ok_or_else(|| PipelineError::exec(format!("unit {slot} was never settled")))
+            })
+            .collect()
     }
 }
 
@@ -962,10 +1050,10 @@ impl<'a> FleetShared<'a> {
 /// Dispatch is *windowed*: the driver streams up to
 /// `min(n, m)` unit lines per worker before awaiting results, hiding the
 /// per-message network latency that a one-at-a-time exchange pays on every
-/// unit.  Loss accounting stays exact — the ledger tracks each worker's
-/// in-flight *set*, results self-identify and are matched against that set
-/// out of order, and a dead connection requeues precisely the units it
-/// still held.
+/// unit.  Loss accounting stays exact — each session tracks its worker's
+/// in-flight window, results self-identify and are matched against that
+/// window out of order, and a dead connection requeues precisely the units
+/// it still held.
 #[derive(Debug, Clone)]
 pub struct SocketExecutor {
     spec: String,
@@ -1195,6 +1283,7 @@ impl SplitMix64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn executor_names_are_descriptive() {
@@ -1265,5 +1354,334 @@ mod tests {
         let excerpt = stderr_excerpt(&long);
         assert!(excerpt.len() < 5000);
         assert!(excerpt.ends_with("… [truncated]"));
+    }
+
+    // ---- Ledger -----------------------------------------------------------
+
+    fn sentinel_result(slot: usize) -> UnitResult {
+        UnitResult::McShard {
+            cell: slot,
+            trial_range: 0..1,
+            ters: vec![],
+        }
+    }
+
+    #[test]
+    fn ledger_happy_path_returns_results_in_unit_order() {
+        let mut ledger = Ledger::new(3, 3);
+        // Check units out in a scrambled order (two workers interleaving).
+        let a = ledger.checkout().unwrap();
+        let b = ledger.checkout().unwrap();
+        assert_eq!((a, b), ((0, 1), (1, 1)));
+        ledger.complete(b.0, sentinel_result(b.0));
+        let c = ledger.checkout().unwrap();
+        ledger.complete(c.0, sentinel_result(c.0));
+        assert!(!ledger.is_settled(), "slot 0 still in flight");
+        ledger.complete(a.0, sentinel_result(a.0));
+        assert!(ledger.is_settled());
+        assert_eq!(ledger.checkout(), None);
+        let results = ledger.into_results().unwrap();
+        assert_eq!(results.len(), 3);
+        for (slot, result) in results.iter().enumerate() {
+            assert_eq!(*result, sentinel_result(slot));
+        }
+    }
+
+    #[test]
+    fn ledger_requeues_lost_units_until_budget_exhausted() {
+        let mut ledger = Ledger::new(1, 2);
+        let (slot, attempt) = ledger.checkout().unwrap();
+        assert!(
+            ledger.lose(slot, attempt, "worker died"),
+            "first loss retries"
+        );
+        assert!(!ledger.is_settled(), "re-queued unit is pending again");
+        let (slot, attempt) = ledger.checkout().unwrap();
+        assert_eq!(attempt, 2);
+        assert!(
+            !ledger.lose(slot, attempt, "worker died again"),
+            "budget spent"
+        );
+        assert!(ledger.is_settled());
+        let err = ledger.into_results().unwrap_err().to_string();
+        assert!(err.contains("unit 0"), "{err}");
+        assert!(err.contains("budget exhausted"), "{err}");
+        assert!(err.contains("worker died again"), "{err}");
+    }
+
+    #[test]
+    fn ledger_reports_smallest_failing_slot_regardless_of_timing() {
+        let mut ledger = Ledger::new(3, 1);
+        let first = ledger.checkout().unwrap();
+        let second = ledger.checkout().unwrap();
+        let third = ledger.checkout().unwrap();
+        // Failures land in reverse order; the smallest slot's error wins.
+        ledger.fail(third.0, "late failure");
+        ledger.fail(second.0, "middle failure");
+        ledger.complete(first.0, sentinel_result(0));
+        let err = ledger.into_results().unwrap_err().to_string();
+        assert!(err.contains("unit 1: middle failure"), "{err}");
+    }
+
+    #[test]
+    fn ledger_abandons_pending_units_when_no_workers_survive() {
+        let mut ledger = Ledger::new(3, 3);
+        let (slot, attempt) = ledger.checkout().unwrap();
+        ledger.lose(slot, attempt, "connection reset");
+        ledger.abandon_pending("no surviving workers");
+        assert!(ledger.is_settled());
+        let err = ledger.into_results().unwrap_err().to_string();
+        assert!(err.contains("unit 0: unit abandoned"), "{err}");
+        assert!(err.contains("no surviving workers"), "{err}");
+    }
+
+    #[test]
+    fn ledger_keeps_first_result_on_duplicate_completion() {
+        let mut ledger = Ledger::new(1, 3);
+        let (slot, attempt) = ledger.checkout().unwrap();
+        // The driver declared this worker dead (liveness timeout) and
+        // re-dispatched, but the slow worker's result eventually surfaced
+        // too: first settle wins, the duplicate is dropped on the floor.
+        assert!(ledger.lose(slot, attempt, "liveness timeout"));
+        let (slot2, _) = ledger.checkout().unwrap();
+        ledger.complete(slot2, sentinel_result(0));
+        ledger.complete(slot, sentinel_result(0));
+        assert!(ledger.is_settled());
+        assert_eq!(ledger.into_results().unwrap().len(), 1);
+    }
+
+    // ---- the windowed driver over scripted links --------------------------
+
+    /// One step of a [`Scripted`] worker's replies.
+    enum Step {
+        /// Reply with this line.
+        Line(&'static str),
+        /// Tell another script that this worker got here.
+        Signal(mpsc::Sender<()>),
+        /// Wait (bounded) until another script signals.
+        Await(mpsc::Receiver<()>),
+        /// Hang up.
+        HangUp,
+    }
+
+    /// An in-memory worker: `recv` plays `steps` in order and, once they
+    /// run out, answers the newest unit it was sent, so the driver matches
+    /// results out of send order.  Units are Monte-Carlo shards, answered
+    /// with no samples.
+    struct Scripted {
+        steps: VecDeque<Step>,
+        unanswered: VecDeque<WorkUnit>,
+        /// Unit lines this worker was sent.
+        sent: Arc<AtomicU64>,
+        /// Signalled when the driver closes the link.
+        on_close: Option<mpsc::Sender<()>>,
+    }
+
+    impl Scripted {
+        fn new(steps: impl IntoIterator<Item = Step>) -> Scripted {
+            Scripted {
+                steps: steps.into_iter().collect(),
+                unanswered: VecDeque::new(),
+                sent: Arc::new(AtomicU64::new(0)),
+                on_close: None,
+            }
+        }
+    }
+
+    fn answer(unit: WorkUnit) -> UnitResult {
+        let WorkUnit::McShard { cell, trial_range } = unit else {
+            panic!("scripted workers run Monte-Carlo shards only");
+        };
+        UnitResult::McShard {
+            cell,
+            trial_range,
+            ters: vec![],
+        }
+    }
+
+    impl Link for Scripted {
+        fn send(&mut self, line: &str) -> std::io::Result<()> {
+            // The `window=` line is the only one that is not a unit.
+            if let Ok(unit) = WorkUnit::decode(line) {
+                self.sent.fetch_add(1, Ordering::Relaxed);
+                self.unanswered.push_back(unit);
+            }
+            Ok(())
+        }
+
+        fn recv(&mut self, line: &mut String, _deadline: Option<Instant>) -> Result<usize, String> {
+            loop {
+                match self.steps.pop_front() {
+                    Some(Step::Line(text)) => line.push_str(text),
+                    Some(Step::Signal(done)) => {
+                        done.send(()).map_err(|e| e.to_string())?;
+                        continue;
+                    }
+                    Some(Step::Await(go)) => {
+                        go.recv_timeout(Duration::from_secs(10))
+                            .map_err(|e| e.to_string())?;
+                        continue;
+                    }
+                    Some(Step::HangUp) => return Ok(0),
+                    None => {
+                        let unit = self.unanswered.pop_back().ok_or("nothing to answer")?;
+                        line.push_str(&answer(unit).encode());
+                    }
+                }
+                line.push('\n');
+                return Ok(line.len());
+            }
+        }
+
+        fn close(self, _end: End) -> Option<String> {
+            if let Some(closed) = self.on_close {
+                let _ = closed.send(());
+            }
+            None
+        }
+    }
+
+    fn shards(count: usize) -> Vec<WorkUnit> {
+        (0..count)
+            .map(|cell| WorkUnit::McShard {
+                cell,
+                trial_range: 0..4,
+            })
+            .collect()
+    }
+
+    /// Runs the driver with one worker per named script.  The deadline
+    /// turns a session that is never woken into a failed run, not a hung
+    /// test.
+    fn drive_scripted(
+        units: &[WorkUnit],
+        workers: Vec<(&str, Scripted)>,
+        stats: &FleetStats,
+    ) -> Result<Vec<UnitResult>, PipelineError> {
+        let names: Vec<String> = workers.iter().map(|(name, _)| name.to_string()).collect();
+        let links = Mutex::new(workers);
+        let config = DriverConfig {
+            stats,
+            window: DEFAULT_WINDOW,
+            spec: None,
+            deadline: Some(Instant::now() + Duration::from_secs(10)),
+        };
+        drive(config, units, &names, |name| {
+            let mut links = lock_ok(&links);
+            let at = links.iter().position(|(script, _)| *script == name);
+            Ok(links.swap_remove(at.expect("every worker has a script")).1)
+        })
+    }
+
+    #[test]
+    fn driver_survivor_takes_over_a_dead_workers_whole_window() {
+        let units = shards(5);
+        let (took_tx, took_rx) = mpsc::channel();
+        let (ready_tx, ready_rx) = mpsc::channel();
+        // The dying worker takes every unit into its window, then hangs up
+        // once the survivor is sending its handshake reply; the survivor
+        // replies only after the dying worker took every unit, so nothing
+        // is pending when it asks for work.
+        let dying = Scripted::new([
+            Step::Line("ok window=8"),
+            Step::Signal(took_tx),
+            Step::Await(ready_rx),
+            Step::HangUp,
+        ]);
+        let survivor = Scripted::new([
+            Step::Await(took_rx),
+            Step::Signal(ready_tx),
+            Step::Line("ok window=8"),
+        ]);
+        let (died_holding, survivor_ran) = (Arc::clone(&dying.sent), Arc::clone(&survivor.sent));
+        let stats = FleetStats::default();
+        let results = drive_scripted(
+            &units,
+            vec![("#dying", dying), ("#survivor", survivor)],
+            &stats,
+        )
+        .unwrap();
+        assert_eq!(results, units.into_iter().map(answer).collect::<Vec<_>>());
+        assert_eq!(died_holding.load(Ordering::Relaxed), 5);
+        assert_eq!(survivor_ran.load(Ordering::Relaxed), 5);
+        assert_eq!(stats.worker_deaths(), 1);
+        assert_eq!(stats.retried_units(), 5);
+        assert_eq!(stats.requeued_inflight(), 5);
+        assert_eq!(stats.completed_units(), 5);
+        assert_eq!(stats.failed_connects(), 0);
+        assert_eq!(stats.inflight_peak(), 5);
+    }
+
+    #[test]
+    fn driver_kills_a_worker_that_answers_a_unit_outside_its_window() {
+        let units = shards(3);
+        let (took_tx, took_rx) = mpsc::channel();
+        // The liar takes every unit, then answers one it was never sent.
+        let liar = Scripted::new([
+            Step::Line("ok window=8"),
+            Step::Signal(took_tx),
+            Step::Line("mc cell=7 trials=0..4 ters="),
+        ]);
+        let survivor = Scripted::new([Step::Await(took_rx), Step::Line("ok window=8")]);
+        let stats = FleetStats::default();
+        let results = drive_scripted(
+            &units,
+            vec![("#liar", liar), ("#survivor", survivor)],
+            &stats,
+        )
+        .unwrap();
+        assert_eq!(results, units.into_iter().map(answer).collect::<Vec<_>>());
+        assert_eq!(stats.worker_deaths(), 1);
+        assert_eq!(stats.retried_units(), 3);
+    }
+
+    #[test]
+    fn driver_records_an_in_band_unit_failure_without_retrying_it() {
+        let units = shards(3);
+        // The `!` line fails the oldest unit in the window; the worker then
+        // answers the other two and would answer unit 0 if it came again.
+        let worker = Scripted::new([Step::Line("ok window=8"), Step::Line("!boom")]);
+        let stats = FleetStats::default();
+        let err = drive_scripted(&units, vec![("#worker", worker)], &stats).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "executor failed: unit 0: worker reported failure: boom"
+        );
+        assert_eq!(stats.worker_deaths(), 0);
+        assert_eq!(stats.retried_units(), 0);
+    }
+
+    #[test]
+    fn driver_ends_with_a_handshake_rejection_while_units_are_held() {
+        let units = shards(6);
+        let (took_tx, took_rx) = mpsc::channel();
+        let (closed_tx, closed_rx) = mpsc::channel();
+        // The holder fills its window of 2, then answers it only once the
+        // driver has closed the rejecting worker's link.
+        let holder = Scripted::new([
+            Step::Line("ok window=2"),
+            Step::Signal(took_tx),
+            Step::Await(closed_rx),
+        ]);
+        let mut rejecting = Scripted::new([Step::Await(took_rx), Step::Line("!no such pipeline")]);
+        rejecting.on_close = Some(closed_tx);
+        let held = Arc::clone(&holder.sent);
+        let stats = FleetStats::default();
+        let err = drive_scripted(
+            &units,
+            vec![("#holder", holder), ("#rejecting", rejecting)],
+            &stats,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "executor failed: worker #rejecting rejected the window handshake: \
+             no such pipeline"
+        );
+        // The rejection stopped dispatch: the holder finished the window it
+        // held and was sent nothing more.
+        assert_eq!(held.load(Ordering::Relaxed), 2);
+        assert_eq!(stats.worker_deaths(), 0);
+        assert_eq!(stats.completed_units(), 0);
     }
 }

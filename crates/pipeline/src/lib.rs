@@ -96,7 +96,7 @@ pub use executor::{
     ThreadExecutor,
 };
 pub use pipeline::{ReadPipeline, ReadPipelineBuilder};
-pub use plan::{Aggregator, PlanOutput, UnitLedger, UnitResult, WorkPlan, WorkUnit};
+pub use plan::{Aggregator, PlanOutput, UnitResult, WorkPlan, WorkUnit};
 pub use report::{
     AccuracyPoint, AccuracyReport, DataflowNetworkReport, DataflowRow, LayerReport, NetworkReport,
 };

@@ -35,7 +35,7 @@
 //! `\r`/`\\`, floats rendered with Rust's shortest round-trip formatting
 //! (exact `f64` round trips).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, Write};
 use std::ops::Range;
 use std::sync::Arc;
@@ -1274,6 +1274,32 @@ impl<'p, 'a> Aggregator<'p, 'a> {
             .ok_or_else(|| PipelineError::exec(format!("histogram result for pair {pair} missing")))
     }
 
+    /// The report row of `pair` under `condition`, from its histogram and
+    /// TER estimate.
+    fn layer_row(
+        &self,
+        pair: usize,
+        hist: &DepthHistogram,
+        condition: &timing::OperatingCondition,
+        error_model: &dyn crate::stage::ErrorModel,
+        estimate: TerEstimate,
+    ) -> LayerReport {
+        let workload = self.plan.workload_of(pair);
+        LayerReport {
+            layer: workload.name().to_string(),
+            algorithm: self.plan.source_of(pair).name(),
+            condition: condition.name.to_string(),
+            corner: error_model.corner(),
+            ter: estimate.ter,
+            ter_stddev: estimate.stddev,
+            ber: error_model.ber(estimate.ter, workload.macs_per_output()),
+            sign_flip_rate: hist.sign_flip_rate(),
+            macs_per_output: workload.macs_per_output(),
+            total_cycles: hist.total(),
+            sign_flips: hist.sign_flips(),
+        }
+    }
+
     /// Builds the canonical row set of one cell from the folded results.
     fn cell_rows(
         &self,
@@ -1281,27 +1307,13 @@ impl<'p, 'a> Aggregator<'p, 'a> {
         error_model: &dyn crate::stage::ErrorModel,
         estimate_of_pair: impl Fn(usize, &DepthHistogram) -> TerEstimate,
     ) -> Result<Vec<LayerReport>, PipelineError> {
-        let plan = self.plan;
-        let mut rows = Vec::with_capacity(plan.pairs());
-        for pair in 0..plan.pairs() {
-            let workload = plan.workload_of(pair);
-            let hist = self.pair_hist(pair)?;
-            let estimate = estimate_of_pair(pair, hist);
-            rows.push(LayerReport {
-                layer: workload.name().to_string(),
-                algorithm: plan.source_of(pair).name(),
-                condition: condition.name.to_string(),
-                corner: error_model.corner(),
-                ter: estimate.ter,
-                ter_stddev: estimate.stddev,
-                ber: error_model.ber(estimate.ter, workload.macs_per_output()),
-                sign_flip_rate: hist.sign_flip_rate(),
-                macs_per_output: workload.macs_per_output(),
-                total_cycles: hist.total(),
-                sign_flips: hist.sign_flips(),
-            });
-        }
-        Ok(rows)
+        (0..self.plan.pairs())
+            .map(|pair| {
+                let hist = self.pair_hist(pair)?;
+                let estimate = estimate_of_pair(pair, hist);
+                Ok(self.layer_row(pair, hist, condition, error_model, estimate))
+            })
+            .collect()
     }
 
     /// Folds everything pushed so far into the plan's report.
@@ -1317,23 +1329,10 @@ impl<'p, 'a> Aggregator<'p, 'a> {
                 let error_model = plan.pipeline.error_model();
                 let mut rows = Vec::with_capacity(plan.pairs() * plan.pipeline.conditions().len());
                 for pair in 0..plan.pairs() {
-                    let workload = plan.workload_of(pair);
                     let hist = self.pair_hist(pair)?;
                     for condition in plan.pipeline.conditions() {
                         let estimate = error_model.estimate(hist, condition);
-                        rows.push(LayerReport {
-                            layer: workload.name().to_string(),
-                            algorithm: plan.source_of(pair).name(),
-                            condition: condition.name.to_string(),
-                            corner: error_model.corner(),
-                            ter: estimate.ter,
-                            ter_stddev: estimate.stddev,
-                            ber: error_model.ber(estimate.ter, workload.macs_per_output()),
-                            sign_flip_rate: hist.sign_flip_rate(),
-                            macs_per_output: workload.macs_per_output(),
-                            total_cycles: hist.total(),
-                            sign_flips: hist.sign_flips(),
-                        });
+                        rows.push(self.layer_row(pair, hist, condition, error_model, estimate));
                     }
                 }
                 Ok(PlanOutput::Ter(NetworkReport {
@@ -1441,247 +1440,6 @@ impl<'p, 'a> Aggregator<'p, 'a> {
                 }))
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// UnitLedger
-// ---------------------------------------------------------------------------
-
-/// Unit-loss accounting for executors whose workers can die: tracks every
-/// unit of a range from *pending*, through *in flight* on some worker, to
-/// *completed* or *failed* — with a bounded number of re-dispatch attempts
-/// when a worker is lost mid-unit.
-///
-/// The ledger is pure bookkeeping (no I/O, no threads); the windowed
-/// driver of [`crate::SubprocessExecutor`] and [`crate::SocketExecutor`]
-/// drives it under a mutex:
-///
-/// * [`UnitLedger::checkout`] hands the next pending unit to a worker.
-/// * [`UnitLedger::complete`] / [`UnitLedger::fail`] settle an in-flight
-///   unit — failure here means the unit itself failed *deterministically*
-///   (the worker answered with an in-band `!` report), so retrying on
-///   another worker would fail identically and the failure is recorded.
-/// * [`UnitLedger::lose`] reports that the worker holding a unit died; the
-///   unit is re-queued for another worker until its attempt budget is
-///   exhausted, at which point it fails.
-/// * [`UnitLedger::abandon_pending`] fails everything still queued — the
-///   last surviving worker died.
-///
-/// [`UnitLedger::into_results`] enforces the [`crate::Executor`] contract:
-/// all units completed → results in unit order; otherwise the error of the
-/// smallest failing unit index, independent of worker timing.  A unit can
-/// never be silently omitted — every checkout is settled exactly once.
-///
-/// For *windowed* (pipelined) dispatch, where one worker holds several
-/// units in flight at once, the ledger also tracks per-worker in-flight
-/// sets: register a worker with [`UnitLedger::add_worker`], check units
-/// out to it with [`UnitLedger::checkout_for`], settle them by slot with
-/// [`UnitLedger::complete_for`] / [`UnitLedger::fail_for`], and on worker
-/// death requeue *everything* it held with [`UnitLedger::lose_all`] — the
-/// same attempt-budget and smallest-failing-index semantics as the
-/// one-unit API, applied to the whole window.
-#[derive(Debug)]
-pub struct UnitLedger {
-    /// `(slot, attempt)` queue; attempts start at 1.
-    pending: VecDeque<(usize, u32)>,
-    results: Vec<Option<UnitResult>>,
-    failures: BTreeMap<usize, String>,
-    in_flight: usize,
-    max_attempts: u32,
-    retried: u64,
-    lost: u64,
-    /// Per-worker in-flight sets for windowed dispatch; entries mirror a
-    /// subset of the global `in_flight` count.
-    workers: Vec<Vec<(usize, u32)>>,
-}
-
-impl UnitLedger {
-    /// A ledger over `units` slots, each dispatchable up to `max_attempts`
-    /// times (clamped to at least 1).
-    pub fn new(units: usize, max_attempts: u32) -> UnitLedger {
-        UnitLedger {
-            pending: (0..units).map(|slot| (slot, 1)).collect(),
-            results: (0..units).map(|_| None).collect(),
-            failures: BTreeMap::new(),
-            in_flight: 0,
-            max_attempts: max_attempts.max(1),
-            retried: 0,
-            lost: 0,
-            workers: Vec::new(),
-        }
-    }
-
-    /// Registers a worker for windowed dispatch and returns its id, used as
-    /// the `worker` argument of the `*_for` methods below.
-    pub fn add_worker(&mut self) -> usize {
-        self.workers.push(Vec::new());
-        self.workers.len() - 1
-    }
-
-    /// [`UnitLedger::checkout`] into `worker`'s in-flight set: the unit is
-    /// remembered as held by that worker until settled by slot or requeued
-    /// wholesale by [`UnitLedger::lose_all`].
-    pub fn checkout_for(&mut self, worker: usize) -> Option<(usize, u32)> {
-        let job = self.checkout()?;
-        self.workers[worker].push(job);
-        Some(job)
-    }
-
-    /// Units currently checked out to `worker`.
-    pub fn in_flight_of(&self, worker: usize) -> usize {
-        self.workers[worker].len()
-    }
-
-    fn release(&mut self, worker: usize, slot: usize) -> bool {
-        let held = &mut self.workers[worker];
-        match held.iter().position(|&(s, _)| s == slot) {
-            Some(at) => {
-                held.swap_remove(at);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Settles `slot` from `worker`'s in-flight set with its result.
-    /// Returns `false` (and changes nothing) when the worker does not hold
-    /// that slot — the response did not match anything the caller sent, so
-    /// the connection should be treated as corrupt instead.
-    pub fn complete_for(&mut self, worker: usize, slot: usize, result: UnitResult) -> bool {
-        if !self.release(worker, slot) {
-            return false;
-        }
-        self.complete(slot, result);
-        true
-    }
-
-    /// Settles `slot` from `worker`'s in-flight set as deterministically
-    /// failed (see [`UnitLedger::fail`]).  Returns `false` when the worker
-    /// does not hold that slot.
-    pub fn fail_for(&mut self, worker: usize, slot: usize, reason: impl Into<String>) -> bool {
-        if !self.release(worker, slot) {
-            return false;
-        }
-        self.fail(slot, reason);
-        true
-    }
-
-    /// Reports that `worker` died: every unit in its in-flight set is lost
-    /// at once — each is re-queued for a survivor (attempt budget
-    /// permitting) or recorded as failed, exactly as [`UnitLedger::lose`]
-    /// would one at a time.  Returns `(requeued, held)`: how many units
-    /// went back to the pending queue out of how many the worker held.
-    pub fn lose_all(&mut self, worker: usize, reason: &str) -> (usize, usize) {
-        let held = std::mem::take(&mut self.workers[worker]);
-        let total = held.len();
-        let mut requeued = 0;
-        for (slot, attempt) in held {
-            if self.lose(slot, attempt, reason) {
-                requeued += 1;
-            }
-        }
-        (requeued, total)
-    }
-
-    /// Hands out the next pending `(slot, attempt)`, marking it in flight.
-    /// `None` means nothing is pending *right now* — the caller must check
-    /// [`UnitLedger::is_settled`] before concluding the plan is done, since
-    /// another worker's in-flight unit may yet be lost and re-queued.
-    pub fn checkout(&mut self) -> Option<(usize, u32)> {
-        let entry = self.pending.pop_front()?;
-        self.in_flight += 1;
-        Some(entry)
-    }
-
-    /// Settles a checked-out slot with its result.  A duplicate completion
-    /// (two workers racing the same re-dispatched slot) keeps the first
-    /// result — units are deterministic, so both are byte-identical.
-    pub fn complete(&mut self, slot: usize, result: UnitResult) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-        if self.results[slot].is_none() && !self.failures.contains_key(&slot) {
-            self.results[slot] = Some(result);
-        }
-    }
-
-    /// Settles a checked-out slot as deterministically failed (the worker
-    /// computed it and reported an in-band failure): re-dispatching would
-    /// fail identically, so the slot is not retried.
-    pub fn fail(&mut self, slot: usize, reason: impl Into<String>) {
-        self.in_flight = self.in_flight.saturating_sub(1);
-        if self.results[slot].is_none() {
-            self.failures.entry(slot).or_insert_with(|| reason.into());
-        }
-    }
-
-    /// Reports that the worker holding `(slot, attempt)` died before
-    /// answering.  Returns `true` when the unit was re-queued for another
-    /// worker; `false` when its attempt budget is exhausted and it has been
-    /// recorded as failed.
-    pub fn lose(&mut self, slot: usize, attempt: u32, reason: &str) -> bool {
-        self.in_flight = self.in_flight.saturating_sub(1);
-        self.lost += 1;
-        if attempt < self.max_attempts {
-            self.retried += 1;
-            self.pending.push_back((slot, attempt + 1));
-            true
-        } else {
-            self.failures.entry(slot).or_insert_with(|| {
-                format!("unit lost {attempt} time(s); attempt budget exhausted: {reason}")
-            });
-            false
-        }
-    }
-
-    /// Fails every still-pending unit (no worker left to run them).
-    pub fn abandon_pending(&mut self, reason: &str) {
-        while let Some((slot, _)) = self.pending.pop_front() {
-            self.failures
-                .entry(slot)
-                .or_insert_with(|| format!("unit abandoned: {reason}"));
-        }
-    }
-
-    /// Whether every unit has been settled (completed or failed) — nothing
-    /// pending, nothing in flight.
-    pub fn is_settled(&self) -> bool {
-        self.pending.is_empty() && self.in_flight == 0
-    }
-
-    /// Units currently checked out to workers.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Total re-dispatches of lost units.
-    pub fn retried(&self) -> u64 {
-        self.retried
-    }
-
-    /// Total worker-loss events observed (each re-queued or failed a unit).
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Finishes the ledger: every slot completed → the results in unit
-    /// order; otherwise the recorded failure of the *smallest* failing slot
-    /// (deterministic regardless of worker timing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Exec`] for the smallest failed slot, or for
-    /// the smallest unsettled slot when the ledger was finished early.
-    pub fn into_results(self) -> Result<Vec<UnitResult>, PipelineError> {
-        if let Some((slot, reason)) = self.failures.into_iter().next() {
-            return Err(PipelineError::exec(format!("unit {slot}: {reason}")));
-        }
-        self.results
-            .into_iter()
-            .enumerate()
-            .map(|(slot, result)| {
-                result.ok_or_else(|| PipelineError::exec(format!("unit {slot} was never settled")))
-            })
-            .collect()
     }
 }
 
@@ -2098,167 +1856,5 @@ mod tests {
                 .monte_carlo(16, 3);
             assert_eq!(sweep_corner_tables(dies, layers), (6, 4));
         }
-    }
-
-    // ---- UnitLedger -------------------------------------------------------
-
-    fn sentinel_result(slot: usize) -> UnitResult {
-        UnitResult::McShard {
-            cell: slot,
-            trial_range: 0..1,
-            ters: vec![],
-        }
-    }
-
-    #[test]
-    fn ledger_happy_path_returns_results_in_unit_order() {
-        let mut ledger = UnitLedger::new(3, 3);
-        // Check units out in a scrambled order (two workers interleaving).
-        let a = ledger.checkout().unwrap();
-        let b = ledger.checkout().unwrap();
-        assert_eq!((a, b), ((0, 1), (1, 1)));
-        ledger.complete(b.0, sentinel_result(b.0));
-        let c = ledger.checkout().unwrap();
-        ledger.complete(c.0, sentinel_result(c.0));
-        assert!(!ledger.is_settled(), "slot 0 still in flight");
-        ledger.complete(a.0, sentinel_result(a.0));
-        assert!(ledger.is_settled());
-        assert_eq!(ledger.checkout(), None);
-        let results = ledger.into_results().unwrap();
-        assert_eq!(results.len(), 3);
-        for (slot, result) in results.iter().enumerate() {
-            assert_eq!(*result, sentinel_result(slot));
-        }
-    }
-
-    #[test]
-    fn ledger_requeues_lost_units_until_budget_exhausted() {
-        let mut ledger = UnitLedger::new(1, 2);
-        let (slot, attempt) = ledger.checkout().unwrap();
-        assert!(
-            ledger.lose(slot, attempt, "worker died"),
-            "first loss retries"
-        );
-        assert_eq!(ledger.retried(), 1);
-        assert!(!ledger.is_settled(), "re-queued unit is pending again");
-        let (slot, attempt) = ledger.checkout().unwrap();
-        assert_eq!(attempt, 2);
-        assert!(
-            !ledger.lose(slot, attempt, "worker died again"),
-            "budget spent"
-        );
-        assert!(ledger.is_settled());
-        assert_eq!(ledger.lost(), 2);
-        let err = ledger.into_results().unwrap_err().to_string();
-        assert!(err.contains("unit 0"), "{err}");
-        assert!(err.contains("budget exhausted"), "{err}");
-        assert!(err.contains("worker died again"), "{err}");
-    }
-
-    #[test]
-    fn ledger_reports_smallest_failing_slot_regardless_of_timing() {
-        let mut ledger = UnitLedger::new(3, 1);
-        let first = ledger.checkout().unwrap();
-        let second = ledger.checkout().unwrap();
-        let third = ledger.checkout().unwrap();
-        // Failures land in reverse order; the smallest slot's error wins.
-        ledger.fail(third.0, "late failure");
-        ledger.fail(second.0, "middle failure");
-        ledger.complete(first.0, sentinel_result(0));
-        let err = ledger.into_results().unwrap_err().to_string();
-        assert!(err.contains("unit 1: middle failure"), "{err}");
-    }
-
-    #[test]
-    fn ledger_abandons_pending_units_when_no_workers_survive() {
-        let mut ledger = UnitLedger::new(3, 3);
-        let (slot, attempt) = ledger.checkout().unwrap();
-        ledger.lose(slot, attempt, "connection reset");
-        ledger.abandon_pending("no surviving workers");
-        assert!(ledger.is_settled());
-        let err = ledger.into_results().unwrap_err().to_string();
-        assert!(err.contains("unit 0: unit abandoned"), "{err}");
-        assert!(err.contains("no surviving workers"), "{err}");
-    }
-
-    #[test]
-    fn ledger_keeps_first_result_on_duplicate_completion() {
-        let mut ledger = UnitLedger::new(1, 3);
-        let (slot, attempt) = ledger.checkout().unwrap();
-        // The driver declared this worker dead (liveness timeout) and
-        // re-dispatched, but the slow worker's result eventually surfaced
-        // too: first settle wins, the duplicate is dropped on the floor.
-        assert!(ledger.lose(slot, attempt, "liveness timeout"));
-        let (slot2, _) = ledger.checkout().unwrap();
-        ledger.complete(slot2, sentinel_result(0));
-        ledger.complete(slot, sentinel_result(0));
-        assert!(ledger.is_settled());
-        assert_eq!(ledger.into_results().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn ledger_windowed_checkout_tracks_per_worker_sets() {
-        let mut ledger = UnitLedger::new(4, 3);
-        let w0 = ledger.add_worker();
-        let w1 = ledger.add_worker();
-        let (a, _) = ledger.checkout_for(w0).unwrap();
-        let (b, _) = ledger.checkout_for(w0).unwrap();
-        let (c, _) = ledger.checkout_for(w1).unwrap();
-        assert_eq!(ledger.in_flight_of(w0), 2);
-        assert_eq!(ledger.in_flight_of(w1), 1);
-        assert_eq!(ledger.in_flight(), 3);
-        // Out-of-order settle within the window.
-        assert!(ledger.complete_for(w0, b, sentinel_result(b)));
-        assert!(ledger.complete_for(w0, a, sentinel_result(a)));
-        // A slot another worker holds (or nobody holds) does not match.
-        assert!(!ledger.complete_for(w0, c, sentinel_result(c)));
-        assert!(ledger.complete_for(w1, c, sentinel_result(c)));
-        let (d, _) = ledger.checkout_for(w1).unwrap();
-        assert!(ledger.fail_for(w1, d, "deterministic failure"));
-        assert!(ledger.is_settled());
-        let err = ledger.into_results().unwrap_err().to_string();
-        assert!(
-            err.contains(&format!("unit {d}: deterministic failure")),
-            "{err}"
-        );
-    }
-
-    #[test]
-    fn ledger_lose_all_requeues_a_dead_workers_window() {
-        let mut ledger = UnitLedger::new(3, 2);
-        let w0 = ledger.add_worker();
-        let w1 = ledger.add_worker();
-        for _ in 0..3 {
-            ledger.checkout_for(w0).unwrap();
-        }
-        let (requeued, held) = ledger.lose_all(w0, "worker died");
-        assert_eq!((requeued, held), (3, 3));
-        assert_eq!(ledger.in_flight_of(w0), 0);
-        assert_eq!(ledger.retried(), 3);
-        assert!(!ledger.is_settled(), "window went back to pending");
-        // The survivor drains the requeued units at attempt 2.
-        while let Some((slot, attempt)) = ledger.checkout_for(w1) {
-            assert_eq!(attempt, 2);
-            assert!(ledger.complete_for(w1, slot, sentinel_result(slot)));
-        }
-        assert!(ledger.is_settled());
-        assert_eq!(ledger.into_results().unwrap().len(), 3);
-    }
-
-    #[test]
-    fn ledger_lose_all_exhausts_attempt_budgets_per_unit() {
-        let mut ledger = UnitLedger::new(2, 2);
-        let w0 = ledger.add_worker();
-        // Slot 0 burns one attempt first; slot 1 is on its first attempt.
-        let (slot, attempt) = ledger.checkout().unwrap();
-        assert!(ledger.lose(slot, attempt, "first death"));
-        ledger.checkout_for(w0).unwrap();
-        ledger.checkout_for(w0).unwrap();
-        let (requeued, held) = ledger.lose_all(w0, "second death");
-        assert_eq!(held, 2);
-        assert_eq!(requeued, 1, "slot 0's budget is spent, slot 1 requeues");
-        let err = ledger.into_results().unwrap_err().to_string();
-        assert!(err.contains("unit 0"), "{err}");
-        assert!(err.contains("budget exhausted"), "{err}");
     }
 }

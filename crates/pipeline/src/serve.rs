@@ -47,7 +47,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use qnn::fit::fit_classifier_head;
@@ -57,7 +57,7 @@ use timing::{DepthHistogram, OperatingCondition};
 
 use crate::cache::CacheStats;
 use crate::error::PipelineError;
-use crate::exec::{resolve_threads, run_indexed_threads};
+use crate::exec::{lock_ok, resolve_threads, run_indexed_threads, wait_until};
 use crate::executor::SocketExecutor;
 use crate::pipeline::ReadPipeline;
 use crate::plan::{window_reply, UnitResult, WorkPlan, WorkUnit};
@@ -806,34 +806,8 @@ impl Drop for GatePermit<'_> {
     }
 }
 
-/// Recover from a poisoned mutex: every critical section here leaves the
-/// protected state consistent before any operation that could panic, so the
-/// inner data is still valid.
-fn lock_ok<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn timed_out(what: &str) -> PipelineError {
     PipelineError::exec(format!("request timed out {what}"))
-}
-
-/// Waits on `cv` while `blocked` holds, until `deadline` at most.
-fn wait_until<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    deadline: Option<Instant>,
-    blocked: impl FnMut(&mut T) -> bool,
-) -> MutexGuard<'a, T> {
-    match deadline {
-        None => cv
-            .wait_while(guard, blocked)
-            .unwrap_or_else(PoisonError::into_inner),
-        Some(d) => {
-            cv.wait_timeout_while(guard, d.saturating_duration_since(Instant::now()), blocked)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0
-        }
-    }
 }
 
 /// Daemon-wide unit scheduler: a bounded executor pool (`slots` concurrent
@@ -2114,12 +2088,19 @@ mod tests {
             std::thread::spawn(move || {
                 let permit = sched.acquire(Priority::Interactive, None).unwrap();
                 tx.send("interactive").unwrap();
-                // Hold briefly so the bulk thread demonstrably waited.
-                std::thread::sleep(Duration::from_millis(20));
                 drop(permit);
             })
         };
-        std::thread::sleep(Duration::from_millis(50));
+        // Release the slot only once the interactive request is queued at
+        // the gate; otherwise the bulk waiter could take it first.
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while lock_ok(&sched.gate).interactive_waiting != 1 {
+            assert!(
+                Instant::now() < give_up,
+                "the interactive request never queued"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         drop(holder);
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(5)).unwrap(),
