@@ -25,6 +25,15 @@ pub enum SimError {
         /// Which dimension was empty.
         what: &'static str,
     },
+    /// A dimension is larger than the simulator can index.
+    TooLarge {
+        /// Which dimension.
+        what: &'static str,
+        /// Its size.
+        len: usize,
+        /// The largest size accepted.
+        max: usize,
+    },
     /// A compute schedule references a row or column outside the problem.
     InvalidSchedule {
         /// Description of the inconsistency.
@@ -45,6 +54,9 @@ impl fmt::Display for SimError {
                 write!(f, "dimension mismatch on {what}: {left} vs {right}")
             }
             SimError::EmptyDimension { what } => write!(f, "dimension {what} must be non-zero"),
+            SimError::TooLarge { what, len, max } => {
+                write!(f, "dimension {what} of {len} exceeds {max}")
+            }
             SimError::InvalidSchedule { reason } => write!(f, "invalid compute schedule: {reason}"),
             SimError::InvalidShape { reason } => write!(f, "invalid convolution shape: {reason}"),
         }
@@ -75,6 +87,15 @@ mod tests {
         assert!(SimError::EmptyDimension { what: "rows" }
             .to_string()
             .contains("rows"));
+        assert_eq!(
+            SimError::TooLarge {
+                what: "rows",
+                len: 9,
+                max: 8
+            }
+            .to_string(),
+            "dimension rows of 9 exceeds 8"
+        );
         assert!(SimError::InvalidSchedule {
             reason: "row 9 out of range".into()
         }

@@ -1,6 +1,8 @@
 //! The GEMM problem a layer lowers to, and its execution on the PE array
 //! under a chosen dataflow and compute schedule.
 
+use std::sync::Arc;
+
 use crate::array::ArrayConfig;
 use crate::dataflow::Dataflow;
 use crate::error::SimError;
@@ -22,6 +24,8 @@ pub struct SimResult {
 ///
 /// `W` is the `R x K` weight matrix (reduction rows x output channels) and
 /// `A` the `R x M` activation matrix (reduction rows x output pixels).
+/// The problem shares both matrices with whoever else holds them (a layer
+/// workload simulated many times builds each problem without a copy).
 ///
 /// # Example
 ///
@@ -41,19 +45,25 @@ pub struct SimResult {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GemmProblem {
-    weights: Matrix<i8>,
-    activations: Matrix<i8>,
+    weights: Arc<Matrix<i8>>,
+    activations: Arc<Matrix<i8>>,
 }
 
 impl GemmProblem {
     /// Creates a GEMM problem from a weight matrix (`R x K`) and an
-    /// activation matrix (`R x M`).
+    /// activation matrix (`R x M`), owned or shared.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::DimensionMismatch`] if the reduction dimensions
-    /// differ, or [`SimError::EmptyDimension`] if any dimension is zero.
-    pub fn new(weights: Matrix<i8>, activations: Matrix<i8>) -> Result<Self, SimError> {
+    /// differ, [`SimError::EmptyDimension`] if any dimension is zero, or
+    /// [`SimError::TooLarge`] for a reduction longer than `u32::MAX` rows
+    /// (a [`ColumnGroup`](crate::ColumnGroup) row order holds `u32`s).
+    pub fn new(
+        weights: impl Into<Arc<Matrix<i8>>>,
+        activations: impl Into<Arc<Matrix<i8>>>,
+    ) -> Result<Self, SimError> {
+        let (weights, activations) = (weights.into(), activations.into());
         Self::check(&weights, &activations)?;
         Ok(GemmProblem {
             weights,
@@ -79,6 +89,13 @@ impl GemmProblem {
         if weights.rows() == 0 {
             return Err(SimError::EmptyDimension {
                 what: "reduction length",
+            });
+        }
+        if u32::try_from(weights.rows()).is_err() {
+            return Err(SimError::TooLarge {
+                what: "reduction length",
+                len: weights.rows(),
+                max: u32::MAX as usize,
             });
         }
         if weights.cols() == 0 {
@@ -236,6 +253,7 @@ impl GemmProblem {
                         reduction_index: 0,
                     };
                     for (step, &r) in group.row_order.iter().enumerate() {
+                        let r = r as usize;
                         ctx.step = step;
                         ctx.reduction_index = r;
                         let cycle =
@@ -278,6 +296,7 @@ impl GemmProblem {
                             reduction_index: 0,
                         };
                         for (i, &r) in tile.iter().enumerate() {
+                            let r = r as usize;
                             ctx.step = tile_no * array.rows() + i;
                             ctx.reduction_index = r;
                             let cycle =
@@ -318,6 +337,18 @@ mod tests {
         let w = Matrix::<i8>::zeros(0, 2);
         let a = Matrix::<i8>::zeros(0, 3);
         assert!(GemmProblem::new(w, a).is_err());
+        // A reduction whose row indices would not fit a `u32` row order is
+        // refused before the empty columns (so nothing is allocated).
+        let too_long = u32::MAX as usize + 1;
+        let empty = Matrix::<i8>::zeros(too_long, 0);
+        assert_eq!(
+            GemmProblem::check(&empty, &empty),
+            Err(SimError::TooLarge {
+                what: "reduction length",
+                len: too_long,
+                max: u32::MAX as usize,
+            })
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ const ACC_PLANES: usize = ACC_BITS as usize;
 /// One lane of a word: the output `(channel, pixel)` it accumulates and the
 /// row order of the group that output belongs to.
 struct Lane<'a> {
-    order: &'a [usize],
+    order: &'a [u32],
     channel: usize,
     pixel: usize,
 }
@@ -94,7 +94,7 @@ pub(crate) fn run_depth_words(
         let mut acc = [0u64; ACC_PLANES];
         for step in 0..reduction_len {
             for (product, lane) in products.iter_mut().zip(&word) {
-                let r = lane.order[step];
+                let r = lane.order[step] as usize;
                 // i8 x i8 products fit i16 exactly.
                 *product = (i32::from(w[r * w_stride + lane.channel])
                     * i32::from(a[r * a_stride + lane.pixel])) as i16;
@@ -299,11 +299,11 @@ mod tests {
         let mut rest = channels.as_slice();
         while !rest.is_empty() {
             let width = rng.gen_range(1..5usize).min(rest.len());
-            let mut row_order: Vec<usize> = (0..r).collect();
+            let mut row_order: Vec<u32> = (0..r as u32).collect();
             row_order.shuffle(rng);
             groups.push(ColumnGroup {
                 columns: rest[..width].to_vec(),
-                row_order,
+                row_order: row_order.into(),
             });
             rest = &rest[width..];
         }

@@ -132,7 +132,7 @@ impl<T: Copy + Default> Matrix<T> {
     /// Returns [`SimError::InvalidSchedule`] if `order` is not a permutation
     /// of `0..self.rows()`.
     pub fn permute_rows(&self, order: &[usize]) -> Result<Self, SimError> {
-        validate_permutation(order, self.rows)?;
+        validate_permutation(order.iter().copied(), self.rows)?;
         let mut out = Vec::with_capacity(self.data.len());
         for &r in order {
             out.extend_from_slice(self.row(r));
@@ -152,7 +152,7 @@ impl<T: Copy + Default> Matrix<T> {
     /// Returns [`SimError::InvalidSchedule`] if `order` is not a permutation
     /// of `0..self.cols()`.
     pub fn permute_cols(&self, order: &[usize]) -> Result<Self, SimError> {
-        validate_permutation(order, self.cols)?;
+        validate_permutation(order.iter().copied(), self.cols)?;
         let out = Matrix::from_fn(self.rows, self.cols, |r, c| self[(r, order[c])]);
         Ok(out)
     }
@@ -186,14 +186,17 @@ impl<T: Copy + Default> Matrix<T> {
 }
 
 /// Checks that `order` is a permutation of `0..len`.
-pub(crate) fn validate_permutation(order: &[usize], len: usize) -> Result<(), SimError> {
+pub(crate) fn validate_permutation(
+    order: impl ExactSizeIterator<Item = usize>,
+    len: usize,
+) -> Result<(), SimError> {
     if order.len() != len {
         return Err(SimError::InvalidSchedule {
             reason: format!("permutation length {} != {}", order.len(), len),
         });
     }
     let mut seen = vec![false; len];
-    for &i in order {
+    for i in order {
         if i >= len {
             return Err(SimError::InvalidSchedule {
                 reason: format!("permutation index {i} out of range ({len})"),

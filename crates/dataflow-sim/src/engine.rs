@@ -435,7 +435,7 @@ impl Feeder {
         while self.seg < segments.len() {
             let s = &segments[self.seg];
             if self.pending.is_none() {
-                let r = schedule.groups()[s.group].row_order[s.row_start + self.row];
+                let r = schedule.groups()[s.group].row_order[s.row_start + self.row] as usize;
                 self.pending = Some(operand(r, s));
                 self.clock.tick(trace);
                 progressed = true;
@@ -546,7 +546,7 @@ impl Pe {
                     let a = acts_ch.pop(self.clock.now, trace);
                     self.ctx.step = s.base_step + i;
                     self.ctx.reduction_index =
-                        schedule.groups()[s.group].row_order[s.row_start + i];
+                        schedule.groups()[s.group].row_order[s.row_start + i] as usize;
                     let cycle = self.mac.mac(w, a);
                     observer.on_cycle(&self.ctx, &cycle);
                     self.clock.tick(trace);

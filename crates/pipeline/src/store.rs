@@ -47,7 +47,7 @@
 use std::collections::HashMap;
 use std::fmt::Debug;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -414,7 +414,12 @@ impl ArtifactStore for DiskStore {
         // only a crash of the whole process can strand one, and those are
         // swept (and counted) by the next [`DiskStore::new`] over this root.
         let guard = TmpGuard { path: &tmp };
-        if fs::write(&tmp, render_entry(kind, check, payload)).is_err() {
+        let written = fs::File::create(&tmp).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write_entry(&mut out, kind, check, payload)?;
+            out.flush()
+        });
+        if written.is_err() {
             return;
         }
         // First-writer-wins: a racing writer (thread or process) may have
@@ -479,13 +484,18 @@ fn escape_check(check: &str) -> String {
         .replace('\r', "\\r")
 }
 
-/// Renders a complete entry file — the byte layout pinned by the
-/// `tests/fixtures/artifact_entry.txt` golden fixture.
-pub(crate) fn render_entry(kind: &str, check: &str, payload: &str) -> String {
-    format!(
-        "{ENTRY_MAGIC} {ENTRY_VERSION}\nkind={kind}\ncheck={}\n---\n{payload}\n",
+/// Writes a complete entry file — the byte layout pinned by the
+/// `tests/fixtures/artifact_entry.txt` golden fixture — passing the payload
+/// through rather than copying it into one string with the header.  Behind
+/// a [`BufWriter`], an entry smaller than its buffer leaves in one write.
+fn write_entry(out: &mut impl Write, kind: &str, check: &str, payload: &str) -> io::Result<()> {
+    write!(
+        out,
+        "{ENTRY_MAGIC} {ENTRY_VERSION}\nkind={kind}\ncheck={}\n---\n",
         escape_check(check)
-    )
+    )?;
+    out.write_all(payload.as_bytes())?;
+    out.write_all(b"\n")
 }
 
 /// Parses an entry file into `(kind, escaped check, payload)`; `None` for
@@ -1635,7 +1645,9 @@ mod tests {
 
     #[test]
     fn entry_render_and_parse_invert() {
-        let rendered = render_entry("histogram", "a b", "total=0 flips=0 counts=");
+        let mut rendered = Vec::new();
+        write_entry(&mut rendered, "histogram", "a b", "total=0 flips=0 counts=").unwrap();
+        let rendered = String::from_utf8(rendered).unwrap();
         let (kind, check, payload) = parse_entry(&rendered).unwrap();
         assert_eq!(kind, "histogram");
         assert_eq!(check, "a b");

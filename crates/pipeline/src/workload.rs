@@ -4,6 +4,8 @@
 //! (Moved here from `read-bench` so that every pipeline consumer — benches,
 //! examples, tests — shares one workload vocabulary.)
 
+use std::sync::Arc;
+
 use accel_sim::{ConvShape, GemmProblem, Matrix};
 use qnn::init::{synthetic_activations, WeightInit};
 use qnn::models;
@@ -50,13 +52,14 @@ impl Default for WorkloadConfig {
 ///
 /// The fields are private so that the content [`LayerWorkload::fingerprint`],
 /// hashed once when the workload is built, always describes the matrices it
-/// is stored beside.
+/// is stored beside.  The matrices are shared: a clone of the workload and
+/// every [`LayerWorkload::problem`] hold them without a copy.
 #[derive(Debug, Clone)]
 pub struct LayerWorkload {
     name: String,
     shape: ConvShape,
-    weights: Matrix<i8>,
-    activations: Matrix<i8>,
+    weights: Arc<Matrix<i8>>,
+    activations: Arc<Matrix<i8>>,
     fingerprint: u64,
 }
 
@@ -115,8 +118,8 @@ impl LayerWorkload {
             fingerprint: content_fingerprint(&weights, &activations),
             name: name.to_string(),
             shape,
-            weights,
-            activations,
+            weights: Arc::new(weights),
+            activations: Arc::new(activations),
         })
     }
 
@@ -154,8 +157,8 @@ impl LayerWorkload {
             fingerprint: content_fingerprint(&weights, &activations),
             name: name.to_string(),
             shape,
-            weights,
-            activations,
+            weights: Arc::new(weights),
+            activations: Arc::new(activations),
         }
     }
 
@@ -187,14 +190,15 @@ impl LayerWorkload {
         self.fingerprint
     }
 
-    /// The GEMM problem of this workload.
+    /// The GEMM problem of this workload, sharing its matrices: building
+    /// one copies and allocates nothing.
     ///
     /// # Errors
     ///
     /// Returns [`accel_sim::SimError`] when the matrices do not form a
     /// GEMM, e.g. a workload generated with zero pixels per layer.
     pub fn problem(&self) -> Result<GemmProblem, accel_sim::SimError> {
-        GemmProblem::new(self.weights.clone(), self.activations.clone())
+        GemmProblem::new(Arc::clone(&self.weights), Arc::clone(&self.activations))
     }
 
     /// MAC operations per output activation (the `N` of Eq. (1)).

@@ -2,7 +2,7 @@
 //! then reorder the input channels of every cluster, and emit a layer
 //! schedule that drives the accelerator.
 
-use accel_sim::{ColumnGroup, ComputeSchedule, Matrix};
+use accel_sim::{ColumnGroup, ComputeSchedule, Matrix, SimError};
 
 use crate::cluster::{BalancedKMeans, DistanceMetric};
 use crate::error::ReadError;
@@ -120,8 +120,8 @@ impl LayerSchedule {
             num_channels,
         };
         schedule
-            .to_compute_schedule()
-            .validate(reduction_len, num_channels)
+            .try_compute_schedule()
+            .and_then(|compute| compute.validate(reduction_len, num_channels))
             .map_err(|e| ReadError::InvalidOrder {
                 reason: e.to_string(),
             })?;
@@ -152,17 +152,25 @@ impl LayerSchedule {
             .collect()
     }
 
-    /// Converts the schedule into the simulator's [`ComputeSchedule`].
+    /// Converts the schedule into the simulator's [`ComputeSchedule`], whose
+    /// row orders hold `u32` indices.
+    ///
+    /// # Panics
+    ///
+    /// If a row index exceeds `u32::MAX`: [`LayerSchedule::new`] refuses
+    /// such a schedule, and the others cover a reduction no
+    /// [`accel_sim::GemmProblem`] accepts.
     pub fn to_compute_schedule(&self) -> ComputeSchedule {
-        ComputeSchedule::new(
-            self.clusters
-                .iter()
-                .map(|c| ColumnGroup {
-                    columns: c.columns.clone(),
-                    row_order: c.order.clone(),
-                })
-                .collect(),
-        )
+        self.try_compute_schedule()
+            .expect("row indices of a layer schedule fit u32")
+    }
+
+    fn try_compute_schedule(&self) -> Result<ComputeSchedule, SimError> {
+        self.clusters
+            .iter()
+            .map(|c| ColumnGroup::new(c.columns.clone(), &c.order))
+            .collect::<Result<_, _>>()
+            .map(ComputeSchedule::new)
     }
 
     /// Builds the IFMAP address LUT realizing this schedule in hardware.
@@ -420,6 +428,40 @@ mod tests {
             1,
         );
         assert!(bad.is_err());
+        // A row index the simulator's `u32` orders cannot hold is refused,
+        // not truncated.
+        let beyond_u32 = LayerSchedule::new(
+            vec![ClusterSchedule {
+                columns: vec![0],
+                order: vec![0, u32::MAX as usize + 1],
+            }],
+            2,
+            1,
+        );
+        assert!(matches!(beyond_u32, Err(ReadError::InvalidOrder { .. })));
+    }
+
+    /// The simulator's schedule of a cluster-then-reorder result keeps every
+    /// cluster's columns and order, and survives its wire text unchanged.
+    #[test]
+    fn cluster_then_reorder_schedule_round_trips_through_the_wire() {
+        let w = demo_weights(200, 16, 7);
+        let layer = ReadOptimizer::new(ReadConfig::default())
+            .optimize(&w, 4)
+            .unwrap();
+        let compute = layer.to_compute_schedule();
+        for (group, cluster) in compute.groups().iter().zip(layer.clusters()) {
+            assert_eq!(group.columns, cluster.columns);
+            assert!(group
+                .row_order
+                .iter()
+                .map(|&r| r as usize)
+                .eq(cluster.order.iter().copied()));
+        }
+        assert_eq!(
+            ComputeSchedule::from_wire(&compute.to_wire()),
+            Some(compute)
+        );
     }
 
     #[test]

@@ -1,31 +1,43 @@
-//! Allocation regression test for the optimizer scoring path.
+//! Allocation regression tests.
 //!
 //! The READ optimizer scores thousands of candidate orderings per layer via
 //! `sign_flips_for_order`; a per-call `Vec` allocation in that path showed
 //! up as real cost.  The word-parallel kernel takes a reusable
-//! [`read_core::SignFlipScratch`], and this test pins the contract: once
-//! the scratch is warm, a scoring call performs **zero** heap allocations.
+//! [`read_core::SignFlipScratch`], and `warm_scoring_calls_do_not_allocate`
+//! pins the contract: once the scratch is warm, a scoring call performs
+//! **zero** heap allocations.  The memory tests pin what compute schedules
+//! and GEMM problems hold: a baseline schedule shares one identity row
+//! order across its groups, and a layer workload's problem shares its
+//! matrices.
 //!
 //! A counting allocator wraps the system allocator for this test binary
-//! only.  The count is **per-thread** so the libtest harness's own threads
-//! (timers, output capture) cannot perturb the measurement.
+//! only.  It counts calls and requested bytes **per thread** so the libtest
+//! harness's own threads (timers, output capture) cannot perturb the
+//! measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use accel_sim::Matrix;
+use accel_sim::{ComputeSchedule, Matrix};
 use read_core::{sign_flips_for_order_scalar, sign_flips_for_order_with, SignFlipScratch};
+use read_pipeline::LayerWorkload;
 
 struct CountingAlloc;
 
 thread_local! {
-    // `const` init so reading the counter never itself allocates.
+    // `const` init so reading the counters never itself allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,6 +56,10 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 #[test]
@@ -84,4 +100,39 @@ fn warm_scoring_calls_do_not_allocate() {
         sign_flips_for_order_scalar(&weights, &columns, &order, Some(&acts)).unwrap(),
         acts_expected
     );
+}
+
+/// The baseline schedule of a deep ResNet-18 layer (`R = 4608`, 512
+/// channels, 4-column groups): 128 groups share one identity order of
+/// 4608 `u32`s, about 28 KB in all.  One `usize` order per group took
+/// 4.7 MB.
+#[test]
+fn baseline_schedule_allocates_one_shared_order() {
+    let (calls, bytes_before) = (allocations(), bytes());
+    let schedule = ComputeSchedule::baseline(4608, 512, 4);
+    let allocated = bytes() - bytes_before;
+    assert_eq!(schedule.groups().len(), 128);
+    assert!(
+        allocated < 64 * 1024,
+        "baseline(4608, 512, 4) allocated {allocated} bytes in {} calls",
+        allocations() - calls
+    );
+}
+
+/// Building a layer workload's GEMM problem copies neither matrix.
+#[test]
+fn workload_problem_allocates_nothing() {
+    let weights = Matrix::from_fn(1152, 256, |r, c| ((r * 7 + c * 3) % 15) as i8 - 7);
+    let activations = Matrix::from_fn(1152, 4, |r, c| ((r + c) % 5) as i8);
+    let layer = LayerWorkload::from_matrices("conv4_1", weights, activations).unwrap();
+    let (calls, bytes_before) = (allocations(), bytes());
+    let problem = layer.problem().unwrap();
+    let (calls, allocated) = (allocations() - calls, bytes() - bytes_before);
+    assert_eq!(
+        (calls, allocated),
+        (0, 0),
+        "LayerWorkload::problem allocated"
+    );
+    assert_eq!(problem.weights(), layer.weights());
+    assert_eq!(problem.activations(), layer.activations());
 }

@@ -142,13 +142,9 @@ fn custom_schedule_sources_plug_in() {
             let groups = schedule
                 .groups()
                 .iter()
-                .map(|g| {
-                    let mut order = g.row_order.clone();
-                    order.reverse();
-                    ColumnGroup {
-                        columns: g.columns.clone(),
-                        row_order: order,
-                    }
+                .map(|g| ColumnGroup {
+                    columns: g.columns.clone(),
+                    row_order: g.row_order.iter().rev().copied().collect(),
                 })
                 .collect();
             schedule = ComputeSchedule::new(groups);

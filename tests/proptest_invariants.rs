@@ -281,13 +281,13 @@ fn packed_simulation_matches_scalar_on_random_schedules() {
         let mut rest = channels.as_slice();
         while !rest.is_empty() {
             let width = gen.range(1, 6).min(rest.len());
-            let mut row_order: Vec<usize> = (0..r).collect();
+            let mut row_order: Vec<u32> = (0..r as u32).collect();
             for i in (1..r).rev() {
                 row_order.swap(i, gen.range(0, i + 1));
             }
             groups.push(ColumnGroup {
                 columns: rest[..width].to_vec(),
-                row_order,
+                row_order: row_order.into(),
             });
             rest = &rest[width..];
         }
